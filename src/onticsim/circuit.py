@@ -285,10 +285,12 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                     subsets.append((key, idxs))
         for key, idxs in subsets:
             ops = [k for i in idxs for k in n.events[i].operators]
-            top = gram_top_eigenvalue(ops)
+            top = gram_top_eigenvalue(ops, tol=tol)
             if top > 1.0 + tol:
                 ctx = f" (conditioned on {key!r})" if key else ""
-                errors.append(f"node {n.label!r}{ctx} is trace-increasing: sigma_max = {top:.3g}")
+                errors.append(
+                    f"node {n.label!r}{ctx} is trace-increasing: sigma_max - 1 = {top - 1.0:.3g}"
+                )
 
     # Conditioning sources.
     edges: list[tuple[int, int]] = [(index[w.from_node], index[w.to_node]) for w in circuit.wires
@@ -538,22 +540,26 @@ def serialize_circuit(circuit: Circuit) -> str:
     return jsonio.dumps(circuit_to_dict(circuit), indent=2) + "\n"
 
 
+def _decode_circuit(text: str) -> Circuit:
+    """Build a circuit from JSON (or the line DSL) without validating it;
+    ``layout`` validates before anything runs on it."""
+    if text.lstrip().startswith("{"):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CircuitError(f"JSON syntax error at line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+        return circuit_from_dict(doc)
+    from .dsl import parse_dsl
+
+    return parse_dsl(text)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse a circuit from JSON (or the line DSL) and validate it.
 
     Raises CircuitError with a description of every violation found.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CircuitError(f"JSON syntax error at line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-        circuit = circuit_from_dict(doc)
-    else:
-        from .dsl import parse_dsl
-
-        circuit = parse_dsl(text)
+    circuit = _decode_circuit(text)
     report = validate_dag(circuit)
     if not report.ok:
         raise CircuitError("invalid circuit:\n" + str(report))

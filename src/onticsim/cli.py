@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .circuit import CircuitError, parse_circuit, validate_dag
+from .circuit import CircuitError, _decode_circuit, validate_dag
 from .engine import (
     EngineError,
     compile_program,
@@ -27,6 +27,7 @@ from .engine import (
 from .individuation import IndividuationError, classify_timeline
 from .linalg import MAX_DIM
 from .measurement import MeasurementError, mean_recall_fidelity, recall_fidelity_bound
+from .quantum import COMPLETENESS_TOL
 
 DEFAULT_SEED = 20120712  # fixed so runs are reproducible by default
 
@@ -42,7 +43,7 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        circuit = parse_circuit(text)
+        circuit = _decode_circuit(text)
     except CircuitError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a circuit file and check the DAG")
     p.add_argument("path")
-    p.add_argument("--tolerance", type=float, default=1e-8,
+    p.add_argument("--tolerance", type=float, default=COMPLETENESS_TOL,
                    help="slack on the trace-nonincreasing normalization check")
     p.set_defaults(func=cmd_validate)
 

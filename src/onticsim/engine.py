@@ -27,9 +27,9 @@ from .circuit import (
     CircuitError,
     CircuitLayout,
     INPUT_SOURCE,
+    _decode_circuit,
     circuit_from_dict,
     layout as circuit_layout,
-    parse_circuit,
 )
 from .foliation import (
     Foliation,
@@ -39,7 +39,7 @@ from .foliation import (
     foliate,
 )
 from .linalg import MAX_DIM
-from .quantum import gram_identity_defect
+from .quantum import COMPLETENESS_TOL, gram_identity_defect
 
 #: Leaf dimension up to which per-slice candidate operators are precompiled.
 FAST_PATH_MAX_DIM = 256
@@ -94,7 +94,7 @@ def program_from_dict(doc: dict, *, base_dir: Path | None = None) -> Program:
             path = Path(sd["circuit_file"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            circ = parse_circuit(path.read_text())
+            circ = _decode_circuit(path.read_text())
         else:
             raise CircuitError("program step needs 'circuit' or 'circuit_file'")
         bind = [tuple(p) for p in sd["bind"]] if sd.get("bind") else None
@@ -106,7 +106,11 @@ def program_from_dict(doc: dict, *, base_dir: Path | None = None) -> Program:
 
 
 def load_run_spec(path) -> Program:
-    """Load a circuit or program file; circuits become one-step programs."""
+    """Load a circuit or program file; circuits become one-step programs.
+
+    Circuits are decoded, not validated: ``compile_program`` validates each
+    step once.
+    """
     path = Path(path)
     text = path.read_text()
     stripped = text.lstrip()
@@ -114,7 +118,7 @@ def load_run_spec(path) -> Program:
         doc = json.loads(text)
         if doc.get("kind") == "program" or "steps" in doc:
             return program_from_dict(doc, base_dir=path.parent)
-    return Program.single(parse_circuit(text))
+    return Program.single(_decode_circuit(text))
 
 
 # --- compiled execution plan --------------------------------------------------
@@ -431,7 +435,7 @@ def _check_slice_total(plan, lay, key, cands, chosen, weights, classical_input) 
             for src in contexts:
                 idxs = admissible_event_indices(node, src)
                 ops = [k for j in idxs for k in node.events[j].operators]
-                if gram_identity_defect(ops) > 1e-8:
+                if gram_identity_defect(ops) > COMPLETENESS_TOL:
                     det = False
                     break
             if not det:

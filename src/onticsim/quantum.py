@@ -76,9 +76,9 @@ class KrausSet:
         return sum(k.conj().T @ k for k in self.operators)
 
     def completeness_defect(self) -> float:
-        """sigma_max distance of sum K^dag K from the identity (signed)."""
-        gram = self.completeness()
-        return float(np.linalg.norm(gram - np.eye(self.in_dim), ord=2))
+        """sigma_max distance of sum K^dag K from the identity (see
+        ``gram_identity_defect``)."""
+        return gram_identity_defect(self.operators)
 
     @property
     def is_deterministic(self) -> bool:
@@ -86,64 +86,136 @@ class KrausSet:
 
     def validate(self) -> None:
         """Raise unless trace-nonincreasing: sum K^dag K <= I."""
-        gram = self.completeness()
-        top = float(np.linalg.norm(gram, ord=2))
+        top = gram_top_eigenvalue(self.operators)
         if top > 1.0 + COMPLETENESS_TOL:
-            raise ValueError(f"trace-increasing transformation: sigma_max(sum K^dag K) = {top}")
+            raise ValueError(
+                f"trace-increasing transformation: sigma_max(sum K^dag K) - 1 = {top - 1.0:.3g}"
+            )
 
 
 def unitary_kraus(u, label: str = "0", **dims) -> KrausSet:
     return KrausSet((np.asarray(u, dtype=complex),), (label,), **dims)
 
 
-_DENSE_GRAM_DIM = 256  # above this, spectral checks use power iteration
+_DENSE_GRAM_DIM = 256  # above this, spectral checks run matrix-free Lanczos
+_LANCZOS_STEPS = 60
+_START_FAILURE_PROB = 1e-9  # chance that the random start hides an extreme eigenvector
 
 
-def gram_top_eigenvalue(operators, *, iters: int = 60, seed: int = 7) -> float:
-    """Largest eigenvalue of sum K^dag K without forming it when large.
+def _apply_gram(ops, v: np.ndarray) -> np.ndarray:
+    # K^dag u computed as conj(K^T conj(u)): transposes are views, so no
+    # large conjugate matrix is ever materialized.
+    return sum(np.conj(k.T @ np.conj(k @ v)) for k in ops)
 
-    The gram matrix is Hermitian positive, so power iteration converges to
-    the top eigenvalue; matrices up to a few hundred dimensions use a dense
-    eigensolver instead.
+
+def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
+    """Smallest t >= max(ritz) with prod(t - ritz) >= exp(log_norm), by
+    bisection; the product grows monotonically above the top Ritz value."""
+    lo = float(ritz[-1])
+    hi = lo + float(np.exp(log_norm / len(ritz)))  # prod >= (t - max)^k already
+    with np.errstate(divide="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.log(mid - ritz).sum() >= log_norm:
+                hi = mid
+            else:
+                lo = mid
+    return hi
+
+
+def _gram_spectrum(operators, lower: float, upper: float, *, steps: int,
+                   seed: int) -> tuple[float, float]:
+    """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
+    resolved until they settle whether the spectrum lies in [lower, upper].
+
+    Up to d = 256 both are exact (dense eigvalsh). Above, G is applied as
+    K^dag (K v) in a Lanczos recurrence with full reorthogonalisation from
+    a seeded uniformly random unit start q1. After k steps with Ritz values
+    theta_j and residual norms beta_j, the recurrence stops as soon as:
+
+    * out: theta_max > upper or theta_min < lower. Ritz values lie inside
+      [lambda_min, lambda_max], so this verdict is certain; the Ritz
+      values are returned.
+    * in: prod_j (upper - theta_j) and prod_j (theta_j - lower) are both at
+      least prod_j beta_j * sqrt(d/p), with p = 1e-9. The Lanczos vector
+      q_{k+1} is chi(G) q1 / prod_j beta_j, where chi(t) = prod_j (t - theta_j)
+      grows monotonically above theta_max, so an eigenvector u with
+      eigenvalue above upper would give |<u, q1>| < sqrt(p/d), and
+      P(|<u, q1>|^2 < p/d) <= p for a uniform start; likewise below lower.
+      At k = 1 this is theta + beta*sqrt(d/p) <= upper. The returned bounds
+      are the points where the products reach that level.
+
+    If ``steps`` Lanczos steps settle nothing, the dense eigvalsh of the
+    formed G gives the exact answer.
     """
     ops = [np.asarray(k, dtype=complex) for k in operators]
     d = ops[0].shape[1]
-    if d <= _DENSE_GRAM_DIM:
-        g = sum(k.conj().T @ k for k in ops)
-        return float(np.linalg.eigvalsh(g)[-1])
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        # K^dag u computed as conj(K^T conj(u)): transposes are views, so no
-        # large conjugate matrix is ever materialized.
-        w = sum(np.conj(k.T @ np.conj(k @ v)) for k in ops)
-        lam = float(np.linalg.norm(w))
-        if lam < 1e-300:
-            return 0.0
-        v = w / lam
-    return lam
+    if d > _DENSE_GRAM_DIM:
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=d) + 1j * rng.normal(size=d)
+        q /= np.linalg.norm(q)
+        log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
+        basis = np.empty((steps, d), dtype=complex)
+        alpha: list[float] = []
+        beta: list[float] = []
+        for j in range(steps):
+            basis[j] = q
+            w = _apply_gram(ops, q)
+            alpha.append(float(np.vdot(q, w).real))
+            done = basis[:j + 1]
+            for _ in range(2):  # full reorthogonalisation, twice for stability
+                w -= done.T @ (done.conj() @ w)
+            b = float(np.linalg.norm(w))
+            ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if ritz[-1] > upper or ritz[0] < lower:
+                return float(ritz[0]), float(ritz[-1])
+            with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
+                log_norm += np.log(b)
+                settled = (np.log(upper - ritz).sum() >= log_norm
+                           and np.log(ritz - lower).sum() >= log_norm)
+            if settled:
+                return -_certified_edge(-ritz[::-1], log_norm), _certified_edge(ritz, log_norm)
+            beta.append(b)
+            q = w / b
+    g = sum(k.conj().T @ k for k in ops)
+    w = np.linalg.eigvalsh(g)
+    return float(w[0]), float(w[-1])
 
 
-def gram_identity_defect(operators, *, iters: int = 60, seed: int = 7) -> float:
-    """Spectral radius of (sum K^dag K) - I, the distance from determinism."""
-    ops = [np.asarray(k, dtype=complex) for k in operators]
-    d = ops[0].shape[1]
-    if d <= _DENSE_GRAM_DIM:
-        g = sum(k.conj().T @ k for k in ops)
-        return float(np.abs(np.linalg.eigvalsh(g - np.eye(d))).max())
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = sum(np.conj(k.T @ np.conj(k @ v)) for k in ops) - v
-        lam = float(np.linalg.norm(w))
-        if lam < 1e-12:
-            return lam
-        v = w / lam
-    return lam
+def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL, iters: int = _LANCZOS_STEPS,
+                        seed: int = 7) -> float:
+    """Largest eigenvalue of G = sum K^dag K, as far as the trace-nonincreasing
+    verdict ``lambda_max <= 1 + tol`` needs it.
+
+    The result is on the same side of 1 + tol as lambda_max:
+
+    * d <= 256, or when ``iters`` Lanczos steps settle nothing: the exact
+      eigenvalue from a dense eigvalsh of G.
+    * d > 256, rejected: the top Ritz value, a certain lower bound on
+      lambda_max above 1 + tol.
+    * d > 256, accepted: an upper bound on lambda_max, at most 1 + tol. It
+      is the point t >= theta_max where prod_j (t - theta_j) reaches
+      prod_j beta_j * sqrt(d/p) over the Ritz values theta_j and Lanczos
+      residual norms beta_j; after one step, theta + beta*sqrt(d/p). The
+      bound is wrong with probability at most p = 1e-9 over the random
+      Lanczos start (seeded, so verdicts are reproducible).
+
+    No d x d matrix is formed unless the dense eigvalsh runs.
+    """
+    return _gram_spectrum(operators, -np.inf, 1.0 + tol, steps=iters, seed=seed)[1]
+
+
+def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL, iters: int = _LANCZOS_STEPS,
+                         seed: int = 7) -> float:
+    """Spectral radius of G - I, the distance from determinism, as far as
+    the verdict ``defect <= tol`` needs it.
+
+    Same rules as ``gram_top_eigenvalue``, applied to both the top and the
+    bottom eigenvalue of G; an acceptance above d = 256 is wrong with
+    probability at most 2p.
+    """
+    bottom, top = _gram_spectrum(operators, 1.0 - tol, 1.0 + tol, steps=iters, seed=seed)
+    return max(top - 1.0, 1.0 - bottom)
 
 
 def apply_atomic(k: KrausSet, psi) -> tuple[np.ndarray, float]:
@@ -172,8 +244,7 @@ class CpMap:
         return sum(k @ rho @ k.conj().T for k in self.kraus_operators)
 
     def is_trace_preserving(self, tol: float = COMPLETENESS_TOL) -> bool:
-        gram = sum(k.conj().T @ k for k in self.kraus_operators)
-        return float(np.linalg.norm(gram - np.eye(gram.shape[0]), ord=2)) <= tol
+        return gram_identity_defect(self.kraus_operators, tol=tol) <= tol
 
 
 def epistemic_of(test) -> CpMap:
@@ -228,9 +299,9 @@ def complete_test(k: KrausSet) -> KrausSet:
     tests are returned unchanged.
     """
     k.validate()
-    defect = np.eye(k.in_dim) - k.completeness()
-    if float(np.linalg.norm(defect, ord=2)) <= COMPLETENESS_TOL:
+    if k.is_deterministic:
         return k
+    defect = np.eye(k.in_dim) - k.completeness()
     w, v = np.linalg.eigh((defect + defect.conj().T) / 2)
     cols = [(lam, v[:, i]) for i, lam in enumerate(w) if lam > COMPLETENESS_TOL]
     extra: list[np.ndarray] = []
@@ -278,7 +349,7 @@ def dilate(k: KrausSet, *, seed: int = 11) -> Dilation:
     Gaussian basis, so the construction is reproducible. Sub-normalized
     tests must be completed (see ``complete_test``) first.
     """
-    if k.completeness_defect() > COMPLETENESS_TOL:
+    if not k.is_deterministic:
         raise ValueError("dilation needs a deterministic test; pad with complete_test() first")
     d_a, d_b = k.in_dim, k.out_dim
     n = len(k.operators)

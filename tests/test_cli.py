@@ -58,6 +58,21 @@ class TestValidate:
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 2
 
+    def test_tolerance_sets_the_normalisation_slack(self, circuits_dir, tmp_path, capsys):
+        doc = json.loads((circuits_dir / "bell_pair.json").read_text())
+        event = next(n for n in doc["nodes"] if n["label"] == "left")["events"][0]
+        scale = np.sqrt(1 + 1e-6)  # outcome-0 projector becomes trace-increasing by 1e-6
+        event["kraus"] = [[[[re * scale, im * scale] for re, im in row] for row in m]
+                          for m in event["kraus"]]
+        path = tmp_path / "excess.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert "sigma_max - 1 = 1e-06" in capsys.readouterr().err
+        assert main(["validate", str(path), "--tolerance", "1e-5"]) == 0
+        assert "OK" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid circuit:")
+
     def test_malformed_file_exits_one_everywhere(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"broken": ')
@@ -134,6 +149,29 @@ class TestRun:
         path.write_text(json.dumps(prog))
         assert main(["run", str(path), "--trajectories", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    def test_each_circuit_file_validated_once(self, command, circuits_dir, tmp_path, monkeypatch):
+        from onticsim import circuit
+
+        validated = []
+        validate_dag = circuit.validate_dag
+
+        def counting(c, **kwargs):
+            validated.append(c.name)
+            return validate_dag(c, **kwargs)
+
+        monkeypatch.setattr(circuit, "validate_dag", counting)
+        prog = {
+            "kind": "program",
+            "name": "two-files",
+            "steps": [{"circuit_file": str(circuits_dir / "bell_pair.json")},
+                      {"circuit_file": str(circuits_dir / "bell_pair.opt")}],
+        }
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(prog))
+        assert main([command, str(path)]) == 0
+        assert len(validated) == 2
 
     def test_final_state_stored_on_request(self, circuits_dir, capsys):
         assert main([

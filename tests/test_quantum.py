@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from onticsim import quantum
 from onticsim.linalg import haar_state, haar_unitary
 from onticsim.quantum import (
+    COMPLETENESS_TOL,
     CpMap,
     KrausSet,
     SignatureError,
@@ -11,6 +13,8 @@ from onticsim.quantum import (
     complete_test,
     dilate,
     epistemic_of,
+    gram_identity_defect,
+    gram_top_eigenvalue,
     holevo_limit,
     is_density_matrix,
     unitary_kraus,
@@ -247,3 +251,102 @@ def test_cpmap_composition_behaviour():
     chan = CpMap((u,))
     rho = random_density(2)
     assert np.allclose(chan(chan(rho)), (u @ u) @ rho @ (u @ u).conj().T)
+
+
+def gram_oracle(ops) -> np.ndarray:
+    """Eigenvalues of sum K^dag K from the formed matrix."""
+    return np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops))
+
+
+def trace_increasing(d, excess=1e-6, seed=0):
+    """U . diag(sqrt(1 + excess), 1, ..., 1): top eigenvalue 1 + excess, rest 1."""
+    k = haar_unitary(d, np.random.default_rng(seed))
+    k[:, 0] *= np.sqrt(1.0 + excess)
+    return k
+
+
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    """Records each product with sum K^dag K; the dense paths make none."""
+    steps = []
+    apply_gram = quantum._apply_gram
+    monkeypatch.setattr(quantum, "_apply_gram", lambda ops, v: steps.append(1) or apply_gram(ops, v))
+    return steps
+
+
+class TestGramSpectrum:
+    """Both sides of the dense/Lanczos switch give the verdict of the dense oracle."""
+
+    @pytest.mark.parametrize("d", [256, 257])
+    def test_trace_excess_rejected_on_both_sides_of_the_switch(self, d, lanczos_steps):
+        k = trace_increasing(d)
+        exact = gram_oracle([k])[-1]
+        assert exact > 1 + COMPLETENESS_TOL
+        top = gram_top_eigenvalue([k])
+        assert 1 + COMPLETENESS_TOL < top <= exact + 1e-12  # a Ritz value never exceeds it
+        assert len(lanczos_steps) == (0 if d == 256 else 2)  # Lanczos above 256, no fallback
+        with pytest.raises(ValueError, match="- 1 = 1e-06"):
+            KrausSet((k,)).validate()
+
+    def test_gapless_subnormalised_spectrum_with_one_excess_rejected(self):
+        d = 1024
+        s = np.sqrt(np.linspace(0.0, 1.0, d))
+        s[-1] = np.sqrt(1 + 1e-6)
+        k = haar_unitary(d, np.random.default_rng(1)) * s
+        assert gram_oracle([k])[-1] > 1 + COMPLETENESS_TOL
+        assert gram_top_eigenvalue([k]) > 1 + COMPLETENESS_TOL
+
+    def test_unitary_accepted_with_an_upper_bound(self):
+        u = haar_unitary(512, np.random.default_rng(2))
+        exact = gram_oracle([u])
+        top = gram_top_eigenvalue([u])
+        assert exact[-1] - 1e-12 <= top <= 1 + COMPLETENESS_TOL
+        defect = gram_identity_defect([u])
+        assert np.abs(exact - 1).max() - 1e-12 <= defect <= COMPLETENESS_TOL
+        assert unitary_kraus(u).is_deterministic
+
+    def test_complete_two_outcome_set_accepted(self):
+        ks = random_complete_kraus(300, 2, np.random.default_rng(3))
+        exact = gram_oracle(ks.operators)
+        ks.validate()
+        assert ks.is_deterministic
+        assert epistemic_of(ks).is_trace_preserving()
+        assert np.abs(exact - 1).max() - 1e-12 <= ks.completeness_defect() <= COMPLETENESS_TOL
+
+    def test_subnormalised_direction_breaks_determinism(self):
+        ks = random_complete_kraus(300, 2, np.random.default_rng(4))
+        shrink = np.ones(300)
+        shrink[0] = np.sqrt(1 - 1e-6)  # the gram becomes diag(1 - 1e-6, 1, ..., 1)
+        sub = KrausSet(tuple(k * shrink for k in ks.operators))
+        exact = gram_oracle(sub.operators)
+        assert exact[0] < 1 - COMPLETENESS_TOL and exact[-1] <= 1 + COMPLETENESS_TOL
+        sub.validate()
+        assert not sub.is_deterministic
+        assert COMPLETENESS_TOL < sub.completeness_defect() <= np.abs(exact - 1).max() + 1e-12
+        assert not epistemic_of(sub).is_trace_preserving()
+
+    def test_noisy_unitary_settles_in_a_few_lanczos_steps(self, lanczos_steps):
+        # G - I of size 1e-12, as floating-point unitaries have; the
+        # residual alone stays too large for the sqrt(d/p) factor.
+        rng = np.random.default_rng(5)
+        d = 1024
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T, ord=2)
+        k = haar_unitary(d, rng) @ (np.eye(d) + 1e-12 * h)
+        assert gram_top_eigenvalue([k]) <= 1 + COMPLETENESS_TOL
+        assert gram_identity_defect([k]) <= COMPLETENESS_TOL
+        assert len(lanczos_steps) <= 6  # no dense fallback
+        assert np.abs(gram_oracle([k]) - 1).max() < 1e-11
+
+    def test_agrees_with_oracle_on_random_small_sets(self):
+        rng = np.random.default_rng(6)
+        for d, n, scale in [(2, 1, 1.0), (2, 3, 0.7), (3, 2, 1.0), (4, 2, 1 + 1e-7), (5, 4, 0.999)]:
+            ks = random_complete_kraus(d, n, rng)
+            ops = tuple(scale ** 0.5 * k for k in ks.operators)
+            exact = gram_oracle(ops)
+            defect = np.abs(exact - 1).max()
+            assert abs(gram_identity_defect(ops) - defect) < 1e-12
+            assert abs(KrausSet(ops).completeness_defect() - defect) < 1e-12
+            assert abs(gram_top_eigenvalue(ops) - exact[-1]) < 1e-12
+            for tol in (1e-9, COMPLETENESS_TOL, 1e-3):
+                assert CpMap(ops).is_trace_preserving(tol) == (defect <= tol)
