@@ -19,10 +19,12 @@ from . import jsonio
 from .circuit import CircuitError, _decode_circuit, validate_dag
 from .engine import (
     EngineError,
+    TrajectoryBatch,
     compile_program,
     enumerate_histories,
     load_run_spec,
     run_trajectory,
+    sample_batches,
 )
 from .individuation import IndividuationError, classify_timeline
 from .linalg import MAX_DIM
@@ -66,38 +68,48 @@ def _out_stream(args):
     return sys.stdout
 
 
+def _run_records(batch: TrajectoryBatch, seed: int, store_states: bool):
+    """The ``run`` records of one batch, as dicts."""
+    outcomes = [[list(kv) for kv in items] for items in batch.outcome_items()]
+    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
+        record = {"seed": seed, "index": batch.start + r, "outcomes": outcomes[p],
+                  "probability": prob}
+        if store_states:
+            record["final_state"] = jsonio.encode_vector(batch.states[-1][r])
+        yield record
+
+
+def _run_lines(batch: TrajectoryBatch, seed: int, store_states: bool) -> str:
+    """The JSONL text of one batch: the bytes of ``jsonio.dumps(record)`` per
+    line, with each path's outcome list formatted once."""
+    outcomes = [jsonio.dumps(items) for items in batch.outcome_items()]
+    head = f'{{"seed": {jsonio.dumps(seed)}, "index": '
+    lines = []
+    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
+        line = (f'{head}{batch.start + r}, "outcomes": {outcomes[p]}, '
+                f'"probability": {jsonio.format_float(prob)}')
+        if store_states:
+            line += f', "final_state": {jsonio.dumps_vector(batch.states[-1][r])}'
+        lines.append(line + "}\n")
+    return "".join(lines)
+
+
 def cmd_run(args) -> int:
     program = _load_program(args.path)
     inputs = args.inputs.split(",") if args.inputs else None
     try:
         compiled = compile_program(program, max_dim=args.max_dim)
         out = _out_stream(args)
-        records = []
         try:
-            for i in range(args.trajectories):
-                traj = run_trajectory(
-                    program,
-                    inputs=inputs,
-                    seed=args.seed,
-                    index=i,
-                    compiled=compiled,
-                    store_states=args.store_states,
-                    max_dim=args.max_dim,
-                )
-                record = {
-                    "seed": args.seed,
-                    "index": i,
-                    "outcomes": [[k, v] for k, v in traj.outcome_items()],
-                    "probability": traj.probability,
-                }
-                if args.store_states:
-                    record["final_state"] = jsonio.encode_vector(traj.final_state)
-                if args.format == "json":
-                    records.append(record)
-                else:
-                    out.write(jsonio.dumps(record) + "\n")
+            batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
+                                     store_states=args.store_states, compiled=compiled)
             if args.format == "json":
+                records = [record for batch in batches
+                           for record in _run_records(batch, args.seed, args.store_states)]
                 out.write(jsonio.dumps(records, indent=2) + "\n")
+            else:
+                for batch in batches:
+                    out.write(_run_lines(batch, args.seed, args.store_states))
         finally:
             if out is not sys.stdout:
                 out.close()

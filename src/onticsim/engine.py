@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -129,9 +130,23 @@ class _SlicePlan:
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     fast: bool
-    # fast path: context key -> (outcome label updates, stacked operators)
-    compiled: dict = field(default_factory=dict)
-    det_cache: dict = field(default_factory=dict)
+    # Conditioning sources the slice reads from outside itself (or @input),
+    # in node order: their outcomes make up the slice's context key.
+    key_sources: tuple[str, ...]
+    # context key -> _Branches, filled on first use
+    branches: dict = field(default_factory=dict)
+
+
+@dataclass
+class _Branches:
+    """A slice's joint outcome choices in one context, and what follows from
+    them. Every field is a function of the context key alone, so threads
+    that race to fill one store equal values."""
+
+    cands: list[dict[str, str]]        # node label -> outcome, every node of the slice
+    frees: list[dict[str, str]]        # the free choices of each candidate
+    stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
+    deterministic: bool | None = None  # every admissible subset sums to the identity
 
 
 @dataclass
@@ -179,7 +194,14 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM,
                 prod(fol.leaf_dims(s)) <= fast_dim
                 and prod(fol.leaf_dims(s + 1)) <= fast_dim
             )
-            plans.append(_SlicePlan(topo_members, fol.leaf_dims(s), fol.leaf_dims(s + 1), fast))
+            labels = {lay.circuit.nodes[i].label for i in topo_members}
+            conditions = [lay.circuit.nodes[i].condition for i in topo_members]
+            key_sources = tuple(
+                c.source for c in conditions
+                if c is not None and (c.source == INPUT_SOURCE or c.source not in labels)
+            )
+            plans.append(_SlicePlan(topo_members, fol.leaf_dims(s), fol.leaf_dims(s + 1), fast,
+                                    key_sources))
         compiled.append(CompiledStep(lay, fol, plans, step.bind))
         prev_out = lay.output_dims
     return compiled
@@ -227,49 +249,66 @@ def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, st
     return candidates
 
 
-def _context_key(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, str],
-                 classical_input: str) -> tuple:
-    members = {lay.circuit.nodes[i].label for i in plan.node_indices}
-    key = []
+def _free_choices(plan: _SlicePlan, lay: CircuitLayout, cand: dict[str, str],
+                  chosen: dict[str, str], classical_input: str) -> dict[str, str]:
+    free = {}
     for i in plan.node_indices:
         node = lay.circuit.nodes[i]
         if node.condition is None:
-            continue
-        if node.condition.source == INPUT_SOURCE:
-            key.append((INPUT_SOURCE, classical_input))
-        elif node.condition.source not in members:
-            key.append((node.condition.source, chosen[node.condition.source]))
-    return tuple(key)
+            src = None
+        elif node.condition.source == INPUT_SOURCE:
+            src = classical_input
+        else:
+            src = cand.get(node.condition.source, chosen.get(node.condition.source))
+        if len(admissible_event_indices(node, src)) > 1:
+            free[node.label] = cand[node.label]
+    return free
 
 
-def _compiled_candidates(step: CompiledStep, s: int, key: tuple, chosen: dict[str, str],
-                         classical_input: str):
-    """(candidate outcome dicts, stacked slice operators) on the fast path."""
-    plan = step.slices[s]
-    hit = plan.compiled.get(key)
-    if hit is not None:
-        return hit
-    cands = _slice_candidates(plan, step.layout, chosen, classical_input)
-    mats = []
-    for cand in cands:
-        resolved_full = dict(chosen)
-        resolved_full.update(cand)
-        # compile_slice needs event indices for the slice's nodes only.
-        resolved_idx = {
-            lbl: step.layout.circuit.node(lbl).event_index(out)
-            for lbl, out in resolved_full.items()
-        }
-        mats.append(compile_slice(step.foliation, s, resolved=resolved_idx))
-    stacked = np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
-    plan.compiled[key] = (cands, stacked)
-    return cands, stacked
+def _context_key(plan: _SlicePlan, chosen: dict[str, str], classical_input: str) -> tuple:
+    """The outcomes a slice's candidates depend on, as a hashable key."""
+    return tuple([(src, classical_input if src == INPUT_SOURCE else chosen[src])
+                  for src in plan.key_sources])
+
+
+def _branches(plan: _SlicePlan, lay: CircuitLayout, key: tuple, chosen: dict[str, str],
+              classical_input: str) -> _Branches:
+    hit = plan.branches.get(key)
+    if hit is None:
+        cands = _slice_candidates(plan, lay, chosen, classical_input)
+        hit = _Branches(cands, [_free_choices(plan, lay, c, chosen, classical_input) for c in cands])
+        plan.branches[key] = hit
+    return hit
+
+
+def _stacked_operators(step: CompiledStep, s: int, branches: _Branches,
+                       chosen: dict[str, str]) -> np.ndarray:
+    """The fast path's slice operators of each candidate, stacked to
+    broadcast over a batch."""
+    if branches.stacked is None:
+        mats = []
+        for cand in branches.cands:
+            resolved_full = dict(chosen)
+            resolved_full.update(cand)
+            # compile_slice needs event indices for the slice's nodes only.
+            resolved_idx = {
+                lbl: step.layout.circuit.node(lbl).event_index(out)
+                for lbl, out in resolved_full.items()
+            }
+            mats.append(compile_slice(step.foliation, s, resolved=resolved_idx))
+        branches.stacked = np.stack(mats)[None] if mats else np.zeros((1, 0, 1, 1), dtype=complex)
+    return branches.stacked
 
 
 # --- tensor-path application --------------------------------------------------
 
 def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
                         node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
-    """Apply one slice's events to a state tensor indexed by wire order."""
+    """Apply one slice's events to a batch of state tensors.
+
+    Axis 0 of ``state`` runs over the batch; the other axes are the wires in
+    ``order``. A batch of one contracts exactly as an unbatched tensor would.
+    """
     dims_of = {w.index: w.dim for w in lay.wires}
     for i in node_indices:
         node = lay.circuit.nodes[i]
@@ -279,20 +318,26 @@ def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
         out_dims = tuple(dims_of[w] for w in out_wires)
         in_dims = tuple(dims_of[w] for w in in_wires)
         k = op.reshape(out_dims + in_dims)
-        pos = [order.index(w) for w in in_wires]
+        pos = [1 + order.index(w) for w in in_wires]
         state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))
+        state = np.moveaxis(state, len(out_dims), 0)
         order = list(out_wires) + [w for w in order if w not in in_wires]
     return state, order
 
 
 def _reorder_tensor(state: np.ndarray, order: list[int], target: list[int]) -> np.ndarray:
+    """Permute the wire axes of a batch of state tensors (axis 0 is the batch)."""
     if order == target:
         return state
-    axes = [order.index(w) for w in target]
-    return state.transpose(axes)
+    return state.transpose([0] + [1 + order.index(w) for w in target])
 
 
 # --- trajectories --------------------------------------------------------------
+
+#: Trajectories sampled together by one call of the batch kernel. The size
+#: bounds memory; it never changes the output.
+BATCH_SIZE = 1024
+
 
 @dataclass
 class TrajectoryStep:
@@ -301,6 +346,13 @@ class TrajectoryStep:
     weight: float                     # ||O w||^2 conditional on the past
     state: np.ndarray | None = None   # normalized post-step state, output-wire order
     operator: np.ndarray | None = None
+
+
+def _outcome_items(step_outcomes) -> list[tuple[str, str]]:
+    """Flat (node, outcome) pairs; step-prefixed for multi-step programs."""
+    multi = len(step_outcomes) > 1
+    return [(f"{t}:{k}" if multi else k, v)
+            for t, outcomes in enumerate(step_outcomes) for k, v in outcomes.items()]
 
 
 @dataclass
@@ -313,10 +365,7 @@ class Trajectory:
     state_dims: list[tuple[int, ...]] = field(default_factory=list)
 
     def outcome_items(self) -> list[tuple[str, str]]:
-        items: list[tuple[str, str]] = []
-        for t, s in enumerate(self.steps):
-            items += [(f"{t}:{k}" if len(self.steps) > 1 else k, v) for k, v in s.outcomes.items()]
-        return items
+        return _outcome_items([s.outcomes for s in self.steps])
 
 
 def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> tuple[np.ndarray, list[int]]:
@@ -340,85 +389,149 @@ def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> t
     return omega0.reshape(dims), list(lay0.input_wires)
 
 
-def _free_choices(plan: _SlicePlan, lay: CircuitLayout, cand: dict[str, str],
-                  chosen: dict[str, str], classical_input: str) -> dict[str, str]:
-    free = {}
-    for i in plan.node_indices:
-        node = lay.circuit.nodes[i]
-        if node.condition is None:
-            src = None
-        elif node.condition.source == INPUT_SOURCE:
-            src = classical_input
-        else:
-            src = cand.get(node.condition.source, chosen.get(node.condition.source))
-        if len(admissible_event_indices(node, src)) > 1:
-            free[node.label] = cand[node.label]
-    return free
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
-def sample_step(step: CompiledStep, omega: np.ndarray, classical_input: str,
-                rng: np.random.Generator) -> tuple[dict[str, str], np.ndarray, float]:
-    """Sample one circuit step: (free outcomes, normalized next state, weight).
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a*b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32), a * b
 
-    ``omega`` is a flat normalized vector on the step's input wires in
-    canonical order; the result state is on the output wires likewise.
+
+def _trajectory_uniforms(seed: int, start: int, n: int, count: int) -> np.ndarray:
+    """Row r holds ``trajectory_rng(seed, start + r).random(count)``, bit for bit.
+
+    numpy's Philox4x64-10 keyed by (seed, index), evaluated for all rows at
+    once. Block b of a stream is the cipher of counter (b + 1, 0, 0, 0)
+    (numpy increments the counter before the first block) and yields four
+    64-bit words in order; each uniform is ``(word >> 11) * 2**-53``. The
+    128-bit products of the rounds are assembled from 32-bit halves in
+    uint64 arithmetic, which wraps modulo 2**64 as the cipher needs.
+    """
+    blocks = -(-count // 4)
+    k0 = np.full((n, 1), seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    k1 = np.arange(start, start + n, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (n, blocks))
+    c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=2).reshape(n, 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _groups(path: np.ndarray, n_paths: int) -> list[tuple[int, np.ndarray | slice]]:
+    """(path id, rows) for each of the path ids 0 .. n_paths - 1, all of
+    which occur; rows is ``slice(None)`` while a single path holds them all."""
+    if n_paths == 1:
+        return [(0, slice(None))]
+    order = np.argsort(path, kind="stable")
+    bounds = np.searchsorted(path[order], np.arange(n_paths + 1)).tolist()
+    return [(p, order[bounds[p]:bounds[p + 1]]) for p in range(n_paths)]
+
+
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of (finite, nonnegative) branch weights, the inverse-CDF pick
+    for uniform ``u`` among the branches heavier than ZERO_BRANCH."""
+    cum = np.add.accumulate(weights * (weights > ZERO_BRANCH), axis=1)
+    if 0.0 in cum[:, -1].tolist():
+        raise EngineError("all outcome branches of a slice have zero weight")
+    if weights.shape[1] == 1:
+        return np.zeros(len(weights), dtype=np.intp)
+    # Not counting the last column clips the pick to the last branch.
+    return np.add.reduce(cum[:, :-1] <= u[:, None] * cum[:, -1:], axis=1)
+
+
+def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
+                   uniforms: np.ndarray):
+    """The batch kernel: sample every slice of one circuit step for a batch.
+
+    ``state`` is (n, d) on the step's input wires in canonical order;
+    ``uniforms`` is (n, len(step.slices)), one draw per slice. Rows that
+    made the same choices so far share an integer path id, and the context
+    key, candidates and free choices are worked out once per path. Returns
+    (path id per row, free outcomes per path, (n, d_out) normalized states
+    in output-wire order, step weight per row).
     """
     lay = step.layout
-    chosen: dict[str, str] = {}
-    free: dict[str, str] = {}
-    weight = 1.0
-    state = omega.reshape(lay.input_dims)
-    order = list(lay.input_wires)
+    n = len(state)
+    state = state.reshape((n, *lay.input_dims))
+    order = lay.input_wires  # wire lists are only read, never changed
+    path = np.zeros(n, dtype=np.intp)
+    paths: list[tuple[dict[str, str], dict[str, str]]] = [({}, {})]  # (chosen, free)
+    weight = np.ones(n) if not step.slices else None
     for s, plan in enumerate(step.slices):
-        key = _context_key(plan, lay, chosen, classical_input)
+        new_paths: list[tuple[dict[str, str], dict[str, str]]] = []
+        new_path = out = w = None
         if plan.fast:
-            cands, stacked = _compiled_candidates(step, s, key, chosen, classical_input)
-            flat = _reorder_tensor(state, order, list(step.foliation.leaves[s])).reshape(-1)
-            amps = stacked @ flat
-            weights = np.einsum("ij,ij->i", amps.conj(), amps).real
-            idx = _draw(weights, rng)
-            cand = cands[idx]
-            w = float(weights[idx])
-            state = (amps[idx] / np.sqrt(w)).reshape(plan.out_dims)
-            order = list(step.foliation.leaves[s + 1])
-        else:
-            cands = _slice_candidates(plan, lay, chosen, classical_input)
-            results = []
-            weights_list = []
-            for cand_i in cands:
-                t, o = _apply_nodes_tensor(state, order, lay, plan.node_indices, cand_i)
-                results.append((t, o))
-                weights_list.append(float(np.real(np.vdot(t, t))))
-            weights = np.array(weights_list)
-            idx = _draw(weights, rng)
-            cand = cands[idx]
-            w = float(weights[idx])
-            state, order = results[idx]
-            state = state / np.sqrt(w)
-        _check_slice_total(plan, lay, key, cands, chosen, weights, classical_input)
-        free.update(_free_choices(plan, lay, cand, chosen, classical_input))
-        chosen.update(cand)
-        weight *= w
-    state = _reorder_tensor(state, order, list(lay.output_wires))
-    return free, state.reshape(-1), weight
+            x_all = _reorder_tensor(state, order, step.foliation.leaves[s]).reshape(n, 1, -1, 1)
+            out_order, out_shape = step.foliation.leaves[s + 1], plan.out_dims
+        for p, rows in _groups(path, len(paths)):
+            chosen, free = paths[p]
+            key = _context_key(plan, chosen, classical_input)
+            branches = _branches(plan, lay, key, chosen, classical_input)
+            cands, frees = branches.cands, branches.frees
+            m, k = n if len(paths) == 1 else len(rows), len(cands)
+            if plan.fast:
+                amps = np.matmul(_stacked_operators(step, s, branches, chosen), x_all[rows])
+                amps = amps.reshape(m * k, -1)
+                weights = np.einsum("ij,ij->i", amps.conj(), amps).real.reshape(m, k)
+                amps = amps.reshape(m, k, -1)
+            else:
+                results = [_apply_nodes_tensor(state[rows], order, lay, plan.node_indices, c)
+                           for c in cands]
+                out_order, out_shape = results[0][1], results[0][0].shape[1:]
+                flats = [t.reshape(m, -1) for t, _ in results]
+                weights = np.array([[float(np.real(np.vdot(r, r))) for r in f] for f in flats]
+                                   ).reshape(k, m).T
+                amps = np.stack(flats, axis=1)
+            idx = _draw(weights, uniforms[rows, s])
+            _check_slice_total(plan, lay, branches, chosen, weights, classical_input)
+            distinct = sorted(set(idx.tolist()))
+            if len(distinct) == 1:
+                w_rows, picked = weights[:, distinct[0]], amps[:, distinct[0]]
+            else:
+                pos = np.arange(m)
+                w_rows, picked = weights[pos, idx], amps[pos, idx]
+            picked = picked / np.sqrt(w_rows)[:, None]
+            if len(paths) == 1:
+                out, w = picked, w_rows
+            else:
+                if out is None:
+                    out, w = np.empty((n, picked.shape[1]), dtype=complex), np.empty(n)
+                out[rows], w[rows] = picked, w_rows
+            if len(paths) > 1 or len(distinct) > 1:
+                if new_path is None:
+                    new_path = np.empty(n, dtype=np.intp)
+                lookup = np.zeros(k, dtype=np.intp)
+                lookup[distinct] = np.arange(len(new_paths), len(new_paths) + len(distinct))
+                new_path[rows] = lookup[idx]
+            new_paths += [({**chosen, **cands[c]}, {**free, **frees[c]}) for c in distinct]
+        state, order, paths = out.reshape((n, *out_shape)), out_order, new_paths
+        if new_path is not None:
+            path = new_path
+        weight = w if s == 0 else weight * w
+    state = _reorder_tensor(state, order, lay.output_wires).reshape(n, -1)
+    return path, [free for _, free in paths], state, weight
 
 
-def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    support = weights > ZERO_BRANCH
-    if not support.any():
-        raise EngineError("all outcome branches of a slice have zero weight")
-    w = np.where(support, weights, 0.0)
-    cum = np.cumsum(w)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(w) - 1))
-
-
-def _check_slice_total(plan, lay, key, cands, chosen, weights, classical_input) -> None:
+def _check_slice_total(plan, lay, branches, chosen, weights, classical_input) -> None:
     """Deterministic coarse-graining must conserve total branch weight.
 
     A slice is deterministic when, along every candidate branch, each of
-    its nodes' admissible event subsets sums to the identity.
+    its nodes' admissible event subsets sums to the identity. ``weights``
+    holds one row of branch weights per trajectory.
     """
-    det = plan.det_cache.get(key)
+    det = branches.deterministic
     if det is None:
         det = True
         members = {lay.circuit.nodes[i].label for i in plan.node_indices}
@@ -429,7 +542,7 @@ def _check_slice_total(plan, lay, key, cands, chosen, weights, classical_input) 
             elif node.condition.source == INPUT_SOURCE:
                 contexts = {classical_input}
             elif node.condition.source in members:
-                contexts = {cand[node.condition.source] for cand in cands}
+                contexts = {cand[node.condition.source] for cand in branches.cands}
             else:
                 contexts = {chosen[node.condition.source]}
             for src in contexts:
@@ -440,21 +553,140 @@ def _check_slice_total(plan, lay, key, cands, chosen, weights, classical_input) 
                     break
             if not det:
                 break
-        plan.det_cache[key] = det
-    if det and abs(float(weights.sum()) - 1.0) > 1e-6:
-        raise EngineError(
-            f"slice outcome weights sum to {float(weights.sum()):.9f} for a "
-            "deterministic test (inconsistent events)"
-        )
+        branches.deterministic = det
+    if det:
+        for total in np.add.reduce(weights, axis=1).tolist():
+            if abs(total - 1.0) > 1e-6:
+                raise EngineError(
+                    f"slice outcome weights sum to {total:.9f} for a "
+                    "deterministic test (inconsistent events)"
+                )
 
 
 def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]] | None,
                 n_out: int, n_in: int, t: int) -> np.ndarray:
+    """Route a batch of output tensors (axis 0 is the batch) onto the next inputs."""
     pairs = _bind_pairs(bind, n_out, n_in, t)
     axes = [0] * n_in
     for a, b in pairs:
         axes[b] = a
-    return state.transpose(axes) if n_in else state
+    return state.transpose([0] + [1 + a for a in axes])
+
+
+def sample_step(step: CompiledStep, omega: np.ndarray, classical_input: str,
+                rng: np.random.Generator) -> tuple[dict[str, str], np.ndarray, float]:
+    """Sample one circuit step: (free outcomes, normalized next state, weight).
+
+    ``omega`` is a flat normalized vector on the step's input wires in
+    canonical order; the result state is on the output wires likewise.
+    Each slice consumes one ``rng.random()``.
+    """
+    uniforms = rng.random(len(step.slices))[None]
+    path, frees, state, weight = _sample_slices(step, omega.reshape(1, -1), classical_input, uniforms)
+    return dict(frees[path[0]]), state[0], float(weight[0])
+
+
+@dataclass
+class TrajectoryBatch:
+    """Trajectories ``start .. start + n - 1`` of one seeded run, as arrays.
+
+    Row r's free outcomes per step are ``outcomes[path[r]]``; rows that made
+    the same choices share a path. ``states`` holds one (n, d) array of
+    normalized post-step states per step when states are stored, else only
+    the final one.
+    """
+
+    start: int
+    path: np.ndarray                            # (n,) index into ``outcomes``
+    outcomes: list[tuple[dict[str, str], ...]]  # per path: free outcomes of each step
+    weights: list[np.ndarray]                   # per step: (n,) conditional weights
+    probability: np.ndarray                     # (n,)
+    states: list[np.ndarray]
+
+    def outcome_items(self) -> list[list[tuple[str, str]]]:
+        """``Trajectory.outcome_items`` of each path."""
+        return [_outcome_items(steps) for steps in self.outcomes]
+
+
+def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs: list[str],
+                  uniforms: np.ndarray, start: int, store_states: bool) -> TrajectoryBatch:
+    n = len(uniforms)
+    state0, _ = _initial_tensor(program, compiled, omega0)
+    state = state0.reshape(1, -1).repeat(n, axis=0)
+    path = np.zeros(n, dtype=np.intp)
+    outcomes: list[tuple[dict[str, str], ...]] = [()]
+    weights, states = [], []
+    col = 0
+    for t, step in enumerate(compiled):
+        if t:
+            prev = compiled[t - 1].layout.output_dims
+            state = _apply_bind(
+                state.reshape((n, *prev)), step.bind, len(prev), len(step.layout.input_dims), t,
+            ).reshape(n, -1)
+        step_path, step_frees, state, weight = _sample_slices(
+            step, state, inputs[t], uniforms[:, col:col + len(step.slices)]
+        )
+        col += len(step.slices)
+        # Step weights multiply in step order, from the first step's weight.
+        prob = weight if t == 0 else prob * weight
+        weights.append(weight)
+        if len(step_frees) == 1:
+            outcomes = [o + (step_frees[0],) for o in outcomes]
+        elif len(outcomes) == 1:
+            path, outcomes = step_path, [outcomes[0] + (f,) for f in step_frees]
+        else:
+            joint = path * len(step_frees) + step_path
+            ids, path = np.unique(joint, return_inverse=True)
+            outcomes = [outcomes[j // len(step_frees)] + (step_frees[j % len(step_frees)],)
+                        for j in ids.tolist()]
+        if store_states:
+            states.append(state)
+    return TrajectoryBatch(start, path, outcomes, weights, prob,
+                           states if store_states else [state])
+
+
+def _padded_inputs(inputs, steps: int) -> list[str]:
+    inputs = list(inputs) if inputs else []
+    return inputs + ["0"] * (steps - len(inputs))
+
+
+def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
+                   inputs: list[str] | None = None, store_states: bool = False,
+                   compiled: list[CompiledStep]) -> Iterator[TrajectoryBatch]:
+    """Trajectories 0 .. count - 1 in batches of at most ``BATCH_SIZE``.
+
+    Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so
+    every trajectory equals ``run_trajectory(..., index=i)`` bit for bit,
+    whatever batch it falls in.
+    """
+    inputs = _padded_inputs(inputs, len(compiled))
+    slices = sum(len(step.slices) for step in compiled)
+    for start in range(0, count, BATCH_SIZE):
+        n = min(BATCH_SIZE, count - start)
+        uniforms = _trajectory_uniforms(seed, start, n, slices)
+        yield _sample_batch(program, compiled, omega0, inputs, uniforms, start, store_states)
+
+
+def _trajectories(batch: TrajectoryBatch, compiled: list[CompiledStep], inputs: list[str],
+                  seed: int, store_states: bool, store_operators: bool,
+                  max_dim: int) -> list[Trajectory]:
+    dims = [step.layout.output_dims for step in compiled]
+    weights = [w.tolist() for w in batch.weights]
+    result = []
+    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
+        steps = []
+        for t, step in enumerate(compiled):
+            rec = TrajectoryStep(inputs[t], dict(batch.outcomes[p][t]), weights[t][r])
+            if store_states:
+                rec.state = batch.states[t][r].copy()
+            if store_operators:
+                rec.operator = compile_history(
+                    step.foliation, dict(rec.outcomes), classical_input=inputs[t], max_dim=max_dim
+                ).operator
+            steps.append(rec)
+        result.append(Trajectory(seed, batch.start + r, steps, prob, batch.states[-1][r],
+                                 list(dims)))
+    return result
 
 
 def run_trajectory(
@@ -479,48 +711,43 @@ def run_trajectory(
         program = Program.single(program)
     if compiled is None:
         compiled = compile_program(program, max_dim=max_dim)
-    inputs = list(inputs) if inputs else []
-    if len(inputs) < len(compiled):
-        inputs += ["0"] * (len(compiled) - len(inputs))
-    rng = trajectory_rng(seed, index)
-    state_t, order = _initial_tensor(program, compiled, omega0)
-    state = state_t.reshape(-1)
-    steps: list[TrajectoryStep] = []
-    dims_log: list[tuple[int, ...]] = []
-    prob = 1.0
-    prev_dims: tuple[int, ...] | None = None
-    for t, step in enumerate(compiled):
-        if prev_dims is not None:
-            state = _apply_bind(
-                state.reshape(prev_dims), step.bind,
-                len(prev_dims), len(step.layout.input_dims), t,
-            ).reshape(-1)
-        free, state, weight = sample_step(step, state, inputs[t], rng)
-        prob *= weight
-        rec = TrajectoryStep(inputs[t], free, weight)
-        if store_states:
-            rec.state = state.copy()
-        if store_operators:
-            chosen = dict(free)
-            rec.operator = compile_history(
-                step.foliation, chosen, classical_input=inputs[t], max_dim=max_dim
-            ).operator
-        steps.append(rec)
-        prev_dims = step.layout.output_dims
-        dims_log.append(step.layout.output_dims)
-    return Trajectory(seed, index, steps, prob, state, dims_log)
+    inputs = _padded_inputs(inputs, len(compiled))
+    # One stream's uniforms come cheaper from the Generator than from the
+    # vectorised cipher, whose set-up cost only pays off over many rows.
+    uniforms = trajectory_rng(seed, index).random(sum(len(s.slices) for s in compiled))[None]
+    batch = _sample_batch(program, compiled, omega0, inputs, uniforms, index, store_states)
+    return _trajectories(batch, compiled, inputs, seed, store_states, store_operators, max_dim)[0]
 
 
-def run_trajectories(program, count: int, seed: int = 0, **kwargs) -> list[Trajectory]:
-    """Sample ``count`` independent trajectories with per-index RNG streams."""
+def run_trajectories(
+    program: Program | Circuit,
+    count: int,
+    seed: int = 0,
+    *,
+    omega0=None,
+    inputs: list[str] | None = None,
+    store_states: bool = False,
+    store_operators: bool = False,
+    compiled: list[CompiledStep] | None = None,
+    max_dim: int = MAX_DIM,
+) -> list[Trajectory]:
+    """Sample trajectories 0 .. count - 1 with per-index RNG streams.
+
+    Trajectory i equals ``run_trajectory(program, omega0, inputs, seed,
+    index=i)`` field by field and bit for bit; trajectories are sampled
+    ``BATCH_SIZE`` at a time, and the batch size never changes a result.
+    """
     if isinstance(program, Circuit):
         program = Program.single(program)
-    compiled = kwargs.pop("compiled", None) or compile_program(
-        program, max_dim=kwargs.get("max_dim", MAX_DIM)
-    )
+    if compiled is None:
+        compiled = compile_program(program, max_dim=max_dim)
+    padded = _padded_inputs(inputs, len(compiled))
     return [
-        run_trajectory(program, seed=seed, index=i, compiled=compiled, **kwargs)
-        for i in range(count)
+        traj
+        for batch in sample_batches(program, count, seed, omega0=omega0, inputs=padded,
+                                    store_states=store_states, compiled=compiled)
+        for traj in _trajectories(batch, compiled, padded, seed, store_states,
+                                  store_operators, max_dim)
     ]
 
 
@@ -543,9 +770,7 @@ def enumerate_histories(
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
-    inputs = list(inputs) if inputs else []
-    if len(inputs) < len(compiled):
-        inputs += ["0"] * (len(compiled) - len(inputs))
+    inputs = _padded_inputs(inputs, len(compiled))
     state0, _ = _initial_tensor(program, compiled, omega0)
     results: list[tuple[tuple[tuple[str, str], ...], float]] = []
     count = [0]
@@ -573,9 +798,9 @@ def enumerate_histories(
                 recurse_step(t + 1, nxt, k)
                 return
             plan = step.slices[s]
-            for cand in _slice_candidates(plan, lay, chosen, inputs[t]):
+            branches = _branches(plan, lay, _context_key(plan, chosen, inputs[t]), chosen, inputs[t])
+            for cand, free in zip(branches.cands, branches.frees):
                 out_t, out_order = _apply_nodes_tensor(st, order, lay, plan.node_indices, cand)
-                free = _free_choices(plan, lay, cand, chosen, inputs[t])
                 new_chosen = dict(chosen)
                 new_chosen.update(cand)
                 new_key = k + tuple((prefix + n, o) for n, o in free.items())
@@ -583,7 +808,7 @@ def enumerate_histories(
 
         recurse_slice(0, state, list(lay.input_wires), {}, key)
 
-    recurse_step(0, state0, ())
+    recurse_step(0, state0[None], ())  # a batch of one
     return results
 
 

@@ -6,6 +6,7 @@ formatting (17 significant digits) so equal data always yields equal bytes.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -53,11 +54,19 @@ def decode_vector(obj) -> np.ndarray:
 
 
 def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in JSON output")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
+
+
+def dumps_vector(v) -> str:
+    """``dumps(encode_vector(v))``, formatted without the nested lists."""
+    parts = np.ascontiguousarray(v, dtype=complex).reshape(-1).view(np.float64).tolist()
+    return "[" + ", ".join(
+        f"[{format_float(re)}, {format_float(im)}]" for re, im in zip(parts[::2], parts[1::2])
+    ) + "]"
 
 
 def dumps(obj, *, indent: int | None = None) -> str:

@@ -107,13 +107,18 @@ class SicPovm:
 
 
 def _bloch_qubit(direction) -> np.ndarray:
-    x, y, z = (float(c) for c in direction)
-    norm = sqrt(x * x + y * y + z * z)
+    """The qubit state whose Bloch vector points along ``direction``.
+
+    Takes one direction or an array of them, (x, y, z) on the last axis.
+    """
+    d = np.asarray(direction, dtype=float)
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    norm = np.sqrt(x * x + y * y + z * z)
     x, y, z = x / norm, y / norm, z / norm
-    a = sqrt(max(0.0, (1 + z) / 2))
-    b_mag = sqrt(max(0.0, (1 - z) / 2))
-    phase = np.exp(1j * np.arctan2(y, x)) if (abs(x) > 0 or abs(y) > 0) else 1.0
-    return np.array([a, b_mag * phase], dtype=complex)
+    a = np.sqrt(np.maximum(0.0, (1 + z) / 2))
+    b_mag = np.sqrt(np.maximum(0.0, (1 - z) / 2))
+    phase = np.where((np.abs(x) > 0) | (np.abs(y) > 0), np.exp(1j * np.arctan2(y, x)), 1.0)
+    return np.stack([a, b_mag * phase], axis=-1).astype(complex)
 
 
 # Qubit SIC: a regular tetrahedron on the Bloch sphere.
@@ -307,16 +312,19 @@ class CovariantQubitFrame:
         return self.weight * np.abs(amps) ** 2
 
 
-def _dicke_coords(a: complex, b: complex, m: int) -> np.ndarray:
+def _dicke_coords(a, b, m: int) -> np.ndarray:
+    """Coordinates of (a|0> + b|1>)^(x)M in the Dicke basis, on a new last
+    axis; ``a`` and ``b`` may be arrays of amplitudes."""
     ks = np.arange(m + 1)
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     return np.sqrt([comb(m, int(k)) for k in ks]) * (a ** (m - ks)) * (b ** ks)
 
 
 @lru_cache(maxsize=8)
 def covariant_qubit_frame(m: int, mesh: int = MESH_POINTS) -> CovariantQubitFrame:
     dirs = _fibonacci_sphere(mesh)
-    spinors = np.array([_bloch_qubit(n) for n in dirs])
-    w = np.array([_dicke_coords(s[0], s[1], m) for s in spinors])
+    spinors = _bloch_qubit(dirs)
+    w = _dicke_coords(spinors[:, 0], spinors[:, 1], m)
     c = (m + 1) / mesh
     a_op = c * np.einsum("ia,ib->ab", w, w.conj())
     ev, vec = np.linalg.eigh(a_op)
@@ -455,9 +463,7 @@ def mean_recall_fidelity(
 
 def _covariant_batch(psis: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     frame = covariant_qubit_frame(m)
-    ks = np.arange(m + 1)
-    binoms = np.sqrt([comb(m, int(k)) for k in ks])
-    w = binoms * (psis[:, :1] ** (m - ks)) * (psis[:, 1:] ** ks)
+    w = _dicke_coords(psis[:, 0], psis[:, 1], m)
     amps = (w @ frame.tighten.T) @ frame.dicke.conj().T
     p = frame.weight * np.abs(amps) ** 2
     cum = np.cumsum(p, axis=1)

@@ -22,8 +22,8 @@ from onticsim.classical import is_permutation_matrix, is_reversible_markov
 from onticsim.engine import (
     Program,
     ProgramStep,
-    compile_program,
     enumerate_histories,
+    run_trajectories,
     run_trajectory,
 )
 from onticsim.foliation import compile_history, foliate
@@ -91,11 +91,9 @@ def test_criterion_03_sampler_vs_enumeration():
     start = time.perf_counter()
     prog = gallery.conditioned_step_program()
     exact = dict(enumerate_histories(prog))
-    compiled = compile_program(prog)
     n = 100_000
     counts = Counter()
-    for i in range(n):
-        traj = run_trajectory(prog, seed=2026, index=i, compiled=compiled)
+    for traj in run_trajectories(prog, n, seed=2026):
         counts[tuple(sorted(traj.steps[0].outcomes.items()))] += 1
     exact_sorted = {tuple(sorted(k)): p for k, p in exact.items()}
     tv = 0.5 * sum(abs(counts.get(k, 0) / n - p) for k, p in exact_sorted.items())

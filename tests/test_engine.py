@@ -1,15 +1,18 @@
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from onticsim import gallery
-from onticsim.circuit import Circuit, Event, System, TestNode, WireSpec, layout
+from onticsim import engine, gallery
+from onticsim.circuit import Circuit, Condition, Event, System, TestNode, WireSpec, layout
 from onticsim.engine import (
+    BATCH_SIZE,
     EngineError,
     HistoryCapExceeded,
     Program,
     ProgramStep,
+    _trajectory_uniforms,
     compile_program,
     enumerate_histories,
     run_trajectories,
@@ -32,6 +35,28 @@ def vn_measure_circuit(name="m"):
     return Circuit(name, systems, [node], [])
 
 
+def rand3_program():
+    """Three steps, each a Haar two-qubit unitary then a readout of Q1,
+    bound to the next step position by position."""
+    rng = np.random.default_rng(101)
+    ops = [haar_unitary(4, rng) for _ in range(2)]
+    systems = {"Q1": System("Q1", 2), "Q2": System("Q2", 2)}
+    eye = np.eye(2, dtype=complex)
+    meas = lambda lbl, s: TestNode(lbl, (s,), (s,), (
+        Event("0", (np.outer(eye[0], eye[0]),)),
+        Event("1", (np.outer(eye[1], eye[1]),)),
+    ))
+    steps = []
+    for t in range(3):
+        nodes = [
+            TestNode("u", ("Q1", "Q2"), ("Q1", "Q2"), (Event("0", (ops[t % 2],)),)),
+            meas("m1", "Q1"),
+        ]
+        wires = [WireSpec("u", 0, "m1", 0)]
+        steps.append(ProgramStep(Circuit(f"s{t}", dict(systems), nodes, wires)))
+    return Program("rand3", steps), haar_state(4, rng)
+
+
 class TestSampleStep:
     def test_z_measurement_of_zero_is_deterministic(self):
         prog = Program.single(vn_measure_circuit())
@@ -46,11 +71,9 @@ class TestSampleStep:
         prog = Program.single(vn_measure_circuit())
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         n = 40_000
-        compiled = compile_program(prog)
         hits = sum(
-            run_trajectory(prog, omega0=plus, seed=3, index=i, compiled=compiled)
-            .steps[0].outcomes["m"] == "0"
-            for i in range(n)
+            traj.steps[0].outcomes["m"] == "0"
+            for traj in run_trajectories(prog, n, seed=3, omega0=plus)
         )
         sigma = 0.5 / np.sqrt(n)
         assert abs(hits / n - 0.5) < 3 * sigma + 1e-9
@@ -247,30 +270,11 @@ class TestEnumerate:
             enumerate_histories(prog, omega0=plus, cap=4)
 
     def test_monte_carlo_matches_enumeration_on_random_program(self):
-        rng = np.random.default_rng(101)
-        ops = [haar_unitary(4, rng) for _ in range(2)]
-        systems = {"Q1": System("Q1", 2), "Q2": System("Q2", 2)}
-        eye = np.eye(2, dtype=complex)
-        meas = lambda lbl, s: TestNode(lbl, (s,), (s,), (
-            Event("0", (np.outer(eye[0], eye[0]),)),
-            Event("1", (np.outer(eye[1], eye[1]),)),
-        ))
-        steps = []
-        for t in range(3):
-            nodes = [
-                TestNode("u", ("Q1", "Q2"), ("Q1", "Q2"), (Event("0", (ops[t % 2],)),)),
-                meas("m1", "Q1"),
-            ]
-            wires = [WireSpec("u", 0, "m1", 0)]
-            steps.append(ProgramStep(Circuit(f"s{t}", dict(systems), nodes, wires)))
-        prog = Program("rand3", steps)
-        psi0 = haar_state(4, rng)
+        prog, psi0 = rand3_program()
         exact = {k: p for k, p in enumerate_histories(prog, omega0=psi0)}
         n = 30_000
-        compiled = compile_program(prog)
         counts = Counter()
-        for i in range(n):
-            traj = run_trajectory(prog, omega0=psi0, seed=77, index=i, compiled=compiled)
+        for traj in run_trajectories(prog, n, seed=77, omega0=psi0):
             key = tuple(
                 (f"{t}:{node}" if len(traj.steps) > 1 else node, out)
                 for t, s in enumerate(traj.steps)
@@ -370,3 +374,129 @@ class TestEnginePreconditions:
         prog = Program.single(vn_measure_circuit())
         with pytest.raises(EngineError, match="normalized"):
             run_trajectory(prog, omega0=np.array([1.0, 1.0]), seed=0)
+
+
+def assert_same_trajectory(a, b):
+    """Field by field and bit for bit."""
+    assert (a.seed, a.index, a.state_dims) == (b.seed, b.index, b.state_dims)
+    assert a.probability == b.probability
+    assert a.final_state.tobytes() == b.final_state.tobytes()
+    assert len(a.steps) == len(b.steps)
+    for sa, sb in zip(a.steps, b.steps):
+        assert (sa.classical_input, sa.outcomes, sa.weight) == (sb.classical_input, sb.outcomes, sb.weight)
+        assert list(sa.outcomes) == list(sb.outcomes)
+        assert (sa.state is None) == (sb.state is None)
+        if sa.state is not None:
+            assert sa.state.tobytes() == sb.state.tobytes()
+
+
+def zero_branch_program(then_one: np.ndarray) -> Program:
+    """Readout ``m`` of a qubit, then ``e``, whose only event after outcome
+    1 applies ``then_one``."""
+    eye = np.eye(2, dtype=complex)
+    p0, p1 = np.outer(eye[0], eye[0]), np.outer(eye[1], eye[1])
+    m = TestNode("m", ("Q",), ("Q",), (Event("0", (p0,)), Event("1", (p1,))))
+    e = TestNode("e", ("Q",), ("Q",), (Event("a", (eye,)), Event("b", (then_one,))),
+                 Condition("m", {"0": (0,), "1": (1,)}))
+    return Program.single(Circuit("zb", {"Q": System("Q", 2)}, [m, e], [WireSpec("m", 0, "e", 0)]))
+
+
+# With seed 27, trajectory 461 is the only one of the first 1000 to read
+# outcome 1 from this state.
+RARE_ONE = np.array([np.sqrt(0.999), np.sqrt(0.001)], dtype=complex)
+RARE_SEED, RARE_INDEX = 27, 461
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("case", ["input0", "input1", "merge_split", "rand3"])
+    def test_batch_equals_batch_of_one(self, case):
+        omega0 = inputs = None
+        if case.startswith("input"):
+            prog, inputs = gallery.conditioned_step_program(), [case[-1]]
+        elif case == "merge_split":
+            prog = gallery.merge_split_program()
+        else:
+            prog, omega0 = rand3_program()
+        compiled = compile_program(prog)
+        n = 2500  # crosses two batch boundaries
+        assert n > 2 * BATCH_SIZE
+        batch = run_trajectories(prog, n, seed=19, omega0=omega0, inputs=inputs,
+                                 store_states=True, compiled=compiled)
+        assert len(batch) == n
+        for i, traj in enumerate(batch):
+            solo = run_trajectory(prog, omega0, inputs, seed=19, index=i, store_states=True,
+                                  compiled=compiled)
+            assert_same_trajectory(traj, solo)
+
+    @pytest.mark.parametrize("inputs", [["0"], ["1"]])
+    def test_tensor_path_matches_fast_path(self, inputs):
+        prog = gallery.conditioned_step_program()
+        tensor = compile_program(prog, fast_dim=1)
+        assert not any(plan.fast for step in tensor for plan in step.slices)
+        fast = run_trajectories(prog, 1500, seed=4, inputs=inputs, store_states=True)
+        slow = run_trajectories(prog, 1500, seed=4, inputs=inputs, store_states=True,
+                                compiled=tensor)
+        for f, s in zip(fast, slow):
+            assert f.outcome_items() == s.outcome_items()
+            assert abs(f.probability - s.probability) < 1e-12
+            assert np.abs(f.final_state - s.final_state).max() < 1e-12
+        for i in (0, 1023, 1024, 1499):
+            solo = run_trajectory(prog, None, inputs, seed=4, index=i, store_states=True,
+                                  compiled=tensor)
+            assert_same_trajectory(slow[i], solo)
+
+    @pytest.mark.parametrize("fast_dim", [256, 1])
+    def test_zero_support_on_one_row(self, fast_dim):
+        prog = zero_branch_program(np.outer([1, 0], [1, 0]).astype(complex))
+        compiled = compile_program(prog, fast_dim=fast_dim)
+        message = "all outcome branches of a slice have zero weight"
+        run_trajectories(prog, RARE_INDEX, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
+        with pytest.raises(EngineError, match=message):
+            run_trajectory(prog, RARE_ONE, seed=RARE_SEED, index=RARE_INDEX, compiled=compiled)
+        with pytest.raises(EngineError, match=message):
+            run_trajectories(prog, 1000, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
+
+    @pytest.mark.parametrize("fast_dim", [256, 1])
+    def test_inconsistent_deterministic_slice_on_one_row(self, fast_dim, monkeypatch):
+        # Every valid circuit conserves the weight of a deterministic slice,
+        # so every slice is declared deterministic here; the branch after
+        # outcome 1 keeps weight 1/4.
+        monkeypatch.setattr(engine, "gram_identity_defect", lambda ops: 0.0)
+        prog = zero_branch_program(0.5 * np.eye(2, dtype=complex))
+        compiled = compile_program(prog, fast_dim=fast_dim)
+        message = (r"slice outcome weights sum to 0\.250000000 for a deterministic test "
+                   r"\(inconsistent events\)")
+        run_trajectories(prog, RARE_INDEX, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
+        with pytest.raises(EngineError, match=message):
+            run_trajectory(prog, RARE_ONE, seed=RARE_SEED, index=RARE_INDEX, compiled=compiled)
+        with pytest.raises(EngineError, match=message):
+            run_trajectories(prog, 1000, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    @pytest.mark.parametrize("count", [1, 4, 5, 13])
+    @pytest.mark.parametrize("n", [1, 2, 1024])
+    def test_uniforms_equal_generator_streams(self, seed, count, n):
+        start = 3000
+        expected = np.array([trajectory_rng(seed, start + i).random(count) for i in range(n)])
+        assert np.array_equal(_trajectory_uniforms(seed, start, n, count), expected)
+
+    def test_cold_plan_shared_between_threads(self):
+        prog = gallery.conditioned_step_program()
+        serial = run_trajectories(prog, 1500, seed=8, store_states=True)
+        shared = compile_program(prog)  # never run before the threads start
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def work(k):
+            barrier.wait()
+            results[k] = run_trajectories(prog, 1500, seed=8, store_states=True, compiled=shared)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for result in results:
+            assert len(result) == len(serial)
+            for a, b in zip(result, serial):
+                assert_same_trajectory(a, b)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from onticsim.linalg import bloch_projectors, haar_state
 from onticsim.measurement import (
     MeasurementError,
+    _fibonacci_sphere,
     Povm,
     attention_repetition,
     build_sic,
@@ -249,7 +251,34 @@ class TestRecallBound:
         assert symmetric_dim(2, 3) == 6
 
 
+def reference_frame_arrays(m: int, mesh: int):
+    """(spinors, dicke, tighten) built point by point with Python scalars,
+    the construction the vectorised frame must reproduce bit for bit."""
+    spinors = []
+    for direction in _fibonacci_sphere(mesh):
+        x, y, z = (float(c) for c in direction)
+        norm = sqrt(x * x + y * y + z * z)
+        x, y, z = x / norm, y / norm, z / norm
+        a = sqrt(max(0.0, (1 + z) / 2))
+        b_mag = sqrt(max(0.0, (1 - z) / 2))
+        phase = np.exp(1j * np.arctan2(y, x)) if (abs(x) > 0 or abs(y) > 0) else 1.0
+        spinors.append(np.array([a, b_mag * phase], dtype=complex))
+    ks = np.arange(m + 1)
+    binoms = np.sqrt([comb(m, int(k)) for k in ks])
+    dicke = np.array([binoms * (s[0] ** (m - ks)) * (s[1] ** ks) for s in spinors])
+    ev, vec = np.linalg.eigh((m + 1) / mesh * np.einsum("ia,ib->ab", dicke, dicke.conj()))
+    return np.array(spinors), dicke, (vec * (1.0 / np.sqrt(ev))) @ vec.conj().T
+
+
 class TestCovariantFrame:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_vectorised_build_equals_pointwise(self, m):
+        frame = covariant_qubit_frame.__wrapped__(m)  # a fresh build, not the cached one
+        spinors, dicke, tighten = reference_frame_arrays(m, frame.mesh_size)
+        assert np.array_equal(frame.spinors, spinors)
+        assert np.array_equal(frame.dicke, dicke)
+        assert np.array_equal(frame.tighten, tighten)
+
     def test_frame_is_exact_povm_on_symmetric_subspace(self):
         frame = covariant_qubit_frame(2, mesh=600)
         total = frame.weight * np.einsum(
