@@ -302,13 +302,14 @@ def _stacked_operators(step: CompiledStep, s: int, branches: _Branches,
 
 # --- tensor-path application --------------------------------------------------
 
+#: The batch axis of a batch of state tensors, named in their wire order
+#: as if it were a wire.
+_BATCH = -1
+
+
 def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
                         node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
-    """Apply one slice's events to a batch of state tensors.
-
-    Axis 0 of ``state`` runs over the batch; the other axes are the wires in
-    ``order``. A batch of one contracts exactly as an unbatched tensor would.
-    """
+    """Apply one slice's events to a state tensor indexed by wire order."""
     dims_of = {w.index: w.dim for w in lay.wires}
     for i in node_indices:
         node = lay.circuit.nodes[i]
@@ -318,18 +319,17 @@ def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
         out_dims = tuple(dims_of[w] for w in out_wires)
         in_dims = tuple(dims_of[w] for w in in_wires)
         k = op.reshape(out_dims + in_dims)
-        pos = [1 + order.index(w) for w in in_wires]
+        pos = [order.index(w) for w in in_wires]
         state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))
-        state = np.moveaxis(state, len(out_dims), 0)
         order = list(out_wires) + [w for w in order if w not in in_wires]
     return state, order
 
 
 def _reorder_tensor(state: np.ndarray, order: list[int], target: list[int]) -> np.ndarray:
-    """Permute the wire axes of a batch of state tensors (axis 0 is the batch)."""
     if order == target:
         return state
-    return state.transpose([0] + [1 + order.index(w) for w in target])
+    axes = [order.index(w) for w in target]
+    return state.transpose(axes)
 
 
 # --- trajectories --------------------------------------------------------------
@@ -465,7 +465,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     lay = step.layout
     n = len(state)
     state = state.reshape((n, *lay.input_dims))
-    order = lay.input_wires  # wire lists are only read, never changed
+    order = [_BATCH, *lay.input_wires]
     path = np.zeros(n, dtype=np.intp)
     paths: list[tuple[dict[str, str], dict[str, str]]] = [({}, {})]  # (chosen, free)
     weight = np.ones(n) if not step.slices else None
@@ -473,8 +473,9 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         new_paths: list[tuple[dict[str, str], dict[str, str]]] = []
         new_path = out = w = None
         if plan.fast:
-            x_all = _reorder_tensor(state, order, step.foliation.leaves[s]).reshape(n, 1, -1, 1)
-            out_order, out_shape = step.foliation.leaves[s + 1], plan.out_dims
+            x_all = _reorder_tensor(state, order, [_BATCH, *step.foliation.leaves[s]])
+            x_all = x_all.reshape(n, 1, -1, 1)
+            out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
         for p, rows in _groups(path, len(paths)):
             chosen, free = paths[p]
             key = _context_key(plan, chosen, classical_input)
@@ -487,13 +488,14 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                 weights = np.einsum("ij,ij->i", amps.conj(), amps).real.reshape(m, k)
                 amps = amps.reshape(m, k, -1)
             else:
-                results = [_apply_nodes_tensor(state[rows], order, lay, plan.node_indices, c)
-                           for c in cands]
-                out_order, out_shape = results[0][1], results[0][0].shape[1:]
-                flats = [t.reshape(m, -1) for t, _ in results]
-                weights = np.array([[float(np.real(np.vdot(r, r))) for r in f] for f in flats]
+                # BLAS may round a column differently as the matrix widens, so
+                # each row is contracted alone, exactly as a batch of one.
+                results = [[_apply_nodes_tensor(row, order[1:], lay, plan.node_indices, c)
+                            for row in state[rows]] for c in cands]
+                out_order, out_shape = [_BATCH, *results[0][0][1]], results[0][0][0].shape
+                weights = np.array([[float(np.real(np.vdot(t, t))) for t, _ in r] for r in results]
                                    ).reshape(k, m).T
-                amps = np.stack(flats, axis=1)
+                amps = np.stack([np.stack([t.reshape(-1) for t, _ in r]) for r in results], axis=1)
             idx = _draw(weights, uniforms[rows, s])
             _check_slice_total(plan, lay, branches, chosen, weights, classical_input)
             distinct = sorted(set(idx.tolist()))
@@ -520,7 +522,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         if new_path is not None:
             path = new_path
         weight = w if s == 0 else weight * w
-    state = _reorder_tensor(state, order, lay.output_wires).reshape(n, -1)
+    state = _reorder_tensor(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
     return path, [free for _, free in paths], state, weight
 
 
@@ -565,12 +567,14 @@ def _check_slice_total(plan, lay, branches, chosen, weights, classical_input) ->
 
 def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]] | None,
                 n_out: int, n_in: int, t: int) -> np.ndarray:
-    """Route a batch of output tensors (axis 0 is the batch) onto the next inputs."""
+    """Route a step's output tensor onto the next step's inputs; axes before
+    the ``n_out`` wire axes (a batch axis) stay in front."""
     pairs = _bind_pairs(bind, n_out, n_in, t)
+    lead = state.ndim - n_out
     axes = [0] * n_in
     for a, b in pairs:
-        axes[b] = a
-    return state.transpose([0] + [1 + a for a in axes])
+        axes[b] = lead + a
+    return state.transpose([*range(lead), *axes])
 
 
 def sample_step(step: CompiledStep, omega: np.ndarray, classical_input: str,
@@ -808,7 +812,7 @@ def enumerate_histories(
 
         recurse_slice(0, state, list(lay.input_wires), {}, key)
 
-    recurse_step(0, state0[None], ())  # a batch of one
+    recurse_step(0, state0, ())
     return results
 
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 from collections import Counter
 
@@ -484,7 +485,7 @@ class TestBatchKernel:
         prog = gallery.conditioned_step_program()
         serial = run_trajectories(prog, 1500, seed=8, store_states=True)
         shared = compile_program(prog)  # never run before the threads start
-        results = [None] * 4
+        results = [None] * 4  # more threads than cores
         barrier = threading.Barrier(len(results))
 
         def work(k):
@@ -492,10 +493,16 @@ class TestBatchKernel:
             results[k] = run_trajectories(prog, 1500, seed=8, store_states=True, compiled=shared)
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         for result in results:
             assert len(result) == len(serial)
             for a, b in zip(result, serial):
