@@ -368,9 +368,8 @@ class Trajectory:
         return _outcome_items([s.outcomes for s in self.steps])
 
 
-def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> tuple[np.ndarray, list[int]]:
-    lay0 = compiled[0].layout
-    dims = lay0.input_dims
+def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> np.ndarray:
+    dims = compiled[0].layout.input_dims
     total = prod(dims)
     if omega0 is None:
         omega0 = program.initial_state
@@ -386,7 +385,7 @@ def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> t
         raise EngineError(f"initial state has dim {omega0.size}, program expects {total}")
     if abs(np.linalg.norm(omega0) - 1.0) > 1e-9:
         raise EngineError("initial state is not normalized")
-    return omega0.reshape(dims), list(lay0.input_wires)
+    return omega0.reshape(dims)
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -615,8 +614,7 @@ class TrajectoryBatch:
 def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs: list[str],
                   uniforms: np.ndarray, start: int, store_states: bool) -> TrajectoryBatch:
     n = len(uniforms)
-    state0, _ = _initial_tensor(program, compiled, omega0)
-    state = state0.reshape(1, -1).repeat(n, axis=0)
+    state = _initial_tensor(program, compiled, omega0).reshape(1, -1).repeat(n, axis=0)
     path = np.zeros(n, dtype=np.intp)
     outcomes: list[tuple[dict[str, str], ...]] = [()]
     weights, states = [], []
@@ -636,8 +634,6 @@ def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs
         weights.append(weight)
         if len(step_frees) == 1:
             outcomes = [o + (step_frees[0],) for o in outcomes]
-        elif len(outcomes) == 1:
-            path, outcomes = step_path, [outcomes[0] + (f,) for f in step_frees]
         else:
             joint = path * len(step_frees) + step_path
             ids, path = np.unique(joint, return_inverse=True)
@@ -775,7 +771,7 @@ def enumerate_histories(
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
     inputs = _padded_inputs(inputs, len(compiled))
-    state0, _ = _initial_tensor(program, compiled, omega0)
+    state0 = _initial_tensor(program, compiled, omega0)
     results: list[tuple[tuple[tuple[str, str], ...], float]] = []
     count = [0]
 
