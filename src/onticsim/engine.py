@@ -438,7 +438,7 @@ def _groups(path: np.ndarray, n_paths: int) -> list[tuple[int, np.ndarray | slic
     return [(p, order[bounds[p]:bounds[p + 1]]) for p in range(n_paths)]
 
 
-def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row of (finite, nonnegative) branch weights, the inverse-CDF pick
     for uniform ``u`` among the branches heavier than ZERO_BRANCH."""
     cum = np.add.accumulate(weights * (weights > ZERO_BRANCH), axis=1)
@@ -495,7 +495,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                 weights = np.array([[float(np.real(np.vdot(t, t))) for t, _ in r] for r in results]
                                    ).reshape(k, m).T
                 amps = np.stack([np.stack([t.reshape(-1) for t, _ in r]) for r in results], axis=1)
-            idx = _draw(weights, uniforms[rows, s])
+            idx = _pick_branches(weights, uniforms[rows, s])
             _check_slice_total(plan, lay, branches, chosen, weights, classical_input)
             distinct = sorted(set(idx.tolist()))
             if len(distinct) == 1:
