@@ -302,11 +302,6 @@ def _stacked_operators(step: CompiledStep, s: int, branches: _Branches,
 
 # --- tensor-path application --------------------------------------------------
 
-#: The batch axis of a batch of state tensors, named in their wire order
-#: as if it were a wire.
-_BATCH = -1
-
-
 def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
                         node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
     """Apply one slice's events to a state tensor indexed by wire order."""
@@ -337,6 +332,10 @@ def _reorder_tensor(state: np.ndarray, order: list[int], target: list[int]) -> n
 #: Trajectories sampled together by one call of the batch kernel. The size
 #: bounds memory; it never changes the output.
 BATCH_SIZE = 1024
+
+#: The batch axis of a batch of state tensors, named in their wire order as
+#: if it were a wire; the kernel keeps it first.
+_BATCH = -1
 
 
 @dataclass
