@@ -1,10 +1,13 @@
-"""Golden fixtures: the sha256 of seeded CLI output on every shipped circuit.
+"""Golden fixtures: the sha256 of seeded CLI output on every shipped circuit
+and of the seeded memory benchmark.
 
 A rerun giving the same bytes proves determinism, not that a refactor kept
 the output. These digests pin the bytes themselves, so any change to the
 sampled outcomes, the probabilities, the states or their formatting shows
 up here. Each key is the command line, with the circuit file named relative
-to ``circuits/``; the output goes through ``--out``.
+to ``circuits/``; the output goes through ``--out``. The ``bench-memory``
+CSV rounds to six decimals, so the unrounded ``mean_recall_fidelity``
+results are pinned too: one changed draw moves their last digits.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from onticsim.cli import main
+from onticsim.measurement import mean_recall_fidelity
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
@@ -85,6 +89,25 @@ GOLDEN = {
         "3ecd75495300c9e6a0320e4b09ae1f7f7a64149f11d578213d550f6ac02f598a",
 }
 
+BENCH_MEMORY_GOLDEN = {
+    "bench-memory --copies 1,2,3 --trials 3000 --seed 11":
+        "59d40ae37c4f9269ce268b992a64ebca6ce18eed8e2e24a071c087c85f788c1f",
+    "bench-memory --strategies sic_estimate --dims 3 --copies 1,2,3 --trials 3000 --seed 11":
+        "4a4c8509c5bbf27682ead67df7da05237daa4236712f343f571e4869ae444324",
+}
+
+# (strategy, M, d, trials) -> repr((mean, stderr)) at seed 11
+RECALL_GOLDEN = {
+    ("optimal_covariant_qubit", 1, 2, 20_000): "(0.6665498836242792, 0.0016691369612665677)",
+    ("optimal_covariant_qubit", 2, 2, 20_000): "(0.7497478299924892, 0.0013730263560283297)",
+    ("optimal_covariant_qubit", 3, 2, 20_000): "(0.7999577983229205, 0.0011522319726079652)",
+    ("optimal_covariant_qubit", 4, 2, 20_000): "(0.8325715735971148, 0.0009992886896620578)",
+    ("optimal_covariant_qubit", 5, 2, 20_000): "(0.8587209175632974, 0.0008674973333849837)",
+    ("sic_estimate", 1, 3, 10_000): "(0.5000917308674466, 0.0022338949937441414)",
+    ("sic_estimate", 2, 3, 10_000): "(0.5700295038446582, 0.00225596967787847)",
+    ("sic_estimate", 3, 3, 10_000): "(0.6090798099057451, 0.0022452815476188288)",
+}
+
 
 def _run(words: list[str], out: Path) -> tuple[int, str]:
     words = [words[0], str(CIRCUITS / words[1]), *words[2:], "--out", str(out)]
@@ -109,3 +132,19 @@ def test_open_circuit_without_initial_state_fails(command, tmp_path):
     assert err == (
         "error: program starts on open wires of total dimension 8; provide an initial state\n"
     )
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_MEMORY_GOLDEN))
+def test_bench_memory_bytes_are_pinned(command, tmp_path):
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*command.split(), "--out", str(out)])
+    assert code == 0, err.getvalue()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_MEMORY_GOLDEN[command]
+
+
+@pytest.mark.parametrize("cell", sorted(RECALL_GOLDEN))
+def test_recall_fidelity_is_pinned(cell):
+    strategy, m, d, trials = cell
+    assert repr(mean_recall_fidelity(strategy, m, d, trials, seed=11)) == RECALL_GOLDEN[cell]
