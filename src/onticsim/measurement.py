@@ -20,7 +20,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import TAU_SIC, bloch_projectors, haar_state
+from .linalg import TAU_SIC, bloch_projectors
 
 _STRATEGIES = ("optimal_covariant_qubit", "sic_estimate", "random_vn_repeat")
 
@@ -302,6 +302,7 @@ class CovariantQubitFrame:
     dicke: np.ndarray           # (n, M+1) coherent powers in the Dicke basis
     weight: float
     tighten: np.ndarray         # A^{-1/2}
+    prefix_gram: np.ndarray     # (n, M+1, M+1): sum over i <= k of conj(w_i) w_i^T
 
     @property
     def mesh_size(self) -> int:
@@ -329,7 +330,36 @@ def covariant_qubit_frame(m: int, mesh: int = MESH_POINTS) -> CovariantQubitFram
     a_op = c * np.einsum("ia,ib->ab", w, w.conj())
     ev, vec = np.linalg.eigh(a_op)
     tighten = (vec * (1.0 / np.sqrt(ev))) @ vec.conj().T
-    return CovariantQubitFrame(m, dirs, spinors, w, c, tighten)
+    prefix_gram = np.cumsum(np.conj(w)[:, :, None] * w[:, None, :], axis=0)
+    return CovariantQubitFrame(m, dirs, spinors, w, c, tighten, prefix_gram)
+
+
+def _covariant_picks(frame: CovariantQubitFrame, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one mesh outcome per row of ``x`` = (T w_psi)^T.
+
+    Outcome i has probability weight * |<w_i, x>|^2, so the cumulative
+    probability up to k is the quadratic form weight * x G_k conj(x) with
+    G_k = ``prefix_gram[k]``. The pick is the first k whose cumulative
+    probability reaches ``u`` times the total, found by bisection: about
+    log2(mesh) quadratic forms per row instead of a pass over the mesh.
+    A pick past the end (a total lost to rounding) is clipped to the last
+    mesh point.
+    """
+    mesh = frame.mesh_size
+    xx = x[:, :, None] * np.conj(x)[:, None, :]
+
+    def cum(k):
+        return frame.weight * np.einsum("nab,nab->n", frame.prefix_gram[k], xx).real
+
+    target = u * cum(np.full(x.shape[0], mesh - 1))
+    below = np.zeros(x.shape[0], dtype=np.intp)  # count of leading points with cum < target
+    step = 1 << (mesh.bit_length() - 1)
+    while step:
+        probe = below + step
+        advance = (probe <= mesh) & (cum(np.minimum(probe, mesh) - 1) < target)
+        below = np.where(advance, probe, below)
+        step >>= 1
+    return np.minimum(below, mesh - 1)
 
 
 def dicke_isometry(m: int) -> np.ndarray:
@@ -371,6 +401,20 @@ def _haar_qubits(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _haar_states(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of ``haar_state(d, rng)``, drawn in one call: the same numbers
+    from the same stream, ending at the same generator state.
+
+    The norm is computed as ``np.linalg.norm`` computes it for one vector,
+    from dot products of the strided real and imaginary views, so each row
+    divides by the same float.
+    """
+    z = rng.normal(size=(n, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norms[:, None]
+
+
 def _bloch_of(psis: np.ndarray) -> np.ndarray:
     a, b = psis[:, 0], psis[:, 1]
     return np.column_stack([
@@ -393,9 +437,8 @@ def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> 
         if d != 2:
             raise MeasurementError("the covariant strategy is implemented for qubits only")
         frame = covariant_qubit_frame(m)
-        p = frame.outcome_probabilities(_dicke_coords(psi[0], psi[1], m))
-        p = np.clip(p, 0, None)
-        i = int(rng.choice(frame.mesh_size, p=p / p.sum()))
+        x = (frame.tighten @ _dicke_coords(psi[0], psi[1], m))[None, :]
+        i = int(_covariant_picks(frame, x, np.array([rng.random()]))[0])
         recalled = frame.spinors[i]
     elif strategy == "sic_estimate":
         sic = build_sic(d)
@@ -441,6 +484,10 @@ def mean_recall_fidelity(
     if strategy not in _STRATEGIES:
         raise MeasurementError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
 
+    if strategy == "optimal_covariant_qubit":
+        frame = covariant_qubit_frame(m)
+    elif strategy == "sic_estimate":
+        tables = _sic_tables(d)
     fids = np.empty(trials)
     done = 0
     while done < trials:
@@ -448,11 +495,11 @@ def mean_recall_fidelity(
         if d == 2:
             psis = _haar_qubits(n, rng)
         else:
-            psis = np.array([haar_state(d, rng) for _ in range(n)])
+            psis = _haar_states(n, d, rng)
         if strategy == "optimal_covariant_qubit":
-            fids[done:done + n] = _covariant_batch(psis, m, rng)
+            fids[done:done + n] = _covariant_batch(psis, frame, rng)
         elif strategy == "sic_estimate":
-            fids[done:done + n] = _sic_batch(psis, m, d, rng)
+            fids[done:done + n] = _sic_batch(psis, m, tables, rng)
         else:
             fids[done:done + n] = _vn_batch(psis, m, rng)
         done += n
@@ -461,24 +508,27 @@ def mean_recall_fidelity(
     return mean, stderr
 
 
-def _covariant_batch(psis: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    frame = covariant_qubit_frame(m)
-    w = _dicke_coords(psis[:, 0], psis[:, 1], m)
-    amps = (w @ frame.tighten.T) @ frame.dicke.conj().T
-    p = frame.weight * np.abs(amps) ** 2
-    cum = np.cumsum(p, axis=1)
-    u = rng.random(psis.shape[0])[:, None] * cum[:, -1:]
-    picks = (cum < u).sum(axis=1).clip(0, frame.mesh_size - 1)
+def _covariant_batch(psis: np.ndarray, frame: CovariantQubitFrame,
+                     rng: np.random.Generator) -> np.ndarray:
+    w = _dicke_coords(psis[:, 0], psis[:, 1], frame.copies)
+    picks = _covariant_picks(frame, w @ frame.tighten.T, rng.random(psis.shape[0]))
     r = _bloch_of(psis)
     return (1 + np.einsum("ij,ij->i", r, frame.directions[picks])) / 2
 
 
-def _sic_batch(psis: np.ndarray, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def _sic_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frame states as rows, pseudo-inverse of the design matrix, Hermitian
+    basis) of the d-dimensional symmetric frame, for ``_sic_batch``."""
     sic = build_sic(d)
-    povm = sic.povm
-    a, basis = _design_matrix(povm)
-    pinv = np.linalg.pinv(a)
-    probs = np.abs(psis.conj() @ np.array(sic.states).T) ** 2 / d  # (n, d^2)
+    a, basis = _design_matrix(sic.povm)
+    return np.array(sic.states), np.linalg.pinv(a), np.array(basis)
+
+
+def _sic_batch(psis: np.ndarray, m: int, tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+               rng: np.random.Generator) -> np.ndarray:
+    states, pinv, basis = tables
+    d = psis.shape[1]
+    probs = np.abs(psis.conj() @ states.T) ** 2 / d  # (n, d^2)
     cum = np.cumsum(probs, axis=1)
     n = psis.shape[0]
     counts = np.zeros((n, d * d))
@@ -487,7 +537,7 @@ def _sic_batch(psis: np.ndarray, m: int, d: int, rng: np.random.Generator) -> np
         picks = (cum < u).sum(axis=1).clip(0, d * d - 1)
         counts[np.arange(n), picks] += 1
     coords = (counts / m) @ pinv.T
-    rhos = np.einsum("na,aij->nij", coords, np.array(basis))
+    rhos = np.einsum("na,aij->nij", coords, basis)
     rhos = (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2
     _, vecs = np.linalg.eigh(rhos)
     top = vecs[:, :, -1]

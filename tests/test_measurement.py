@@ -1,5 +1,6 @@
+import tracemalloc
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, log, sqrt
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from onticsim.linalg import bloch_projectors, haar_state
 from onticsim.measurement import (
     MeasurementError,
+    _covariant_batch,
+    _covariant_picks,
+    _dicke_coords,
     _fibonacci_sphere,
+    _haar_qubits,
+    _haar_states,
     Povm,
     attention_repetition,
     build_sic,
@@ -360,3 +366,79 @@ class TestStoreRecall:
         mean_single = float(np.mean(fids))
         mean_batch, err = mean_recall_fidelity("optimal_covariant_qubit", 1, 2, 20_000, seed=9)
         assert abs(mean_single - mean_batch) < 0.02
+
+
+def cumsum_picks(frame, x, u, chunk=1000):
+    """The inverse-CDF rule the prefix-Gram search replaced: every mesh
+    probability, their running sum, and a count of the cells below u."""
+    picks = []
+    for s in range(0, len(u), chunk):
+        amps = x[s:s + chunk] @ frame.dicke.conj().T
+        cum = np.cumsum(frame.weight * np.abs(amps) ** 2, axis=1)
+        picks.append((cum < u[s:s + chunk, None] * cum[:, -1:]).sum(axis=1))
+    return np.concatenate(picks).clip(0, frame.mesh_size - 1)
+
+
+def choice_pick(frame, psi, rng):
+    """The single-cycle draw the prefix-Gram search replaced."""
+    p = frame.outcome_probabilities(_dicke_coords(psi[0], psi[1], frame.copies))
+    p = np.clip(p, 0, None)
+    return int(rng.choice(frame.mesh_size, p=p / p.sum()))
+
+
+class TestCovariantDraw:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_picks_equal_cumsum_rule(self, m):
+        frame = covariant_qubit_frame(m)
+        rng = np.random.default_rng(100 + m)
+        psis = _haar_qubits(100_000, rng)
+        x = _dicke_coords(psis[:, 0], psis[:, 1], m) @ frame.tighten.T
+        u = rng.random(100_000)
+        u[0], u[1] = 0.0, np.nextafter(1.0, 0.0)
+        picks = _covariant_picks(frame, x, u)
+        assert np.array_equal(picks, cumsum_picks(frame, x, u))
+        assert picks[0] == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_single_cycle_equals_choice_rule(self, m):
+        frame = covariant_qubit_frame(m)
+        states = np.random.default_rng(200 + m)
+        new, old = np.random.default_rng(300 + m), np.random.default_rng(300 + m)
+        for _ in range(2_000):
+            psi = haar_state(2, states)
+            recalled, _ = store_recall_cycle(psi, m, "optimal_covariant_qubit", new)
+            assert np.array_equal(recalled, frame.spinors[choice_pick(frame, psi, old)])
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fidelities_follow_continuous_law(self, m):
+        # The continuous covariant measurement gives fidelity density
+        # (M+1) F^M, so CDF F^(M+1) (Massar & Popescu 1995). The
+        # Dvoretzky-Kiefer-Wolfowitz bound P(D > eps) <= 2 exp(-2 n eps^2)
+        # sets eps for a false-alarm rate of 1e-6.
+        n = 100_000
+        rng = np.random.default_rng(400 + m)
+        fids = np.sort(_covariant_batch(_haar_qubits(n, rng), covariant_qubit_frame(m), rng))
+        cdf = fids ** (m + 1)
+        k = np.arange(1, n + 1)
+        ks = max((k / n - cdf).max(), (cdf - (k - 1) / n).max())
+        assert ks < sqrt(log(2 / 1e-6) / (2 * n))
+
+    def test_memory_is_bounded(self):
+        covariant_qubit_frame.cache_clear()  # count the frame's build too
+        tracemalloc.start()
+        try:
+            mean_recall_fidelity("optimal_covariant_qubit", 3, 2, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+class TestHaarBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1])
+    def test_batch_equals_loop(self, seed):
+        loop, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = np.array([haar_state(3, loop) for _ in range(2_000)])
+        assert np.array_equal(_haar_states(2_000, 3, batch), states)
+        assert batch.bit_generator.state == loop.bit_generator.state
