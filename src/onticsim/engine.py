@@ -15,6 +15,7 @@ history operator applied to the initial state.
 from __future__ import annotations
 
 import json
+from collections import ChainMap
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
@@ -28,13 +29,17 @@ from .circuit import (
     CircuitError,
     CircuitLayout,
     INPUT_SOURCE,
+    TestNode,
     _decode_circuit,
     circuit_from_dict,
     layout as circuit_layout,
 )
 from .foliation import (
     Foliation,
-    admissible_event_indices,
+    _BATCH,
+    _apply_slice,
+    _reorder,
+    admissible_events,
     compile_history,
     compile_slice,
     foliate,
@@ -130,9 +135,9 @@ class _SlicePlan:
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     fast: bool
-    # Conditioning sources the slice reads from outside itself (or @input),
-    # in node order: their outcomes make up the slice's context key.
-    key_sources: tuple[str, ...]
+    # Nodes whose condition reads from outside the slice (or @input), in
+    # node order: their admissible event subsets make up the context key.
+    key_nodes: tuple[TestNode, ...]
     # context key -> _Branches, filled on first use
     branches: dict = field(default_factory=dict)
 
@@ -194,14 +199,15 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM,
                 prod(fol.leaf_dims(s)) <= fast_dim
                 and prod(fol.leaf_dims(s + 1)) <= fast_dim
             )
-            labels = {lay.circuit.nodes[i].label for i in topo_members}
-            conditions = [lay.circuit.nodes[i].condition for i in topo_members]
-            key_sources = tuple(
-                c.source for c in conditions
-                if c is not None and (c.source == INPUT_SOURCE or c.source not in labels)
+            nodes = [lay.circuit.nodes[i] for i in topo_members]
+            labels = {n.label for n in nodes}
+            key_nodes = tuple(
+                n for n in nodes
+                if n.condition is not None
+                and (n.condition.source == INPUT_SOURCE or n.condition.source not in labels)
             )
             plans.append(_SlicePlan(topo_members, fol.leaf_dims(s), fol.leaf_dims(s + 1), fast,
-                                    key_sources))
+                                    key_nodes))
         compiled.append(CompiledStep(lay, fol, plans, step.bind))
         prev_out = lay.output_dims
     return compiled
@@ -224,107 +230,56 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
 # --- slice candidates ---------------------------------------------------------
 
 def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, str],
-                      classical_input: str) -> list[dict[str, str]]:
-    """All joint outcome choices of a slice, honoring conditioning.
+                      classical_input: str) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
+    """All joint outcome choices of a slice, honoring conditioning, and the
+    free choices of each.
 
     Each candidate maps node label -> outcome label for every node of the
-    slice (including forced singletons, which are not free choices).
+    slice (including forced singletons, which are not free choices). Nodes
+    grow in topological order, so a source inside the slice is already in
+    the partial candidate.
     """
     candidates: list[dict[str, str]] = [{}]
+    frees: list[dict[str, str]] = [{}]
     for i in plan.node_indices:
         node = lay.circuit.nodes[i]
-        grown = []
-        for cand in candidates:
-            if node.condition is None:
-                src_outcome = None
-            elif node.condition.source == INPUT_SOURCE:
-                src_outcome = classical_input
-            else:
-                src_outcome = cand.get(node.condition.source, chosen.get(node.condition.source))
-            for idx in admissible_event_indices(node, src_outcome):
-                nxt = dict(cand)
-                nxt[node.label] = node.events[idx].outcome
-                grown.append(nxt)
-        candidates = grown
-    return candidates
-
-
-def _free_choices(plan: _SlicePlan, lay: CircuitLayout, cand: dict[str, str],
-                  chosen: dict[str, str], classical_input: str) -> dict[str, str]:
-    free = {}
-    for i in plan.node_indices:
-        node = lay.circuit.nodes[i]
-        if node.condition is None:
-            src = None
-        elif node.condition.source == INPUT_SOURCE:
-            src = classical_input
-        else:
-            src = cand.get(node.condition.source, chosen.get(node.condition.source))
-        if len(admissible_event_indices(node, src)) > 1:
-            free[node.label] = cand[node.label]
-    return free
+        grown, grown_frees = [], []
+        for cand, free in zip(candidates, frees):
+            admissible = admissible_events(node, ChainMap(cand, chosen), classical_input)
+            for idx in admissible:
+                outcome = node.events[idx].outcome
+                grown.append({**cand, node.label: outcome})
+                grown_frees.append({**free, node.label: outcome} if len(admissible) > 1 else free)
+        candidates, frees = grown, grown_frees
+    return candidates, frees
 
 
 def _context_key(plan: _SlicePlan, chosen: dict[str, str], classical_input: str) -> tuple:
-    """The outcomes a slice's candidates depend on, as a hashable key."""
-    return tuple([(src, classical_input if src == INPUT_SOURCE else chosen[src])
-                  for src in plan.key_sources])
+    """What a slice's candidates depend on, as a hashable key: the admissible
+    event subsets of its nodes that read from outside it."""
+    return tuple([admissible_events(node, chosen, classical_input) for node in plan.key_nodes])
 
 
 def _branches(plan: _SlicePlan, lay: CircuitLayout, key: tuple, chosen: dict[str, str],
               classical_input: str) -> _Branches:
     hit = plan.branches.get(key)
     if hit is None:
-        cands = _slice_candidates(plan, lay, chosen, classical_input)
-        hit = _Branches(cands, [_free_choices(plan, lay, c, chosen, classical_input) for c in cands])
+        hit = _Branches(*_slice_candidates(plan, lay, chosen, classical_input))
         plan.branches[key] = hit
     return hit
 
 
-def _stacked_operators(step: CompiledStep, s: int, branches: _Branches,
-                       chosen: dict[str, str]) -> np.ndarray:
+def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.ndarray:
     """The fast path's slice operators of each candidate, stacked to
     broadcast over a batch."""
     if branches.stacked is None:
         mats = []
         for cand in branches.cands:
-            resolved_full = dict(chosen)
-            resolved_full.update(cand)
-            # compile_slice needs event indices for the slice's nodes only.
-            resolved_idx = {
-                lbl: step.layout.circuit.node(lbl).event_index(out)
-                for lbl, out in resolved_full.items()
-            }
-            mats.append(compile_slice(step.foliation, s, resolved=resolved_idx))
+            resolved = {lbl: step.layout.circuit.node(lbl).event_index(out)
+                        for lbl, out in cand.items()}
+            mats.append(compile_slice(step.foliation, s, resolved=resolved))
         branches.stacked = np.stack(mats)[None] if mats else np.zeros((1, 0, 1, 1), dtype=complex)
     return branches.stacked
-
-
-# --- tensor-path application --------------------------------------------------
-
-def _apply_nodes_tensor(state: np.ndarray, order: list[int], lay: CircuitLayout,
-                        node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
-    """Apply one slice's events to a state tensor indexed by wire order."""
-    dims_of = {w.index: w.dim for w in lay.wires}
-    for i in node_indices:
-        node = lay.circuit.nodes[i]
-        op = node.events[node.event_index(events[node.label])].operators[0]
-        in_wires = lay.node_in_wires[i]
-        out_wires = lay.node_out_wires[i]
-        out_dims = tuple(dims_of[w] for w in out_wires)
-        in_dims = tuple(dims_of[w] for w in in_wires)
-        k = op.reshape(out_dims + in_dims)
-        pos = [order.index(w) for w in in_wires]
-        state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))
-        order = list(out_wires) + [w for w in order if w not in in_wires]
-    return state, order
-
-
-def _reorder_tensor(state: np.ndarray, order: list[int], target: list[int]) -> np.ndarray:
-    if order == target:
-        return state
-    axes = [order.index(w) for w in target]
-    return state.transpose(axes)
 
 
 # --- trajectories --------------------------------------------------------------
@@ -332,11 +287,6 @@ def _reorder_tensor(state: np.ndarray, order: list[int], target: list[int]) -> n
 #: Trajectories sampled together by one call of the batch kernel. The size
 #: bounds memory; it never changes the output.
 BATCH_SIZE = 1024
-
-#: The batch axis of a batch of state tensors, named in their wire order as
-#: if it were a wire; the kernel keeps it first.
-_BATCH = -1
-
 
 @dataclass
 class TrajectoryStep:
@@ -471,7 +421,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         new_paths: list[tuple[dict[str, str], dict[str, str]]] = []
         new_path = out = w = None
         if plan.fast:
-            x_all = _reorder_tensor(state, order, [_BATCH, *step.foliation.leaves[s]])
+            x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]])
             x_all = x_all.reshape(n, 1, -1, 1)
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
         for p, rows in _groups(path, len(paths)):
@@ -481,14 +431,14 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             cands, frees = branches.cands, branches.frees
             m, k = n if len(paths) == 1 else len(rows), len(cands)
             if plan.fast:
-                amps = np.matmul(_stacked_operators(step, s, branches, chosen), x_all[rows])
+                amps = np.matmul(_stacked_operators(step, s, branches), x_all[rows])
                 amps = amps.reshape(m * k, -1)
                 weights = np.einsum("ij,ij->i", amps.conj(), amps).real.reshape(m, k)
                 amps = amps.reshape(m, k, -1)
             else:
                 # BLAS may round a column differently as the matrix widens, so
                 # each row is contracted alone, exactly as a batch of one.
-                results = [[_apply_nodes_tensor(row, order[1:], lay, plan.node_indices, c)
+                results = [[_apply_slice(row, order[1:], lay, plan.node_indices, c)
                             for row in state[rows]] for c in cands]
                 out_order, out_shape = [_BATCH, *results[0][0][1]], results[0][0][0].shape
                 weights = np.array([[float(np.real(np.vdot(t, t))) for t, _ in r] for r in results]
@@ -520,7 +470,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         if new_path is not None:
             path = new_path
         weight = w if s == 0 else weight * w
-    state = _reorder_tensor(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
+    state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
     return path, [free for _, free in paths], state, weight
 
 
@@ -534,19 +484,11 @@ def _check_slice_total(plan, lay, branches, chosen, weights, classical_input) ->
     det = branches.deterministic
     if det is None:
         det = True
-        members = {lay.circuit.nodes[i].label for i in plan.node_indices}
         for i in plan.node_indices:
             node = lay.circuit.nodes[i]
-            if node.condition is None:
-                contexts = {None}
-            elif node.condition.source == INPUT_SOURCE:
-                contexts = {classical_input}
-            elif node.condition.source in members:
-                contexts = {cand[node.condition.source] for cand in branches.cands}
-            else:
-                contexts = {chosen[node.condition.source]}
-            for src in contexts:
-                idxs = admissible_event_indices(node, src)
+            subsets = {admissible_events(node, ChainMap(cand, chosen), classical_input)
+                       for cand in branches.cands}
+            for idxs in subsets:
                 ops = [k for j in idxs for k in node.events[j].operators]
                 if gram_identity_defect(ops) > COMPLETENESS_TOL:
                     det = False
@@ -787,7 +729,7 @@ def enumerate_histories(
 
         def recurse_slice(s: int, st: np.ndarray, order: list[int], chosen: dict, k: tuple):
             if s == len(step.slices):
-                st = _reorder_tensor(st, order, list(lay.output_wires))
+                st = _reorder(st, order, list(lay.output_wires))
                 nxt = st
                 if t + 1 < len(compiled):
                     nxt = _apply_bind(
@@ -799,7 +741,7 @@ def enumerate_histories(
             plan = step.slices[s]
             branches = _branches(plan, lay, _context_key(plan, chosen, inputs[t]), chosen, inputs[t])
             for cand, free in zip(branches.cands, branches.frees):
-                out_t, out_order = _apply_nodes_tensor(st, order, lay, plan.node_indices, cand)
+                out_t, out_order = _apply_slice(st, order, lay, plan.node_indices, cand)
                 new_chosen = dict(chosen)
                 new_chosen.update(cand)
                 new_key = k + tuple((prefix + n, o) for n, o in free.items())

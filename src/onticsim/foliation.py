@@ -2,25 +2,30 @@
 operator products.
 
 A foliation covers the circuit's wires with an ordered sequence of global
-cuts (leaves); the nodes between two adjacent cuts form a slice. Compiling
-a slice with a fixed outcome assignment yields one operator (tensor product
-of the firing events' Kraus operators, identity on wires passing through,
-with permutations absorbing wire reordering); the full history operator is
-the right-to-left product of the slice operators. Every foliation of the
-same circuit with the same outcomes compiles to the same operator, which is
-the invariance the test-suite pins down.
+cuts (leaves); the nodes between two adjacent cuts form a slice. A slice is
+applied by one kernel, ``_apply_slice``: it contracts each firing event's
+Kraus operator into a tensor with one axis per wire, node by node in
+topological order, while wires the slice does not touch ride along as
+untouched axes. The trajectory engine runs it on state tensors;
+``compile_slice`` runs it on the identity basis of the incoming leaf and
+transposes the result into the next leaf's wire order, which yields the
+slice operator for a fixed outcome assignment. The full history operator
+is the right-to-left product of the slice operators. Every foliation of
+the same circuit with the same outcomes compiles to the same operator,
+which is the invariance the test-suite pins down.
 
 Strategies: ``asap`` fires every node in the earliest admissible slice (a
 node conditioned on another may share its slice, composing through the
 trivial system inside one leaf); ``alap`` fires as late as possible and
 keeps conditioning sources strictly earlier, so every classical edge
 crosses a cut. ``random`` groups a random linear extension into random
-consecutive slices, which may bury wires inside a slice; compilation
-handles such internal chains by micro-slicing.
+consecutive slices, which may bury wires inside a slice; the kernel's
+topological order contracts such internal chains in turn.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
 
@@ -217,6 +222,20 @@ def admissible_event_indices(node: TestNode, source_outcome: str | None) -> tupl
         ) from None
 
 
+def admissible_events(node: TestNode, known: Mapping[str, str],
+                      classical_input: str) -> tuple[int, ...]:
+    """Admissible event indices of ``node``, reading its condition from the
+    step's classical input (``@input``) or from ``known`` outcomes (node
+    label -> outcome label)."""
+    if node.condition is None:
+        source_outcome = None
+    elif node.condition.source == INPUT_SOURCE:
+        source_outcome = classical_input
+    else:
+        source_outcome = known.get(node.condition.source)
+    return admissible_event_indices(node, source_outcome)
+
+
 def resolve_assignment(
     lay: CircuitLayout, outcomes: dict[str, str] | None, classical_input: str = "0"
 ) -> dict[str, int]:
@@ -231,13 +250,7 @@ def resolve_assignment(
     chosen_label: dict[str, str] = {}
     for i in lay.topo_order:
         node = lay.circuit.nodes[i]
-        if node.condition is None:
-            source_outcome = None
-        elif node.condition.source == INPUT_SOURCE:
-            source_outcome = classical_input
-        else:
-            source_outcome = chosen_label.get(node.condition.source)
-        admissible = admissible_event_indices(node, source_outcome)
+        admissible = admissible_events(node, chosen_label, classical_input)
         if node.label in outcomes:
             idx = node.event_index(outcomes[node.label])
             if idx not in admissible:
@@ -259,45 +272,34 @@ def resolve_assignment(
 
 # --- compilation -------------------------------------------------------------
 
-def _perm_matrix(dims: tuple[int, ...], axes: list[int]) -> np.ndarray:
-    """Matrix reordering tensor factors: new position k holds old axis axes[k]."""
-    d = prod(dims) if dims else 1
-    idx = np.arange(d).reshape(dims if dims else (1,))
-    if dims:
-        idx = idx.transpose(axes)
-    idx = idx.ravel()
-    p = np.zeros((d, d))
-    p[np.arange(d), idx] = 1.0
-    return p
+#: The batch axis of a batch of state tensors, named in their wire order as
+#: if it were a wire.
+_BATCH = -1
 
 
-def _micro_levels(lay: CircuitLayout, members: list[int]) -> list[list[int]]:
-    """Antichain sub-levels of a slice under its internal wire order."""
-    members_set = set(members)
-    inner_preds = {i: set() for i in members}
-    for w in lay.wires:
-        if w.src and w.dst and w.src[0] in members_set and w.dst[0] in members_set:
-            inner_preds[w.dst[0]].add(w.src[0])
-    done: set[int] = set()
-    levels: list[list[int]] = []
-    while len(done) < len(members):
-        ready = sorted(i for i in members if i not in done and inner_preds[i] <= done)
-        if not ready:
-            raise FoliationError("cyclic slice (validation should have caught this)")
-        levels.append(ready)
-        done |= set(ready)
-    return levels
+def _apply_slice(state: np.ndarray, order: list[int], lay: CircuitLayout,
+                 node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
+    """Apply one slice's events to a state tensor indexed by wire order."""
+    dims_of = {w.index: w.dim for w in lay.wires}
+    for i in node_indices:
+        node = lay.circuit.nodes[i]
+        op = node.events[node.event_index(events[node.label])].operators[0]
+        in_wires = lay.node_in_wires[i]
+        out_wires = lay.node_out_wires[i]
+        out_dims = tuple(dims_of[w] for w in out_wires)
+        in_dims = tuple(dims_of[w] for w in in_wires)
+        k = op.reshape(out_dims + in_dims)
+        pos = [order.index(w) for w in in_wires]
+        state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))
+        order = list(out_wires) + [w for w in order if w not in in_wires]
+    return state, order
 
 
-def _node_operator(lay: CircuitLayout, i: int, resolved: dict[str, int]) -> np.ndarray:
-    node = lay.circuit.nodes[i]
-    event = node.events[resolved[node.label]]
-    if not event.is_atomic:
-        raise FoliationError(
-            f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
-            "operator compilation needs single-Kraus events"
-        )
-    return event.operators[0]
+def _reorder(state: np.ndarray, order: list[int], target: list[int]) -> np.ndarray:
+    if order == target:
+        return state
+    axes = [order.index(w) for w in target]
+    return state.transpose(axes)
 
 
 def compile_slice(
@@ -309,42 +311,34 @@ def compile_slice(
     resolved: dict[str, int] | None = None,
     max_dim: int = MAX_DIM,
 ) -> np.ndarray:
-    """Operator of one slice: leaf ``slice_index`` -> leaf ``slice_index + 1``."""
+    """Operator of one slice: leaf ``slice_index`` -> leaf ``slice_index + 1``.
+
+    The kernel runs on the incoming leaf's identity basis as a batch of
+    states, batch axis last, so column j is the slice applied to the j-th
+    basis vector. Every intermediate tensor holds at most ``max_dim ** 2``
+    entries.
+    """
     if resolved is None:
         resolved = resolve_assignment(fol.layout, outcomes, classical_input)
     lay = fol.layout
-    dims_of = {w.index: w.dim for w in lay.wires}
-    order = list(fol.leaves[slice_index])
-    if prod(fol.leaf_dims(slice_index)) > max_dim:
+    in_dims = fol.leaf_dims(slice_index)
+    d_in = prod(in_dims)
+    if d_in > max_dim:
         raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
-    m = np.eye(prod(dims_of[w] for w in order) if order else 1, dtype=complex)
-    for level in _micro_levels(lay, fol.slices[slice_index]):
-        consumed: list[int] = []
-        ops: list[np.ndarray] = []
-        produced: list[int] = []
-        for i in level:
-            consumed += lay.node_in_wires[i]
-            produced += lay.node_out_wires[i]
-            ops.append(_node_operator(lay, i, resolved))
-        passthrough = [w for w in order if w not in consumed]
-        arrangement = consumed + passthrough
-        axes = [order.index(w) for w in arrangement]
-        perm = _perm_matrix(tuple(dims_of[w] for w in order), axes)
-        block = np.eye(1, dtype=complex)
-        for op in ops:
-            block = np.kron(block, op)
-        pass_dim = prod(dims_of[w] for w in passthrough) if passthrough else 1
-        block = np.kron(block, np.eye(pass_dim, dtype=complex))
-        if block.shape[0] * block.shape[1] > max_dim * max_dim:
+    state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
+    order = [*fol.leaves[slice_index], _BATCH]
+    for i in [i for i in lay.topo_order if i in fol.slices[slice_index]]:
+        node = lay.circuit.nodes[i]
+        event = node.events[resolved[node.label]]
+        if not event.is_atomic:
+            raise FoliationError(
+                f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
+                "operator compilation needs single-Kraus events"
+            )
+        state, order = _apply_slice(state, order, lay, [i], {node.label: event.outcome})
+        if state.size > max_dim * max_dim:
             raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
-        m = block @ perm @ m
-        order = produced + passthrough
-    target = list(fol.leaves[slice_index + 1])
-    if sorted(order) != sorted(target):
-        raise FoliationError("internal error: slice boundary wires do not match the next leaf")
-    axes = [order.index(w) for w in target]
-    m = _perm_matrix(tuple(dims_of[w] for w in order), axes) @ m
-    return m
+    return _reorder(state, order, [*fol.leaves[slice_index + 1], _BATCH]).reshape(-1, d_in)
 
 
 @dataclass(frozen=True)

@@ -430,38 +430,32 @@ def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> 
     Returns (recalled state, fidelity |<psi|psi_hat>|^2).
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    d = psi.size
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise MeasurementError("input state must be normalized")
+    _check_strategy(strategy, psi.size)
     if strategy == "optimal_covariant_qubit":
-        if d != 2:
-            raise MeasurementError("the covariant strategy is implemented for qubits only")
         frame = covariant_qubit_frame(m)
         x = (frame.tighten @ _dicke_coords(psi[0], psi[1], m))[None, :]
         i = int(_covariant_picks(frame, x, np.array([rng.random()]))[0])
         recalled = frame.spinors[i]
     elif strategy == "sic_estimate":
-        sic = build_sic(d)
-        povm = sic.povm
-        counts = simulate_measurement(povm, np.outer(psi, psi.conj()), m, rng)
-        est = tomography_linear(povm, counts).estimate
-        w, v = np.linalg.eigh(est)
-        recalled = v[:, -1]
-    elif strategy == "random_vn_repeat":
-        if d != 2:
-            raise MeasurementError("random-direction spin readout is for qubits")
-        r = _bloch_of(psi.reshape(1, 2))[0]
-        total = np.zeros(3)
-        for _ in range(m):
-            n = random_bloch_direction(rng)
-            p_plus = (1 + float(n @ r)) / 2
-            total += n if rng.random() < p_plus else -n
-        if np.linalg.norm(total) < 1e-12:
-            total = random_bloch_direction(rng)
-        recalled = _bloch_qubit(total)
+        recalled = _sic_batch(psi[None], m, rng)[0]
     else:
-        raise MeasurementError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
+        recalled = _bloch_qubit(_vn_batch(_bloch_of(psi[None]), m, rng)[0])
     return recalled, float(np.abs(np.vdot(psi, recalled)) ** 2)
+
+
+def _check_strategy(strategy: str, d: int) -> None:
+    """The guard of both recall entry points: a known strategy, implemented
+    for dimension d."""
+    if strategy not in _STRATEGIES:
+        raise MeasurementError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
+    if strategy == "optimal_covariant_qubit" and d != 2:
+        raise MeasurementError("the covariant strategy is implemented for qubits only")
+    if strategy == "random_vn_repeat" and d != 2:
+        raise MeasurementError("random-direction spin readout is for qubits")
+    if strategy == "sic_estimate" and d not in (2, 3):
+        raise MeasurementError(f"no symmetric frame stored for dimension {d}")
 
 
 def mean_recall_fidelity(
@@ -475,19 +469,9 @@ def mean_recall_fidelity(
     stream = zlib.crc32(f"{strategy}:{m}:{d}".encode())
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)))
-    if strategy == "optimal_covariant_qubit" and d != 2:
-        raise MeasurementError("the covariant strategy is implemented for qubits only")
-    if strategy == "random_vn_repeat" and d != 2:
-        raise MeasurementError("random-direction spin readout is for qubits")
-    if strategy == "sic_estimate" and d not in (2, 3):
-        raise MeasurementError("no symmetric frame stored for this dimension")
-    if strategy not in _STRATEGIES:
-        raise MeasurementError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
-
+    _check_strategy(strategy, d)
     if strategy == "optimal_covariant_qubit":
         frame = covariant_qubit_frame(m)
-    elif strategy == "sic_estimate":
-        tables = _sic_tables(d)
     fids = np.empty(trials)
     done = 0
     while done < trials:
@@ -499,9 +483,11 @@ def mean_recall_fidelity(
         if strategy == "optimal_covariant_qubit":
             fids[done:done + n] = _covariant_batch(psis, frame, rng)
         elif strategy == "sic_estimate":
-            fids[done:done + n] = _sic_batch(psis, m, tables, rng)
+            top = _sic_batch(psis, m, rng)
+            fids[done:done + n] = np.abs(np.einsum("ni,ni->n", psis.conj(), top)) ** 2
         else:
-            fids[done:done + n] = _vn_batch(psis, m, rng)
+            r = _bloch_of(psis)
+            fids[done:done + n] = (1 + np.einsum("nj,nj->n", r, _vn_batch(r, m, rng))) / 2
         done += n
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / sqrt(trials)) if trials > 1 else float("nan")
@@ -516,6 +502,7 @@ def _covariant_batch(psis: np.ndarray, frame: CovariantQubitFrame,
     return (1 + np.einsum("ij,ij->i", r, frame.directions[picks])) / 2
 
 
+@lru_cache(maxsize=4)
 def _sic_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(frame states as rows, pseudo-inverse of the design matrix, Hermitian
     basis) of the d-dimensional symmetric frame, for ``_sic_batch``."""
@@ -524,10 +511,11 @@ def _sic_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(sic.states), np.linalg.pinv(a), np.array(basis)
 
 
-def _sic_batch(psis: np.ndarray, m: int, tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-               rng: np.random.Generator) -> np.ndarray:
-    states, pinv, basis = tables
+def _sic_batch(psis: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The recalled state of each row of ``psis``: the top eigenvector of
+    the linear-inversion estimate from m draws of the symmetric frame."""
     d = psis.shape[1]
+    states, pinv, basis = _sic_tables(d)
     probs = np.abs(psis.conj() @ states.T) ** 2 / d  # (n, d^2)
     cum = np.cumsum(probs, axis=1)
     n = psis.shape[0]
@@ -540,13 +528,13 @@ def _sic_batch(psis: np.ndarray, m: int, tables: tuple[np.ndarray, np.ndarray, n
     rhos = np.einsum("na,aij->nij", coords, basis)
     rhos = (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2
     _, vecs = np.linalg.eigh(rhos)
-    top = vecs[:, :, -1]
-    return np.abs(np.einsum("ni,ni->n", psis.conj(), top)) ** 2
+    return vecs[:, :, -1]
 
 
-def _vn_batch(psis: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    n = psis.shape[0]
-    r = _bloch_of(psis)
+def _vn_batch(r: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The recalled Bloch direction for each row of Bloch vectors ``r``:
+    the sum of m signed readouts along uniformly random directions."""
+    n = r.shape[0]
     dirs = rng.normal(size=(n, m, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
     p_plus = (1 + np.einsum("nj,nmj->nm", r, dirs)) / 2
@@ -557,5 +545,4 @@ def _vn_batch(psis: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     if degenerate.any():
         total[degenerate] = rng.normal(size=(int(degenerate.sum()), 3))
         norms = np.linalg.norm(total, axis=1, keepdims=True)
-    est = total / norms
-    return (1 + np.einsum("nj,nj->n", r, est)) / 2
+    return total / norms

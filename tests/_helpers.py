@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from onticsim.circuit import INPUT_SOURCE, CircuitLayout
-from onticsim.foliation import admissible_event_indices
+from onticsim.circuit import CircuitLayout
+from onticsim.foliation import admissible_events
 
 
 def any_assignment(lay: CircuitLayout, classical_input: str = "0") -> dict[str, str]:
@@ -12,13 +12,7 @@ def any_assignment(lay: CircuitLayout, classical_input: str = "0") -> dict[str, 
     labels: dict[str, str] = {}
     for i in lay.topo_order:
         node = lay.circuit.nodes[i]
-        if node.condition is None:
-            src = None
-        elif node.condition.source == INPUT_SOURCE:
-            src = classical_input
-        else:
-            src = labels[node.condition.source]
-        idxs = admissible_event_indices(node, src)
+        idxs = admissible_events(node, labels, classical_input)
         labels[node.label] = node.events[idxs[0]].outcome
         if len(idxs) > 1:
             chosen[node.label] = node.events[idxs[0]].outcome

@@ -1,7 +1,11 @@
+from math import prod
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from onticsim import gallery
+from _helpers import any_assignment
+from onticsim import engine, gallery
 from onticsim.circuit import Circuit, Event, System, TestNode, WireSpec, layout
 from onticsim.foliation import (
     FoliationError,
@@ -11,8 +15,10 @@ from onticsim.foliation import (
     foliate,
     resolve_assignment,
 )
-from onticsim.linalg import haar_state, haar_unitary
+from onticsim.linalg import MAX_DIM, haar_state, haar_unitary
 from onticsim.random_circuits import random_circuit
+
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
 
 def linear_chain(n=3):
@@ -119,40 +125,18 @@ class TestCompileSlice:
             c = random_circuit(rng, n_nodes=(4, 6))
             lay = layout(c)
             fol = foliate(lay, "asap")
-            resolved = resolve_assignment(lay, _any_assignment(lay))
+            resolved = resolve_assignment(lay, any_assignment(lay))
             psi = haar_state(int(np.prod(fol.leaf_dims(0))) if fol.leaves[0] else 1, rng)
             vec = psi
             for s in range(len(fol.slices)):
                 vec = compile_slice(fol, s, resolved=resolved) @ vec
-            full = compile_history(fol, _any_assignment(lay)).operator @ psi
+            full = compile_history(fol, any_assignment(lay)).operator @ psi
             assert np.allclose(vec, full, atol=1e-10)
 
     def test_missing_outcome_raises(self):
         fol = foliate(gallery.conditioned_step(), "asap")
         with pytest.raises(MissingOutcomeError):
             compile_history(fol, {"alpha": "0"})
-
-
-def _any_assignment(lay):
-    """First admissible outcome for every choice node, in topological order."""
-    from onticsim.circuit import INPUT_SOURCE
-    from onticsim.foliation import admissible_event_indices
-
-    chosen = {}
-    labels = {}
-    for i in lay.topo_order:
-        node = lay.circuit.nodes[i]
-        if node.condition is None:
-            src = None
-        elif node.condition.source == INPUT_SOURCE:
-            src = "0"
-        else:
-            src = labels[node.condition.source]
-        idxs = admissible_event_indices(node, src)
-        labels[node.label] = node.events[idxs[0]].outcome
-        if len(idxs) > 1:
-            chosen[node.label] = node.events[idxs[0]].outcome
-    return chosen
 
 
 class TestHandBuiltOracle:
@@ -232,7 +216,7 @@ class TestFoliationInvariance:
         for _ in range(8):
             c = random_circuit(rng, n_nodes=(4, 7))
             lay = layout(c)
-            outcomes = _any_assignment(lay)
+            outcomes = any_assignment(lay)
             reference = compile_history(foliate(lay, "asap"), outcomes).operator
             for fol in [foliate(lay, "alap")] + [
                 foliate(lay, "random", rng=rng) for _ in range(6)
@@ -253,7 +237,166 @@ class TestFoliationInvariance:
         for _ in range(10):
             c = random_circuit(rng, n_nodes=(4, 7))
             lay = layout(c)
-            hop = compile_history(foliate(lay, "asap"), _any_assignment(lay))
+            hop = compile_history(foliate(lay, "asap"), any_assignment(lay))
             ok, sigma = hop.contraction_check()
             assert ok, f"sigma_max = {sigma}"
             assert hop.factor_count == len(foliate(lay, "asap").slices)
+
+
+# --- the kron-and-permutation oracle -------------------------------------------
+#
+# An independent construction of a slice operator: each antichain sub-level
+# of the slice becomes a Kronecker product of its nodes' Kraus operators and
+# an identity on the wires passing through, and dense permutation matrices
+# bring the wires into each level's order and finally into the next leaf's.
+
+
+def _perm_matrix(dims: tuple[int, ...], axes: list[int]) -> np.ndarray:
+    """Matrix reordering tensor factors: new position k holds old axis axes[k]."""
+    d = prod(dims) if dims else 1
+    idx = np.arange(d).reshape(dims if dims else (1,))
+    if dims:
+        idx = idx.transpose(axes)
+    idx = idx.ravel()
+    p = np.zeros((d, d))
+    p[np.arange(d), idx] = 1.0
+    return p
+
+
+def _micro_levels(lay, members: list[int]) -> list[list[int]]:
+    """Antichain sub-levels of a slice under its internal wire order."""
+    members_set = set(members)
+    inner_preds = {i: set() for i in members}
+    for w in lay.wires:
+        if w.src and w.dst and w.src[0] in members_set and w.dst[0] in members_set:
+            inner_preds[w.dst[0]].add(w.src[0])
+    done: set[int] = set()
+    levels: list[list[int]] = []
+    while len(done) < len(members):
+        ready = sorted(i for i in members if i not in done and inner_preds[i] <= done)
+        if not ready:
+            raise FoliationError("cyclic slice (validation should have caught this)")
+        levels.append(ready)
+        done |= set(ready)
+    return levels
+
+
+def kron_compile_slice(fol, slice_index: int, resolved: dict[str, int],
+                       max_dim: int = MAX_DIM) -> np.ndarray:
+    lay = fol.layout
+    dims_of = {w.index: w.dim for w in lay.wires}
+    order = list(fol.leaves[slice_index])
+    if prod(fol.leaf_dims(slice_index)) > max_dim:
+        raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
+    m = np.eye(prod(dims_of[w] for w in order) if order else 1, dtype=complex)
+    for level in _micro_levels(lay, fol.slices[slice_index]):
+        consumed: list[int] = []
+        ops: list[np.ndarray] = []
+        produced: list[int] = []
+        for i in level:
+            consumed += lay.node_in_wires[i]
+            produced += lay.node_out_wires[i]
+            node = lay.circuit.nodes[i]
+            ops.append(node.events[resolved[node.label]].operators[0])
+        passthrough = [w for w in order if w not in consumed]
+        arrangement = consumed + passthrough
+        axes = [order.index(w) for w in arrangement]
+        perm = _perm_matrix(tuple(dims_of[w] for w in order), axes)
+        block = np.eye(1, dtype=complex)
+        for op in ops:
+            block = np.kron(block, op)
+        pass_dim = prod(dims_of[w] for w in passthrough) if passthrough else 1
+        block = np.kron(block, np.eye(pass_dim, dtype=complex))
+        if block.shape[0] * block.shape[1] > max_dim * max_dim:
+            raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
+        m = block @ perm @ m
+        order = produced + passthrough
+    target = list(fol.leaves[slice_index + 1])
+    if sorted(order) != sorted(target):
+        raise FoliationError("internal error: slice boundary wires do not match the next leaf")
+    axes = [order.index(w) for w in target]
+    m = _perm_matrix(tuple(dims_of[w] for w in order), axes) @ m
+    return m
+
+
+def _fast_path_operators(step, classical_input):
+    """(slice, resolved event indices, cached operator) for every candidate
+    of every fast slice in every context reachable under ``classical_input``."""
+    lay = step.layout
+    found = []
+
+    def visit(s, chosen):
+        if s == len(step.slices):
+            return
+        plan = step.slices[s]
+        key = engine._context_key(plan, chosen, classical_input)
+        branches = engine._branches(plan, lay, key, chosen, classical_input)
+        stacked = engine._stacked_operators(step, s, branches) if plan.fast else None
+        for c, cand in enumerate(branches.cands):
+            if stacked is not None:
+                resolved = {lbl: lay.circuit.node(lbl).event_index(out) for lbl, out in cand.items()}
+                found.append((s, resolved, stacked[0, c]))
+            visit(s + 1, {**chosen, **cand})
+
+    visit(0, {})
+    return found
+
+
+class TestKronOracle:
+    """``compile_slice`` runs the slice kernel on an identity basis; the
+    oracle builds the same operator from Kronecker products and dense
+    permutations."""
+
+    def test_random_circuits_within_rounding(self):
+        rng = np.random.default_rng(23)
+        multi_level = 0
+        for _ in range(30):
+            lay = layout(random_circuit(rng, n_nodes=(4, 7)))
+            resolved = resolve_assignment(lay, any_assignment(lay))
+            fols = [foliate(lay, "asap"), foliate(lay, "alap")]
+            fols += [foliate(lay, "random", rng=rng) for _ in range(4)]
+            for fol in fols:
+                for s in range(len(fol.slices)):
+                    multi_level += len(_micro_levels(lay, fol.slices[s])) > 1
+                    got = compile_slice(fol, s, resolved=resolved)
+                    want = kron_compile_slice(fol, s, resolved)
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() < 1e-12
+        assert multi_level > 10
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CIRCUITS.iterdir()))
+    def test_shipped_fast_path_operators_bit_equal(self, name):
+        program = engine.load_run_spec(CIRCUITS / name)
+        count = 0
+        for classical_input in ("0", "1"):
+            for step in engine.compile_program(program):
+                for s, resolved, op in _fast_path_operators(step, classical_input):
+                    assert np.array_equal(op, kron_compile_slice(step.foliation, s, resolved))
+                    count += 1
+        assert count > 0
+
+
+class TestDimensionCaps:
+    def test_leaf_cap(self):
+        fol = foliate(linear_chain(3), "asap")
+        assert compile_slice(fol, 0, {}, max_dim=2).shape == (2, 2)
+        with pytest.raises(FoliationError, match="leaf dimension exceeds cap 1"):
+            compile_slice(fol, 0, {}, max_dim=1)
+
+    def test_intermediate_cap(self):
+        """A slice that prepares three qubits and reads them out again has
+        1-dim leaves on both sides, but an 8-dim tensor in between."""
+        systems = {lbl: System(lbl, 2) for lbl in ("A", "B", "C")}
+        ket = np.zeros((8, 1))
+        ket[0, 0] = 1.0
+        bras = tuple(Event(str(j), (np.eye(8)[j:j + 1],)) for j in range(8))
+        nodes = [
+            TestNode("prep", (), ("A", "B", "C"), (Event("0", (ket,)),)),
+            TestNode("read", ("A", "B", "C"), (), bras),
+        ]
+        wires = [WireSpec("prep", k, "read", k) for k in range(3)]
+        fol = foliate(Circuit("grow", systems, nodes, wires), "given", slices=[["prep", "read"]])
+        outcomes = {"read": "0"}
+        assert np.array_equal(compile_slice(fol, 0, outcomes, max_dim=3), np.ones((1, 1)))
+        with pytest.raises(FoliationError, match="slice operator exceeds dimension cap 2"):
+            compile_slice(fol, 0, outcomes, max_dim=2)

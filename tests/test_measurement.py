@@ -8,12 +8,16 @@ import pytest
 from onticsim.linalg import bloch_projectors, haar_state
 from onticsim.measurement import (
     MeasurementError,
+    _bloch_of,
+    _bloch_qubit,
     _covariant_batch,
     _covariant_picks,
     _dicke_coords,
     _fibonacci_sphere,
     _haar_qubits,
     _haar_states,
+    _sic_batch,
+    _vn_batch,
     Povm,
     attention_repetition,
     build_sic,
@@ -329,6 +333,28 @@ class TestStoreRecall:
                                np.random.default_rng(0))
         with pytest.raises(MeasurementError):
             mean_recall_fidelity("sic_estimate", 1, 5, 10)
+
+    @pytest.mark.parametrize("strategy,d", [
+        ("sic_estimate", 2), ("sic_estimate", 3), ("random_vn_repeat", 2),
+    ])
+    def test_cycle_equals_batch_row(self, strategy, d):
+        """A cycle is the batch kernel's row for the same generator state,
+        and its fidelity is the one ``mean_recall_fidelity`` averages."""
+        states = np.random.default_rng(18)
+        for seed in range(200):
+            psi = haar_state(d, states)
+            cycle, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            recalled, fid = store_recall_cycle(psi, 3, strategy, cycle)
+            if strategy == "sic_estimate":
+                row = _sic_batch(psi[None], 3, batch)[0]
+                batch_fid = abs(np.vdot(psi, row)) ** 2
+            else:
+                r = _bloch_of(psi[None])
+                est = _vn_batch(r, 3, batch)
+                row, batch_fid = _bloch_qubit(est[0]), (1 + float(r[0] @ est[0])) / 2
+            assert np.array_equal(recalled, row)
+            assert cycle.bit_generator.state == batch.bit_generator.state
+            assert abs(fid - batch_fid) < 1e-12
 
     def test_covariant_mean_hits_bound_at_m1(self):
         mean, err = mean_recall_fidelity("optimal_covariant_qubit", 1, 2, 20_000, seed=5)
