@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import MAX_DIM, tensor_product
-from .quantum import COMPLETENESS_TOL, KrausSet, SignatureError, gram_top_eigenvalue
+from .quantum import COMPLETENESS_TOL, KrausSet, SignatureError, _gram_spectrum
 
 INPUT_SOURCE = "@input"
 
@@ -154,6 +154,9 @@ class ValidationReport:
     errors: list[str] = field(default_factory=list)
     is_closed: bool = False
     node_count: int = 0
+    # (node index, admissible event subset) pairs whose operators sum to
+    # the identity within the tolerance
+    deterministic: set[tuple[int, tuple[int, ...]]] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -178,6 +181,7 @@ class CircuitLayout:
     output_wires: list[int]
     topo_order: list[int]
     predecessors: list[set[int]]   # DAG parents, conditioning included
+    deterministic: frozenset[tuple[int, tuple[int, ...]]]  # from ``validate_dag``
 
     @property
     def input_dims(self) -> tuple[int, ...]:
@@ -186,11 +190,6 @@ class CircuitLayout:
     @property
     def output_dims(self) -> tuple[int, ...]:
         return tuple(self.wires[w].dim for w in self.output_wires)
-
-    def node_event_shape(self, node: TestNode) -> tuple[int, int]:
-        d_out = prod(self.circuit.systems[s].dim for s in node.outputs)
-        d_in = prod(self.circuit.systems[s].dim for s in node.inputs)
-        return d_out, d_in
 
     def all_quantum(self) -> bool:
         return all(w.theory in ("quantum", "trivial") for w in self.wires)
@@ -206,7 +205,9 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
     """Check wiring, typing, acyclicity, test normalization and closure.
 
     Never raises; all violations are collected in the report. ``tol`` is
-    the slack allowed on the trace-nonincreasing test normalization.
+    the slack allowed on the trace-nonincreasing test normalization; one
+    spectral run per admissible event subset also decides, at the same
+    tolerance, whether the subset is deterministic (``report.deterministic``).
     """
     report = ValidationReport(node_count=len(circuit.nodes))
     errors = report.errors
@@ -254,7 +255,7 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
         in_taken[(ti, w.to_port)] = w
 
     # Event operator shapes and test normalization.
-    for n in circuit.nodes:
+    for node_index, n in enumerate(circuit.nodes):
         d_out, d_in = _node_port_dims(circuit, n)
         bad_shape = False
         for e in n.events:
@@ -283,14 +284,19 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                     errors.append(f"node {n.label!r}: empty event subset for outcome {key!r}")
                 else:
                     subsets.append((key, idxs))
+        spectra: dict[tuple[int, ...], tuple[float, float]] = {}
         for key, idxs in subsets:
-            ops = [k for i in idxs for k in n.events[i].operators]
-            top = gram_top_eigenvalue(ops, tol=tol)
+            if idxs not in spectra:
+                ops = [k for i in idxs for k in n.events[i].operators]
+                spectra[idxs] = _gram_spectrum(ops, 1.0 - tol, 1.0 + tol)
+            bottom, top = spectra[idxs]
             if top > 1.0 + tol:
                 ctx = f" (conditioned on {key!r})" if key else ""
                 errors.append(
                     f"node {n.label!r}{ctx} is trace-increasing: sigma_max - 1 = {top - 1.0:.3g}"
                 )
+            elif max(top - 1.0, 1.0 - bottom) <= tol:  # as ``gram_identity_defect`` decides
+                report.deterministic.add((node_index, idxs))
 
     # Conditioning sources.
     edges: list[tuple[int, int]] = [(index[w.from_node], index[w.to_node]) for w in circuit.wires
@@ -409,6 +415,7 @@ def layout(circuit: Circuit) -> CircuitLayout:
         output_wires=output_wires,
         topo_order=topo,
         predecessors=preds,
+        deterministic=frozenset(report.deterministic),
     )
 
 

@@ -22,10 +22,6 @@ def is_classical_state(x, tol: float = _TOL) -> bool:
     return x.ndim == 1 and bool(np.all(x >= -tol)) and float(x.sum()) <= 1.0 + tol
 
 
-def is_deterministic_state(x, tol: float = _TOL) -> bool:
-    return is_classical_state(x, tol) and abs(float(np.asarray(x, dtype=float).sum()) - 1.0) <= tol
-
-
 def is_substochastic(m, tol: float = _TOL) -> bool:
     """Nonnegative matrix whose column sums are all <= 1 + tol."""
     m = np.asarray(m, dtype=float)

@@ -181,7 +181,6 @@ def cmd_bench_memory(args) -> int:
     ms = [int(x) for x in args.copies.split(",")]
     ds = [int(x) for x in args.dims.split(",")]
     out = _out_stream(args)
-    code = 0
     try:
         out.write("strategy,M,d,trials,mean_fidelity,std_error,bound\n")
         for strategy in strategies:
@@ -206,7 +205,7 @@ def cmd_bench_memory(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return code
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,7 +45,6 @@ from .foliation import (
     foliate,
 )
 from .linalg import MAX_DIM
-from .quantum import COMPLETENESS_TOL, gram_identity_defect
 
 #: Leaf dimension up to which per-slice candidate operators are precompiled.
 FAST_PATH_MAX_DIM = 256
@@ -150,8 +149,8 @@ class _Branches:
 
     cands: list[dict[str, str]]        # node label -> outcome, every node of the slice
     frees: list[dict[str, str]]        # the free choices of each candidate
+    deterministic: bool                # every admissible subset sums to the identity
     stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
-    deterministic: bool | None = None  # every admissible subset sums to the identity
 
 
 @dataclass
@@ -162,8 +161,7 @@ class CompiledStep:
     bind: list[tuple[int, int]] | None
 
 
-def compile_program(program: Program, *, max_dim: int = MAX_DIM,
-                    fast_dim: int = FAST_PATH_MAX_DIM) -> list[CompiledStep]:
+def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[CompiledStep]:
     compiled = []
     prev_out: tuple[int, ...] | None = None
     for t, step in enumerate(program.steps):
@@ -196,8 +194,8 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM,
         for s, members in enumerate(fol.slices):
             topo_members = [i for i in lay.topo_order if i in members]
             fast = (
-                prod(fol.leaf_dims(s)) <= fast_dim
-                and prod(fol.leaf_dims(s + 1)) <= fast_dim
+                prod(fol.leaf_dims(s)) <= FAST_PATH_MAX_DIM
+                and prod(fol.leaf_dims(s + 1)) <= FAST_PATH_MAX_DIM
             )
             nodes = [lay.circuit.nodes[i] for i in topo_members]
             labels = {n.label for n in nodes}
@@ -230,28 +228,32 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
 # --- slice candidates ---------------------------------------------------------
 
 def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, str],
-                      classical_input: str) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
-    """All joint outcome choices of a slice, honoring conditioning, and the
-    free choices of each.
+                      classical_input: str) -> _Branches:
+    """All joint outcome choices of a slice, honoring conditioning, the free
+    choices of each, and whether the slice is deterministic.
 
     Each candidate maps node label -> outcome label for every node of the
     slice (including forced singletons, which are not free choices). Nodes
     grow in topological order, so a source inside the slice is already in
-    the partial candidate.
+    the partial candidate. The slice is deterministic when every admissible
+    event subset met on the way is one that validation recorded as summing
+    to the identity.
     """
     candidates: list[dict[str, str]] = [{}]
     frees: list[dict[str, str]] = [{}]
+    deterministic = True
     for i in plan.node_indices:
         node = lay.circuit.nodes[i]
         grown, grown_frees = [], []
         for cand, free in zip(candidates, frees):
             admissible = admissible_events(node, ChainMap(cand, chosen), classical_input)
+            deterministic = deterministic and (i, admissible) in lay.deterministic
             for idx in admissible:
                 outcome = node.events[idx].outcome
                 grown.append({**cand, node.label: outcome})
                 grown_frees.append({**free, node.label: outcome} if len(admissible) > 1 else free)
         candidates, frees = grown, grown_frees
-    return candidates, frees
+    return _Branches(candidates, frees, deterministic)
 
 
 def _context_key(plan: _SlicePlan, chosen: dict[str, str], classical_input: str) -> tuple:
@@ -264,7 +266,7 @@ def _branches(plan: _SlicePlan, lay: CircuitLayout, key: tuple, chosen: dict[str
               classical_input: str) -> _Branches:
     hit = plan.branches.get(key)
     if hit is None:
-        hit = _Branches(*_slice_candidates(plan, lay, chosen, classical_input))
+        hit = _slice_candidates(plan, lay, chosen, classical_input)
         plan.branches[key] = hit
     return hit
 
@@ -445,7 +447,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                                    ).reshape(k, m).T
                 amps = np.stack([np.stack([t.reshape(-1) for t, _ in r]) for r in results], axis=1)
             idx = _pick_branches(weights, uniforms[rows, s])
-            _check_slice_total(plan, lay, branches, chosen, weights, classical_input)
+            _check_slice_total(branches, weights)
             distinct = sorted(set(idx.tolist()))
             if len(distinct) == 1:
                 w_rows, picked = weights[:, distinct[0]], amps[:, distinct[0]]
@@ -474,29 +476,10 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     return path, [free for _, free in paths], state, weight
 
 
-def _check_slice_total(plan, lay, branches, chosen, weights, classical_input) -> None:
+def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
     """Deterministic coarse-graining must conserve total branch weight.
-
-    A slice is deterministic when, along every candidate branch, each of
-    its nodes' admissible event subsets sums to the identity. ``weights``
-    holds one row of branch weights per trajectory.
-    """
-    det = branches.deterministic
-    if det is None:
-        det = True
-        for i in plan.node_indices:
-            node = lay.circuit.nodes[i]
-            subsets = {admissible_events(node, ChainMap(cand, chosen), classical_input)
-                       for cand in branches.cands}
-            for idxs in subsets:
-                ops = [k for j in idxs for k in node.events[j].operators]
-                if gram_identity_defect(ops) > COMPLETENESS_TOL:
-                    det = False
-                    break
-            if not det:
-                break
-        branches.deterministic = det
-    if det:
+    ``weights`` holds one row of branch weights per trajectory."""
+    if branches.deterministic:
         for total in np.add.reduce(weights, axis=1).tolist():
             if abs(total - 1.0) > 1e-6:
                 raise EngineError(
@@ -751,7 +734,3 @@ def enumerate_histories(
 
     recurse_step(0, state0, ())
     return results
-
-
-def history_distribution(histories) -> dict[tuple, float]:
-    return {key: p for key, p in histories}

@@ -206,9 +206,17 @@ def _random_slices(lay: CircuitLayout, rng: np.random.Generator) -> list[list[in
 
 # --- outcome resolution ------------------------------------------------------
 
-def admissible_event_indices(node: TestNode, source_outcome: str | None) -> tuple[int, ...]:
+def admissible_events(node: TestNode, known: Mapping[str, str],
+                      classical_input: str) -> tuple[int, ...]:
+    """Admissible event indices of ``node``, reading its condition from the
+    step's classical input (``@input``) or from ``known`` outcomes (node
+    label -> outcome label)."""
     if node.condition is None:
         return tuple(range(len(node.events)))
+    if node.condition.source == INPUT_SOURCE:
+        source_outcome = classical_input
+    else:
+        source_outcome = known.get(node.condition.source)
     if source_outcome is None:
         raise MissingOutcomeError(
             f"node {node.label!r} is conditioned on {node.condition.source!r} "
@@ -220,20 +228,6 @@ def admissible_event_indices(node: TestNode, source_outcome: str | None) -> tupl
         raise FoliationError(
             f"node {node.label!r}: no conditioning entry for source outcome {source_outcome!r}"
         ) from None
-
-
-def admissible_events(node: TestNode, known: Mapping[str, str],
-                      classical_input: str) -> tuple[int, ...]:
-    """Admissible event indices of ``node``, reading its condition from the
-    step's classical input (``@input``) or from ``known`` outcomes (node
-    label -> outcome label)."""
-    if node.condition is None:
-        source_outcome = None
-    elif node.condition.source == INPUT_SOURCE:
-        source_outcome = classical_input
-    else:
-        source_outcome = known.get(node.condition.source)
-    return admissible_event_indices(node, source_outcome)
 
 
 def resolve_assignment(

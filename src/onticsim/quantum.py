@@ -99,6 +99,7 @@ def unitary_kraus(u, label: str = "0", **dims) -> KrausSet:
 
 _DENSE_GRAM_DIM = 256  # above this, spectral checks run matrix-free Lanczos
 _LANCZOS_STEPS = 60
+_LANCZOS_SEED = 7
 _START_FAILURE_PROB = 1e-9  # chance that the random start hides an extreme eigenvector
 
 
@@ -123,42 +124,45 @@ def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
     return hi
 
 
-def _gram_spectrum(operators, lower: float, upper: float, *, steps: int,
-                   seed: int) -> tuple[float, float]:
+def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]:
     """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
-    resolved until they settle whether the spectrum lies in [lower, upper].
+    each resolved until it settles its own side of [lower, upper].
 
     Up to d = 256 both are exact (dense eigvalsh). Above, G is applied as
     K^dag (K v) in a Lanczos recurrence with full reorthogonalisation from
     a seeded uniformly random unit start q1. After k steps with Ritz values
-    theta_j and residual norms beta_j, the recurrence stops as soon as:
+    theta_j and residual norms beta_j, each side is fixed at its first
+    verdict:
 
-    * out: theta_max > upper or theta_min < lower. Ritz values lie inside
-      [lambda_min, lambda_max], so this verdict is certain; the Ritz
-      values are returned.
-    * in: prod_j (upper - theta_j) and prod_j (theta_j - lower) are both at
-      least prod_j beta_j * sqrt(d/p), with p = 1e-9. The Lanczos vector
-      q_{k+1} is chi(G) q1 / prod_j beta_j, where chi(t) = prod_j (t - theta_j)
-      grows monotonically above theta_max, so an eigenvector u with
-      eigenvalue above upper would give |<u, q1>| < sqrt(p/d), and
-      P(|<u, q1>|^2 < p/d) <= p for a uniform start; likewise below lower.
-      At k = 1 this is theta + beta*sqrt(d/p) <= upper. The returned bounds
-      are the points where the products reach that level.
+    * out: theta_max > upper (top) or theta_min < lower (bottom). Ritz
+      values lie inside [lambda_min, lambda_max], so this verdict is
+      certain; the Ritz value is the bound.
+    * in: prod_j (upper - theta_j) (top) or prod_j (theta_j - lower)
+      (bottom) is at least prod_j beta_j * sqrt(d/p), with p = 1e-9. The
+      Lanczos vector q_{k+1} is chi(G) q1 / prod_j beta_j, where
+      chi(t) = prod_j (t - theta_j) grows monotonically above theta_max,
+      so an eigenvector u with eigenvalue above upper would give
+      |<u, q1>| < sqrt(p/d), and P(|<u, q1>|^2 < p/d) <= p for a uniform
+      start; likewise below lower. At k = 1 this is
+      theta + beta*sqrt(d/p) <= upper. The bound is the point where the
+      product reaches that level.
 
-    If ``steps`` Lanczos steps settle nothing, the dense eigvalsh of the
-    formed G gives the exact answer.
+    The recurrence stops once both sides are fixed, so with lower = -inf it
+    stops at the top side's verdict. A side that ``_LANCZOS_STEPS`` steps
+    leave open takes the exact value from the dense eigvalsh of the formed G.
     """
     ops = [np.asarray(k, dtype=complex) for k in operators]
     d = ops[0].shape[1]
+    bottom = top = None
     if d > _DENSE_GRAM_DIM:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_LANCZOS_SEED)
         q = rng.normal(size=d) + 1j * rng.normal(size=d)
         q /= np.linalg.norm(q)
         log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
-        basis = np.empty((steps, d), dtype=complex)
+        basis = np.empty((_LANCZOS_STEPS, d), dtype=complex)
         alpha: list[float] = []
         beta: list[float] = []
-        for j in range(steps):
+        for j in range(_LANCZOS_STEPS):
             basis[j] = q
             w = _apply_gram(ops, q)
             alpha.append(float(np.vdot(q, w).real))
@@ -167,29 +171,31 @@ def _gram_spectrum(operators, lower: float, upper: float, *, steps: int,
                 w -= done.T @ (done.conj() @ w)
             b = float(np.linalg.norm(w))
             ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if ritz[-1] > upper or ritz[0] < lower:
-                return float(ritz[0]), float(ritz[-1])
+            if top is None and ritz[-1] > upper:
+                top = float(ritz[-1])
+            if bottom is None and ritz[0] < lower:
+                bottom = float(ritz[0])
             with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
                 log_norm += np.log(b)
-                settled = (np.log(upper - ritz).sum() >= log_norm
-                           and np.log(ritz - lower).sum() >= log_norm)
-            if settled:
-                return -_certified_edge(-ritz[::-1], log_norm), _certified_edge(ritz, log_norm)
+                if top is None and np.log(upper - ritz).sum() >= log_norm:
+                    top = _certified_edge(ritz, log_norm)
+                if bottom is None and np.log(ritz - lower).sum() >= log_norm:
+                    bottom = -_certified_edge(-ritz[::-1], log_norm)
+            if top is not None and bottom is not None:
+                return bottom, top
             beta.append(b)
             q = w / b
-    g = sum(k.conj().T @ k for k in ops)
-    w = np.linalg.eigvalsh(g)
-    return float(w[0]), float(w[-1])
+    w = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops))
+    return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
 
 
-def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL, iters: int = _LANCZOS_STEPS,
-                        seed: int = 7) -> float:
+def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL) -> float:
     """Largest eigenvalue of G = sum K^dag K, as far as the trace-nonincreasing
     verdict ``lambda_max <= 1 + tol`` needs it.
 
     The result is on the same side of 1 + tol as lambda_max:
 
-    * d <= 256, or when ``iters`` Lanczos steps settle nothing: the exact
+    * d <= 256, or when 60 Lanczos steps settle nothing: the exact
       eigenvalue from a dense eigvalsh of G.
     * d > 256, rejected: the top Ritz value, a certain lower bound on
       lambda_max above 1 + tol.
@@ -202,11 +208,10 @@ def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL, iters: int 
 
     No d x d matrix is formed unless the dense eigvalsh runs.
     """
-    return _gram_spectrum(operators, -np.inf, 1.0 + tol, steps=iters, seed=seed)[1]
+    return _gram_spectrum(operators, -np.inf, 1.0 + tol)[1]
 
 
-def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL, iters: int = _LANCZOS_STEPS,
-                         seed: int = 7) -> float:
+def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL) -> float:
     """Spectral radius of G - I, the distance from determinism, as far as
     the verdict ``defect <= tol`` needs it.
 
@@ -214,7 +219,7 @@ def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL, iters: int
     bottom eigenvalue of G; an acceptance above d = 256 is wrong with
     probability at most 2p.
     """
-    bottom, top = _gram_spectrum(operators, 1.0 - tol, 1.0 + tol, steps=iters, seed=seed)
+    bottom, top = _gram_spectrum(operators, 1.0 - tol, 1.0 + tol)
     return max(top - 1.0, 1.0 - bottom)
 
 
@@ -283,12 +288,6 @@ def is_density_matrix(rho, tol: float = TAU_NUM) -> bool:
         return False
     ev = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     return bool(ev.min() >= -10 * tol and np.real(np.trace(rho)) <= 1.0 + 10 * tol)
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def complete_test(k: KrausSet) -> KrausSet:

@@ -24,7 +24,14 @@ from onticsim.circuit import (
 )
 from onticsim.dsl import DslError, parse_dsl
 from onticsim.linalg import haar_state, haar_unitary
-from onticsim.quantum import KrausSet, SignatureError, unitary_kraus
+from onticsim.quantum import (
+    COMPLETENESS_TOL,
+    KrausSet,
+    SignatureError,
+    gram_identity_defect,
+    unitary_kraus,
+)
+from onticsim.random_circuits import random_circuit
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -98,6 +105,63 @@ class TestValidate:
     def test_closed_variant_is_closed(self):
         report = validate_dag(gallery.conditioned_step_closed())
         assert report.ok and report.is_closed
+
+
+def oracle_verdicts(circuit: Circuit) -> dict[tuple[int, tuple[int, ...]], bool]:
+    """Whether ``gram_identity_defect`` finds each (node, admissible event
+    subset) pair deterministic."""
+    verdicts = {}
+    for i, n in enumerate(circuit.nodes):
+        subsets = n.condition.outcome_map.values() if n.condition else [tuple(range(len(n.events)))]
+        for idxs in subsets:
+            ops = [k for j in idxs for k in n.events[j].operators]
+            verdicts[(i, idxs)] = gram_identity_defect(ops) <= COMPLETENESS_TOL
+    return verdicts
+
+
+def scaled(circuit: Circuit, label: str, scale) -> Circuit:
+    """The circuit with every operator of node ``label`` multiplied on the
+    right by ``scale`` (a number or a diagonal given as a vector)."""
+    nodes = [
+        TestNode(n.label, n.inputs, n.outputs,
+                 tuple(Event(e.outcome, tuple(k * scale for k in e.operators)) for e in n.events),
+                 n.condition) if n.label == label else n
+        for n in circuit.nodes
+    ]
+    return Circuit(circuit.name, circuit.systems, nodes, circuit.wires, circuit.closed)
+
+
+class TestDeterminismRecord:
+    def test_recorded_verdicts_match_the_oracle(self):
+        rng = np.random.default_rng(12)
+        circuits = [gallery.conditioned_step(), gallery.conditioned_step_closed(),
+                    gallery.bell_pair(), gallery.bloch_axes()]
+        circuits += [step.circuit for prog in (gallery.conditioned_step_program(),
+                                               gallery.merge_split_program()) for step in prog.steps]
+        randoms = [random_circuit(rng) for _ in range(20)]
+        circuits += randoms
+        # Random circuits are complete; shrinking a node's gram by 1e-6 breaks
+        # that, by 1e-10 stays within the tolerance.
+        for c in randoms:
+            label = c.nodes[int(rng.integers(len(c.nodes)))].label
+            circuits += [scaled(c, label, np.sqrt(1 - excess)) for excess in (1e-6, 1e-10)]
+        # One node at d = 512, where Lanczos decides: unitary, shrunk
+        # everywhere, and shrunk along one direction only.
+        d = 512
+        one = Circuit("u", {"R": System("R", d)},
+                      [TestNode("u", ("R",), ("R",), (Event("0", (haar_unitary(d, rng),)),))], [])
+        direction = np.ones(d)
+        direction[0] = np.sqrt(1 - 1e-6)
+        circuits += [one, scaled(one, "u", np.sqrt(1 - 1e-6)), scaled(one, "u", direction)]
+        verdicts = []
+        for c in circuits:
+            report = validate_dag(c)
+            assert report.ok
+            oracle = oracle_verdicts(c)
+            assert report.deterministic == {pair for pair, ok in oracle.items() if ok}
+            assert layout(c).deterministic == report.deterministic
+            verdicts += oracle.values()
+        assert verdicts.count(False) >= 20 and verdicts.count(True) >= 100
 
 
 class TestParse:

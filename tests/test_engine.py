@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from onticsim import engine, gallery
+from onticsim import engine, gallery, quantum
 from onticsim.circuit import Circuit, Condition, Event, System, TestNode, WireSpec, layout
 from onticsim.engine import (
     BATCH_SIZE,
@@ -377,6 +377,51 @@ class TestEnginePreconditions:
             run_trajectory(prog, omega0=np.array([1.0, 1.0]), seed=0)
 
 
+def large_conditioned_program() -> Program:
+    """A d = 512 Haar unitary on a prepared state, a three-outcome readout,
+    and a node conditioned on it: the identity after outcome 0, a second
+    Haar unitary after outcomes 1 and 2."""
+    d = 512
+    rng = np.random.default_rng(31)
+    eye = np.eye(d, dtype=complex)
+    third = np.arange(d) * 3 // d
+    readout = tuple(Event(str(j), (np.diag((third == j).astype(complex)),)) for j in range(3))
+    nodes = [
+        TestNode("prep", (), ("R",), (Event("0", (eye[:, :1],)),)),
+        TestNode("u", ("R",), ("R",), (Event("0", (haar_unitary(d, rng),)),)),
+        TestNode("m", ("R",), ("R",), readout),
+        TestNode("c", ("R",), ("R",), (Event("a", (eye,)), Event("b", (haar_unitary(d, rng),))),
+                 Condition("m", {"0": (0,), "1": (1,), "2": (1,)})),
+    ]
+    wires = [WireSpec("prep", 0, "u", 0), WireSpec("u", 0, "m", 0), WireSpec("m", 0, "c", 0)]
+    return Program.single(Circuit("large", {"R": System("R", d)}, nodes, wires))
+
+
+class TestNormalisationVerdicts:
+    def test_one_spectral_run_per_subset_in_compile_none_in_sampling(self, monkeypatch):
+        dims = []
+        spectrum = quantum._gram_spectrum
+
+        def counted(operators, lower, upper):
+            dims.append(np.shape(operators[0])[1])
+            return spectrum(operators, lower, upper)
+
+        for module in ("onticsim.quantum", "onticsim.circuit"):
+            monkeypatch.setattr(f"{module}._gram_spectrum", counted)
+        prog = large_conditioned_program()
+        compiled = compile_program(prog)
+        # prep, u and m have one event subset each; c has two, one of which
+        # two readout outcomes share.
+        assert sorted(dims) == [1, 512, 512, 512, 512]
+        assert compiled[0].layout.deterministic == {(0, (0,)), (1, (0,)), (2, (0, 1, 2)),
+                                                    (3, (0,)), (3, (1,))}
+        dims.clear()
+        trajs = run_trajectories(prog, 40, seed=1, compiled=compiled)
+        run_trajectory(prog, seed=1, index=7, compiled=compiled)
+        assert dims == []
+        assert {t.steps[0].outcomes["m"] for t in trajs} == {"0", "1", "2"}
+
+
 def assert_same_trajectory(a, b):
     """Field by field and bit for bit."""
     assert (a.seed, a.index, a.state_dims) == (b.seed, b.index, b.state_dims)
@@ -430,11 +475,12 @@ class TestBatchKernel:
             assert_same_trajectory(traj, solo)
 
     @pytest.mark.parametrize("inputs", [["0"], ["1"]])
-    def test_tensor_path_matches_fast_path(self, inputs):
+    def test_tensor_path_matches_fast_path(self, inputs, monkeypatch):
         prog = gallery.conditioned_step_program()
-        tensor = compile_program(prog, fast_dim=1)
-        assert not any(plan.fast for step in tensor for plan in step.slices)
         fast = run_trajectories(prog, 1500, seed=4, inputs=inputs, store_states=True)
+        monkeypatch.setattr(engine, "FAST_PATH_MAX_DIM", 1)
+        tensor = compile_program(prog)
+        assert not any(plan.fast for step in tensor for plan in step.slices)
         slow = run_trajectories(prog, 1500, seed=4, inputs=inputs, store_states=True,
                                 compiled=tensor)
         for f, s in zip(fast, slow):
@@ -447,9 +493,11 @@ class TestBatchKernel:
             assert_same_trajectory(slow[i], solo)
 
     @pytest.mark.parametrize("fast_dim", [256, 1])
-    def test_zero_support_on_one_row(self, fast_dim):
+    def test_zero_support_on_one_row(self, fast_dim, monkeypatch):
+        monkeypatch.setattr(engine, "FAST_PATH_MAX_DIM", fast_dim)
         prog = zero_branch_program(np.outer([1, 0], [1, 0]).astype(complex))
-        compiled = compile_program(prog, fast_dim=fast_dim)
+        compiled = compile_program(prog)
+        assert all(plan.fast == (fast_dim > 1) for plan in compiled[0].slices)
         message = "all outcome branches of a slice have zero weight"
         run_trajectories(prog, RARE_INDEX, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
         with pytest.raises(EngineError, match=message):
@@ -460,11 +508,17 @@ class TestBatchKernel:
     @pytest.mark.parametrize("fast_dim", [256, 1])
     def test_inconsistent_deterministic_slice_on_one_row(self, fast_dim, monkeypatch):
         # Every valid circuit conserves the weight of a deterministic slice,
-        # so every slice is declared deterministic here; the branch after
-        # outcome 1 keeps weight 1/4.
-        monkeypatch.setattr(engine, "gram_identity_defect", lambda ops: 0.0)
+        # so every (node, subset) pair is recorded deterministic here; the
+        # branch after outcome 1 keeps weight 1/4.
+        monkeypatch.setattr(engine, "FAST_PATH_MAX_DIM", fast_dim)
         prog = zero_branch_program(0.5 * np.eye(2, dtype=complex))
-        compiled = compile_program(prog, fast_dim=fast_dim)
+        compiled = compile_program(prog)
+        assert all(plan.fast == (fast_dim > 1) for plan in compiled[0].slices)
+        lay = compiled[0].layout
+        assert lay.deterministic == {(0, (0, 1)), (1, (0,))}
+        # As recorded, the slice after outcome 1 is not deterministic and samples.
+        assert len(run_trajectories(prog, 1000, seed=RARE_SEED, omega0=RARE_ONE)) == 1000
+        lay.deterministic = frozenset({(0, (0, 1)), (1, (0,)), (1, (1,))})
         message = (r"slice outcome weights sum to 0\.250000000 for a deterministic test "
                    r"\(inconsistent events\)")
         run_trajectories(prog, RARE_INDEX, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
