@@ -87,6 +87,12 @@ GOLDEN = {
         "a35334215455241985b963d63ac99290e504c4ddcb8fdd20eb6cc26858602a9e",
     "enumerate merge_split.json --format csv":
         "3ecd75495300c9e6a0320e4b09ae1f7f7a64149f11d578213d550f6ac02f598a",
+    "classify bloch_axes.json --seed 11":
+        "10b966ef2afccf4e84076411697d3b3b86f5b7dc5fc0ed09418d0d80b62ae853",
+    "classify conditioned_step_program.json --seed 11":
+        "b93fdf3bd2be05075ca4b622dcbc966174a28e6231ff238a1690b501d2a5abfb",
+    "classify merge_split.json --seed 11":
+        "d5ce7eb1fcaaead7bb5990ef374cf2b4e6a4e54b677feb2d4b615d09d0229dbe",
 }
 
 BENCH_MEMORY_GOLDEN = {
@@ -125,7 +131,7 @@ def test_output_bytes_are_pinned(command, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
 
 
-@pytest.mark.parametrize("command", ["run", "enumerate"])
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify"])
 def test_open_circuit_without_initial_state_fails(command, tmp_path):
     code, err = _run([command, "conditioned_step.json"], tmp_path / "out")
     assert code == 1

@@ -110,6 +110,45 @@ class TestFinestFactorization:
             finest_factorization(np.zeros(2 ** 13), (2,) * 13)
 
 
+def brickwork_state(n, layers, seed, cuts=()):
+    """Seeded brickwork of Haar two-qubit gates on n qubits from |0...0>,
+    with the qubit axes permuted at the end. A gate on (i, i + 1) is left
+    out when i + 1 is in ``cuts``, so the cuts split the chain into blocks."""
+    rng = np.random.default_rng(seed)
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for layer in range(layers):
+        for i in range(layer % 2, n - 1, 2):
+            if i + 1 in cuts:
+                continue
+            gate = haar_unitary(4, rng).reshape(2, 2, 2, 2)
+            psi = np.tensordot(gate, psi, axes=((2, 3), (i, i + 1)))
+            psi = np.moveaxis(psi, (0, 1), (i, i + 1))
+    return psi.transpose(rng.permutation(n)).reshape(-1)
+
+
+# cuts -> (blocks, float.hex() of each purity) of the seed-2024, four-layer,
+# 12-qubit brickwork state. Pins the partition and the purities' bits.
+BRICKWORK_GOLDEN = {
+    (): (
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
+        ("0x1.fffffffffffd4p-1",),
+    ),
+    (4, 9): (
+        ((0, 1, 2, 3, 8), (4, 7, 9, 10), (5, 6, 11)),
+        ("0x1.fffffffffffecp-1", "0x1.fffffffffffecp-1", "0x1.fffffffffffe8p-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("cuts", sorted(BRICKWORK_GOLDEN))
+def test_brickwork_partition_is_pinned(cuts):
+    part = finest_factorization(brickwork_state(12, 4, 2024, cuts), (2,) * 12)
+    blocks, purities = BRICKWORK_GOLDEN[cuts]
+    assert part.blocks == blocks
+    assert tuple(p.hex() for p in part.purities) == purities
+
+
 class TestTimeline:
     def test_merge_then_split(self):
         traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=True)
