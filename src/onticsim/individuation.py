@@ -5,6 +5,15 @@ A block of systems counts as one individual exactly when its reduced state
 is pure and no sub-bipartition of the block factorizes further. Over a
 trajectory this yields a timeline of partitions: entangling interactions
 merge blocks, and measurements or disentangling steps split them again.
+
+A block splits across a bipartition A|B exactly when its state there has
+Schmidt rank one, i.e. Tr rho_A^2 = 1. The scan reads the rank off an SVD
+(``s > TAU_RANK``), but first computes the purity P of the smaller side
+(m x m) from one small Gram product. Any state the SVD would call rank one
+has 1 - P <= 2 (m - 1) TAU_RANK^2, so a defect above that bound plus a
+rounding allowance certifies the bipartition entangled and its SVD is
+skipped. The SVD still decides every case the bound cannot settle, so the
+partitions, split vectors and purities are those of the SVD-only scan.
 Also counts the distinct ways of entangling N labelled systems:
 integer partitions of N times N! orderings.
 """
@@ -20,6 +29,20 @@ import numpy as np
 from .linalg import TAU_PURE, TAU_RANK, as_shape
 
 MAX_FACTORS = 12  # factorization search is exponential in block size
+
+# Rounding allowance on the computed purity defect 1 - ||G||_F^2 / (Tr G)^2
+# of a block of D amplitudes (G = M M^dag, M an m x k reshape, mk = D).
+# With unit roundoff u = 2^-53 and Higham's inner-product bound gamma_n ~ n u
+# (Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1, 3.6):
+# each entry of G is off by at most gamma_{k+2} (|M||M|^dag)_ij, so ||G||_F
+# by gamma_{k+2} Tr G; ||G||_F^2 sums m^2 <= D squares and Tr G sums m
+# diagonal entries. To first order the defect is off by at most about
+# 8 D u, which stays below 1e-6 for every D under 1e9 amplitudes (16 GB of
+# complex128). The same allowance absorbs two terms far below it: the SVD's
+# own error of ~D u in each singular value it compares with TAU_RANK
+# (moving the bound by ~4 (m - 1) TAU_RANK D u), and a trace below 1 by the
+# 1e-9 normalisation tolerance (moving it by a factor 1 + 2e-9).
+_PURITY_ROUNDING = 1e-6
 
 
 class IndividuationError(ValueError):
@@ -60,10 +83,32 @@ def _try_split(tensor: np.ndarray, local_n: int):
             right_axes = tuple(i for i in range(local_n) if i not in left_axes)
             d_left = prod(tensor.shape[i] for i in left_axes)
             mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
+            if _certainly_entangled(mat):
+                continue
             u, s, vh = np.linalg.svd(mat, full_matrices=False)
             if np.sum(s > TAU_RANK) == 1:
                 return left_axes, right_axes, u[:, 0], vh[0, :]
     return None
+
+
+def _certainly_entangled(mat: np.ndarray) -> bool:
+    """True when the purity of the smaller side proves that the SVD rank
+    rule ``np.sum(s > TAU_RANK) == 1`` would not hold for ``mat``.
+
+    With G = M M^dag on the smaller side (m x m) and p_i = s_i^2 / Tr G, the
+    normalised purity is P = ||G||_F^2 / (Tr G)^2 = sum p_i^2. If every s_i
+    with i >= 2 is at most TAU_RANK, then r = sum_{i>=2} p_i is at most
+    (m - 1) TAU_RANK^2 (Tr G = 1 for a unit vector), and the defect
+    1 - P = 2 r (1 - r) + sum_{i != j >= 2} p_i p_j <= 2 r - r^2 is at most
+    2 (m - 1) TAU_RANK^2. A computed defect above that bound plus the
+    rounding allowance therefore rules rank one out; anything else, a NaN
+    defect included, is left to the SVD.
+    """
+    small = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    gram = small @ small.conj().T
+    m = gram.shape[0]
+    defect = 1.0 - np.vdot(gram, gram).real / np.trace(gram).real ** 2
+    return defect > 2 * (m - 1) * TAU_RANK ** 2 + _PURITY_ROUNDING
 
 
 def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
@@ -72,19 +117,22 @@ def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
     Recursively peels off any sub-block with Schmidt rank one across its
     bipartition. The factorization of a pure state is unique, so the scan
     order only affects intermediate numerics, not the resulting partition.
+    A state with no systems (the scalar a closed circuit ends on, with
+    shape ``()``) has the empty partition.
     """
-    dims = as_shape(shape).factor_dims
+    dims = as_shape(shape).factor_dims if len(shape) else ()
     n = len(dims)
     if n > MAX_FACTORS:
         raise IndividuationError(f"factorization search capped at {MAX_FACTORS} factors")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != prod(dims):
         raise IndividuationError(f"state dim {psi.size} does not match factors {dims}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise IndividuationError("state must be normalized")
+    # Written so that a NaN norm fails too.
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
+        raise IndividuationError("state must be finite and normalized")
 
     final_blocks: list[tuple[int, ...]] = []
-    queue: list[tuple[tuple[int, ...], np.ndarray]] = [(tuple(range(n)), psi)]
+    queue: list[tuple[tuple[int, ...], np.ndarray]] = [(tuple(range(n)), psi)] if n else []
     while queue:
         block, vec = queue.pop(0)
         if len(block) == 1:

@@ -217,6 +217,12 @@ class TestClassify:
         expected = classify_timeline(traj)
         assert [entry["partition"] for entry in doc] == [p.block_lists() for p in expected]
 
+    def test_no_shipped_circuit_raises(self, circuits_dir, tmp_path, capsys):
+        # A closed circuit ends on a scalar state, which has the empty partition.
+        for path in sorted(circuits_dir.iterdir()):
+            code = main(["classify", str(path), "--out", str(tmp_path / "out")])
+            assert code in (0, 1), path.name
+
 
 class TestBenchMemory:
     def test_csv_structure_and_bound_column(self, capsys):

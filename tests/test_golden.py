@@ -87,10 +87,16 @@ GOLDEN = {
         "a35334215455241985b963d63ac99290e504c4ddcb8fdd20eb6cc26858602a9e",
     "enumerate merge_split.json --format csv":
         "3ecd75495300c9e6a0320e4b09ae1f7f7a64149f11d578213d550f6ac02f598a",
+    "classify bell_pair.json --seed 11":
+        "6eec9642fb833abad9806d39d95cf8c86505dcd6d2d52ce47db506c52f2c0b8f",
+    "classify bell_pair.opt --seed 11":
+        "6eec9642fb833abad9806d39d95cf8c86505dcd6d2d52ce47db506c52f2c0b8f",
     "classify bloch_axes.json --seed 11":
         "10b966ef2afccf4e84076411697d3b3b86f5b7dc5fc0ed09418d0d80b62ae853",
     "classify conditioned_step_program.json --seed 11":
         "b93fdf3bd2be05075ca4b622dcbc966174a28e6231ff238a1690b501d2a5abfb",
+    "classify conditioned_step_closed.json --seed 11":
+        "6eec9642fb833abad9806d39d95cf8c86505dcd6d2d52ce47db506c52f2c0b8f",
     "classify merge_split.json --seed 11":
         "d5ce7eb1fcaaead7bb5990ef374cf2b4e6a4e54b677feb2d4b615d09d0229dbe",
 }

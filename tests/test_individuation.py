@@ -1,7 +1,11 @@
+import sys
+from itertools import combinations
+from math import prod
+
 import numpy as np
 import pytest
 
-from onticsim import gallery
+from onticsim import gallery, individuation
 from onticsim.engine import run_trajectory
 from onticsim.individuation import (
     IndividuationError,
@@ -11,7 +15,7 @@ from onticsim.individuation import (
     marginal_purity,
     purity,
 )
-from onticsim.linalg import haar_state, haar_unitary, schmidt_decompose
+from onticsim.linalg import TAU_RANK, haar_state, haar_unitary, schmidt_decompose
 
 RNG = np.random.default_rng(808)
 
@@ -109,6 +113,17 @@ class TestFinestFactorization:
         with pytest.raises(IndividuationError):
             finest_factorization(np.zeros(2 ** 13), (2,) * 13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_state_rejected(self, bad):
+        psi = np.kron(BELL, [1, 0]).astype(complex)
+        psi[3] = bad
+        with pytest.raises(IndividuationError, match="finite"):
+            finest_factorization(psi, (2, 2, 2))
+
+    def test_state_with_no_systems_has_empty_partition(self):
+        part = finest_factorization(np.array([1j]), (), timestamp=4)
+        assert (part.blocks, part.purities, part.timestamp) == ((), (), 4)
+
 
 def brickwork_state(n, layers, seed, cuts=()):
     """Seeded brickwork of Haar two-qubit gates on n qubits from |0...0>,
@@ -149,6 +164,152 @@ def test_brickwork_partition_is_pinned(cuts):
     assert tuple(p.hex() for p in part.purities) == purities
 
 
+def svd_try_split(tensor, local_n):
+    """Oracle scan: one full SVD per anchored bipartition, rank read off the
+    singular values, with no purity prefilter."""
+    for size in range(1, local_n):
+        for extra in combinations(range(1, local_n), size - 1):
+            left_axes = (0,) + extra
+            right_axes = tuple(i for i in range(local_n) if i not in left_axes)
+            d_left = prod(tensor.shape[i] for i in left_axes)
+            mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            if np.sum(s > TAU_RANK) == 1:
+                return left_axes, right_axes, u[:, 0], vh[0, :]
+    return None
+
+
+def haar_blocks(block_dims, rng):
+    """Product of one Haar state per block of factor dims, factor axes
+    shuffled. Returns (psi, dims, blocks), blocks in the shuffled positions."""
+    psi = np.ones(1, dtype=complex)
+    owner = []
+    for b, bd in enumerate(block_dims):
+        psi = np.kron(psi, haar_state(prod(bd), rng))
+        owner += [b] * len(bd)
+    old_dims = [d for bd in block_dims for d in bd]
+    perm = rng.permutation(len(old_dims))
+    psi = psi.reshape(old_dims).transpose(perm).reshape(-1)
+    dims = tuple(old_dims[a] for a in perm)
+    blocks = {}
+    for j, a in enumerate(perm):
+        blocks.setdefault(owner[a], []).append(j)
+    return psi, dims, tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def ghz(dims):
+    psi = np.zeros(dims, dtype=complex)
+    for k in range(min(dims)):
+        psi[(k,) * len(dims)] = 1.0
+    return psi.reshape(-1) / np.linalg.norm(psi)
+
+
+# Higuchi-Sudbery state: 4 qubits, every 2|2 cut highly (not maximally) mixed.
+_W = np.exp(2j * np.pi / 3)
+HIGUCHI_SUDBERY = np.zeros(16, dtype=complex)
+for _bits, _amp in [("0011", 1), ("1100", 1), ("1010", _W), ("0101", _W),
+                    ("1001", _W ** 2), ("0110", _W ** 2)]:
+    HIGUCHI_SUDBERY[int(_bits, 2)] = _amp / np.sqrt(6)
+
+# AME(4, 3): sum_{i,j} |i, j, i + j, i + 2j> (mod 3) / 3, every 2|2 cut maximal.
+AME_4_3 = np.zeros((3, 3, 3, 3), dtype=complex)
+for _i in range(3):
+    for _j in range(3):
+        AME_4_3[_i, _j, (_i + _j) % 3, (_i + 2 * _j) % 3] = 1 / 3
+AME_4_3 = AME_4_3.reshape(-1)
+
+
+def schmidt_pair_state(eps, rng):
+    """Blocks {0, 1} and {2, 3} (dims 2, 2 | 2, 3) with Schmidt coefficients
+    sqrt(1 - eps^2) and eps across them, times a Haar qubit {4}."""
+    ua, ub = haar_unitary(4, rng), haar_unitary(6, rng)
+    ab = np.sqrt(1 - eps ** 2) * np.kron(ua[:, 0], ub[:, 0]) + eps * np.kron(ua[:, 1], ub[:, 1])
+    return np.kron(ab, haar_state(2, rng)), (2, 2, 2, 3, 2)
+
+
+class TestPrefilterAgainstSvdScan:
+    """The purity prefilter only skips bipartitions the SVD would reject, so
+    finest_factorization equals the SVD-only scan, purity bits included."""
+
+    @staticmethod
+    def oracle(psi, dims, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(individuation, "_try_split", svd_try_split)
+            return finest_factorization(psi, dims)
+
+    def check(self, psi, dims, monkeypatch, blocks=None):
+        part = finest_factorization(psi, dims)
+        assert part == self.oracle(psi, dims, monkeypatch)
+        if blocks is not None:
+            assert part.blocks == blocks
+        return part
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 3, 2)])
+    def test_ghz(self, dims, monkeypatch):
+        self.check(ghz(dims), dims, monkeypatch, (tuple(range(len(dims))),))
+
+    def test_ghz_beside_a_haar_block(self, monkeypatch):
+        psi = np.kron(ghz((2, 2, 2)), haar_state(6, np.random.default_rng(1)))
+        self.check(psi, (2, 2, 2, 2, 3), monkeypatch, ((0, 1, 2), (3, 4)))
+
+    @pytest.mark.parametrize("psi, dims", [(HIGUCHI_SUDBERY, (2,) * 4), (AME_4_3, (3,) * 4)])
+    def test_ame_like(self, psi, dims, monkeypatch):
+        self.check(psi, dims, monkeypatch, ((0, 1, 2, 3),))
+        psi2 = np.kron(BELL, psi).reshape((2, 2) + dims).transpose(2, 0, 3, 4, 1, 5).reshape(-1)
+        dims2 = (dims[0], 2, dims[1], dims[2], 2, dims[3])
+        self.check(psi2, dims2, monkeypatch, ((0, 2, 3, 5), (1, 4)))
+
+    @pytest.mark.parametrize("block_dims", [
+        [(2, 2), (2,), (2, 2, 2)],
+        [(2,) * 6, (2,) * 4],
+        [(3, 2), (2, 3, 2), (3,)],
+        [(3, 3), (2,), (2, 3), (2, 2)],
+        [(2,), (3,), (2,), (3,)],
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_products_of_haar_blocks(self, block_dims, seed, monkeypatch):
+        psi, dims, blocks = haar_blocks(block_dims, np.random.default_rng(seed))
+        self.check(psi, dims, monkeypatch, blocks)
+
+    @pytest.mark.parametrize("eps, blocks", [
+        (2e-8, ((0, 1, 2, 3), (4,))),
+        (5e-9, ((0, 1), (2, 3), (4,))),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_schmidt_coefficient_at_the_rank_cutoff(self, eps, blocks, seed, monkeypatch):
+        psi, dims = schmidt_pair_state(eps, np.random.default_rng(seed))
+        self.check(psi, dims, monkeypatch, blocks)
+
+
+class TestPrefilterFires:
+    @staticmethod
+    def count_scan_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_try_split":
+                calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_haar_state_needs_no_scan_svd(self, monkeypatch):
+        psi = haar_state(2 ** 10, np.random.default_rng(10))
+        calls = self.count_scan_svds(monkeypatch)
+        assert finest_factorization(psi, (2,) * 10).blocks == (tuple(range(10)),)
+        assert calls == []
+
+    def test_only_the_splitting_bipartition_runs_an_svd(self, monkeypatch):
+        # Bell pair on qubits {0, 3}, a Haar 3-qubit block on {1, 2, 4}.
+        rng = np.random.default_rng(11)
+        psi = np.kron(BELL, haar_state(8, rng)).reshape((2,) * 5).transpose(0, 2, 3, 1, 4)
+        calls = self.count_scan_svds(monkeypatch)
+        assert finest_factorization(psi, (2,) * 5).blocks == ((0, 3), (1, 2, 4))
+        assert len(calls) == 1
+
+
 class TestTimeline:
     def test_merge_then_split(self):
         traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=True)
@@ -179,6 +340,14 @@ class TestTimeline:
         for t, part in enumerate(classify_timeline(traj)):
             redo = finest_factorization(traj.steps[t].state, traj.state_dims[t], timestamp=t)
             assert redo.blocks == part.blocks
+
+    def test_non_finite_state_rejected(self):
+        traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=True)
+        state = traj.steps[1].state.copy()
+        state[0] = np.nan
+        traj.steps[1].state = state
+        with pytest.raises(IndividuationError, match="finite"):
+            classify_timeline(traj)
 
     def test_needs_stored_states(self):
         traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=False)
