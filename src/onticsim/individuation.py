@@ -5,6 +5,8 @@ A block of systems counts as one individual exactly when its reduced state
 is pure and no sub-bipartition of the block factorizes further. Over a
 trajectory this yields a timeline of partitions: entangling interactions
 merge blocks, and measurements or disentangling steps split them again.
+Also counts the distinct ways of entangling N labelled systems:
+integer partitions of N times N! orderings.
 
 A block splits across a bipartition A|B exactly when its state there has
 Schmidt rank one, i.e. Tr rho_A^2 = 1. The scan reads the rank off an SVD
@@ -14,8 +16,6 @@ has 1 - P <= 2 (m - 1) TAU_RANK^2, so a defect above that bound plus a
 rounding allowance certifies the bipartition entangled and its SVD is
 skipped. The SVD still decides every case the bound cannot settle, so the
 partitions, split vectors and purities are those of the SVD-only scan.
-Also counts the distinct ways of entangling N labelled systems:
-integer partitions of N times N! orderings.
 """
 
 from __future__ import annotations

@@ -237,12 +237,10 @@ class TestPrefilterAgainstSvdScan:
             m.setattr(individuation, "_try_split", svd_try_split)
             return finest_factorization(psi, dims)
 
-    def check(self, psi, dims, monkeypatch, blocks=None):
+    def check(self, psi, dims, monkeypatch, blocks):
         part = finest_factorization(psi, dims)
         assert part == self.oracle(psi, dims, monkeypatch)
-        if blocks is not None:
-            assert part.blocks == blocks
-        return part
+        assert part.blocks == blocks
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 3, 2)])
     def test_ghz(self, dims, monkeypatch):
