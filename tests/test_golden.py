@@ -29,30 +29,40 @@ GOLDEN = {
         "3f7f3c4904dd85c5abe94337e9327da913387ee5c045a5c6a4d7b5b59a418d96",
     "run bell_pair.json --trajectories 300 --seed 11 --format json":
         "774aa4b6b7a0027bfd6cccd2af060e5b7ffdecd90c70e5aea06f2b2ba2309e50",
+    "run bell_pair.json --trajectories 300 --seed 11 --format json --store-states":
+        "1e9e5a810e8e7a8976671a4d9e626b762565c6d48fa80b371cbd8820d8f7ad49",
     "run bell_pair.opt --trajectories 300 --seed 11":
         "855473c68b96a44dea85d7275fadab0fea51a04376bf73492f3412ac1b5ec8fd",
     "run bell_pair.opt --trajectories 300 --seed 11 --store-states":
         "99045f8449d36bb7944156a5558827ad8fa8928267e1df22c720e1d45f80899b",
     "run bell_pair.opt --trajectories 300 --seed 11 --format json":
         "0ffb67f1b749098b3f9764dd8ab36355bea101e970f5fbb34b62f670263a70a7",
+    "run bell_pair.opt --trajectories 300 --seed 11 --format json --store-states":
+        "7754e4ef763cb013359c4d8d9995ff78946afe0684537b5caa51c3747982c73e",
     "run bloch_axes.json --trajectories 300 --seed 11":
         "db99634a18c13439145b508519a1171f1bec2fa624fce57d572adac4406b8378",
     "run bloch_axes.json --trajectories 300 --seed 11 --store-states":
         "31c5954d9f174e83ae991922c172454d6a1e32572b2d9404a3e79c99ab2f401e",
     "run bloch_axes.json --trajectories 300 --seed 11 --format json":
         "8017de1ce24ae52e96798b15d4244aaf4bc33ae28d6a7a1abf8c13fef9d780ea",
+    "run bloch_axes.json --trajectories 300 --seed 11 --format json --store-states":
+        "6ecd3f251e4b38b9e459040afb7ff309f5e85aaeda9cb75e9a34ee6c607d2857",
     "run conditioned_step_closed.json --trajectories 300 --seed 11":
         "54ecf8f4bd1b3b412f3c850af0d2dd0443fa2bd317f4291d60705fcc799eeda1",
     "run conditioned_step_closed.json --trajectories 300 --seed 11 --store-states":
         "08a5456c37e5aced2fe87b43d2089c996884cf2688abe843997ce3f33ab4f166",
     "run conditioned_step_closed.json --trajectories 300 --seed 11 --format json":
         "5639c0fc2d705756404a55464e3f62fa058f796fe1a7b1828b313011ee088aa2",
+    "run conditioned_step_closed.json --trajectories 300 --seed 11 --format json --store-states":
+        "cc35b26220e1f0d7cc28c9cac4b03768896e1e6de9fd6b76c213e8242c84f3d9",
     "run conditioned_step_program.json --trajectories 300 --seed 11":
         "b98e1752a1b59d8ba1e1584b6c0b08e9b4a835e28c2e7ace6503ffdaffb042b1",
     "run conditioned_step_program.json --trajectories 300 --seed 11 --store-states":
         "135d74f33a5276b21fb9e19d2aec976f9090eb5186647963d7b6d793175e17c9",
     "run conditioned_step_program.json --trajectories 300 --seed 11 --format json":
         "e8742de341aac152b87bf79d90153db369d6f83cb448f19a0bb97c286a92be28",
+    "run conditioned_step_program.json --trajectories 300 --seed 11 --format json --store-states":
+        "04477717c8d2867e4e1a4bb39edc6f50785d611807352bf7841da74b603a1aea",
     "run conditioned_step_program.json --trajectories 300 --seed 11 --inputs 1":
         "7eb35e767c1777263626c9ba93950eb6607c6a3341340fa2ef210d46d6b7a103",
     "run conditioned_step_program.json --trajectories 300 --seed 11 --inputs 1 --store-states":
@@ -63,6 +73,12 @@ GOLDEN = {
         "ecee4b6603bab82fe264dc1f73c8b4f62c78deb7d037f3160f430810e5924418",
     "run merge_split.json --trajectories 300 --seed 11 --format json":
         "eecad3e130b81d6aacba19e6db02c38fda73b6c5eb0e3b2d1c73bb2756a2718b",
+    "run merge_split.json --trajectories 300 --seed 11 --format json --store-states":
+        "2d23370c0ea70082f1c8aae891aa9d7c45ff7e236d11b8e72c935ba3d6445cec",
+    "run bell_pair.json --trajectories 0":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "run bell_pair.json --trajectories 0 --format json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "enumerate bell_pair.json":
         "456cd27a6e8a5087afd5f6908ddd83f044fac1b7b6471bf1aa41024b05c85931",
     "enumerate bell_pair.json --format csv":
