@@ -539,7 +539,9 @@ def circuit_from_dict(doc: dict) -> Circuit:
         ]
         return Circuit(str(doc.get("name", "circuit")), systems, nodes, wires,
                        bool(doc.get("closed", False)))
-    except (KeyError, TypeError, IndexError) as exc:
+    except CircuitError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CircuitError(f"malformed circuit document: {exc}") from exc
 
 

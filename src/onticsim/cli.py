@@ -11,6 +11,7 @@ stdout carries only data, diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -34,18 +35,9 @@ from .quantum import COMPLETENESS_TOL
 DEFAULT_SEED = 20120712  # fixed so runs are reproducible by default
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
 def cmd_validate(args) -> int:
     try:
-        text = _read(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        circuit = _decode_circuit(text)
+        circuit = _decode_circuit(Path(args.path).read_text())
     except CircuitError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
@@ -54,29 +46,9 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _load_program(path: str):
-    try:
-        return load_run_spec(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-
-
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w")
-    return sys.stdout
-
-
-def _run_records(batch: TrajectoryBatch, seed: int, store_states: bool):
-    """The ``run`` records of one batch, as dicts."""
-    outcomes = [[list(kv) for kv in items] for items in batch.outcome_items()]
-    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
-        record = {"seed": seed, "index": batch.start + r, "outcomes": outcomes[p],
-                  "probability": prob}
-        if store_states:
-            record["final_state"] = jsonio.encode_vector(batch.states[-1][r])
-        yield record
+def _output(args):
+    """The stream a command writes its data to: the ``--out`` file or stdout."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _run_lines(batch: TrajectoryBatch, seed: int, store_states: bool) -> str:
@@ -95,97 +67,62 @@ def _run_lines(batch: TrajectoryBatch, seed: int, store_states: bool) -> str:
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.path)
+    program = load_run_spec(args.path)
     inputs = args.inputs.split(",") if args.inputs else None
-    try:
-        compiled = compile_program(program, max_dim=args.max_dim)
-        out = _out_stream(args)
-        try:
-            batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
-                                     store_states=args.store_states, compiled=compiled)
-            if args.format == "json":
-                records = [record for batch in batches
-                           for record in _run_records(batch, args.seed, args.store_states)]
-                out.write(jsonio.dumps(records, indent=2) + "\n")
-            else:
-                for batch in batches:
-                    out.write(_run_lines(batch, args.seed, args.store_states))
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except (CircuitError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    compiled = compile_program(program, max_dim=args.max_dim)
+    batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
+                             store_states=args.store_states, compiled=compiled)
+    texts = (_run_lines(batch, args.seed, args.store_states) for batch in batches)
+    with _output(args) as out:
+        if args.format == "json":
+            # Each JSONL line parses back to its record: canonical floats
+            # round-trip, so the indented document has the same numbers.
+            jsonio.dump((json.loads(line) for text in texts for line in text.splitlines()),
+                        out, indent=2)
+            out.write("\n")
+        else:
+            out.writelines(texts)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    program = _load_program(args.path)
+    program = load_run_spec(args.path)
     inputs = args.inputs.split(",") if args.inputs else None
-    try:
-        histories = enumerate_histories(program, inputs=inputs, max_dim=args.max_dim)
-    except (CircuitError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    histories = enumerate_histories(program, inputs=inputs, max_dim=args.max_dim)
     total = sum(p for _, p in histories)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         if args.format == "csv":
             out.write("outcomes,probability\n")
             for key, p in histories:
                 label = ";".join(f"{k}={v}" for k, v in key)
                 out.write(f"{label},{p:.17g}\n")
         else:
-            doc = {
-                "histories": [
-                    {"outcomes": [[k, v] for k, v in key], "probability": p}
-                    for key, p in histories
-                ],
-                "total_probability": total,
-            }
-            out.write(jsonio.dumps(doc, indent=2) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            records = ({"outcomes": [[k, v] for k, v in key], "probability": p}
+                       for key, p in histories)
+            jsonio.dump({"histories": records, "total_probability": total}, out, indent=2)
+            out.write("\n")
     print(f"{len(histories)} histories, total probability {total:.12f}", file=sys.stderr)
     return 0
 
 
 def cmd_classify(args) -> int:
-    program = _load_program(args.path)
-    try:
-        traj = run_trajectory(program, seed=args.seed, store_states=True, max_dim=args.max_dim)
-        partitions = classify_timeline(traj)
-    except (CircuitError, EngineError, IndividuationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = _out_stream(args)
-    try:
-        doc = [
-            {
-                "step": p.timestamp,
-                "partition": p.block_lists(),
-                "purities": list(p.purities),
-            }
-            for p in partitions
-        ]
-        out.write(jsonio.dumps(doc, indent=2) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    program = load_run_spec(args.path)
+    traj = run_trajectory(program, seed=args.seed, store_states=True, max_dim=args.max_dim)
+    partitions = classify_timeline(traj)
+    records = ({"step": p.timestamp, "partition": p.block_lists(), "purities": list(p.purities)}
+               for p in partitions)
+    with _output(args) as out:
+        jsonio.dump(records, out, indent=2)
+        out.write("\n")
     return 0
 
 
 def cmd_bench_memory(args) -> int:
-    strategies = args.strategies.split(",")
-    ms = [int(x) for x in args.copies.split(",")]
-    ds = [int(x) for x in args.dims.split(",")]
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         out.write("strategy,M,d,trials,mean_fidelity,std_error,bound\n")
-        for strategy in strategies:
-            for d in ds:
-                for m in ms:
+        for strategy in args.strategies.split(","):
+            for d in args.dims:
+                for m in args.copies:
                     bound = float(recall_fidelity_bound(m, d))
                     try:
                         mean, err = mean_recall_fidelity(
@@ -202,10 +139,29 @@ def cmd_bench_memory(args) -> int:
                         f"{strategy},{m},{d},{args.trials},"
                         f"{mean:.6f},{err:.6f},{bound:.6f}\n"
                     )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _int_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common], help="sample trajectories (JSON Lines)")
     p.add_argument("path")
-    p.add_argument("--trajectories", type=int, default=1)
+    p.add_argument("--trajectories", type=_int_at_least(0), default=1)
     p.add_argument("--inputs", type=str, default=None,
                    help="comma-separated classical inputs, one per program step")
     p.add_argument("--store-states", action="store_true")
@@ -250,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store-and-recall fidelity sweep (CSV)")
     p.add_argument("--strategies", type=str,
                    default="optimal_covariant_qubit,sic_estimate,random_vn_repeat")
-    p.add_argument("--copies", type=str, default="1,2,3", help="comma-separated M values")
-    p.add_argument("--dims", type=str, default="2", help="comma-separated dimensions")
-    p.add_argument("--trials", type=int, default=20000)
+    p.add_argument("--copies", type=_int_list, default="1,2,3", help="comma-separated M values")
+    p.add_argument("--dims", type=_int_list, default="2", help="comma-separated dimensions")
+    p.add_argument("--trials", type=_int_at_least(1), default=20000)
     p.set_defaults(func=cmd_bench_memory)
 
     return parser
@@ -262,8 +218,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -91,22 +91,27 @@ class Program:
 
 
 def program_from_dict(doc: dict, *, base_dir: Path | None = None) -> Program:
-    steps = []
-    for sd in doc["steps"]:
-        if "circuit" in sd:
-            circ = circuit_from_dict(sd["circuit"])
-        elif "circuit_file" in sd:
-            path = Path(sd["circuit_file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            circ = _decode_circuit(path.read_text())
-        else:
-            raise CircuitError("program step needs 'circuit' or 'circuit_file'")
-        bind = [tuple(p) for p in sd["bind"]] if sd.get("bind") else None
-        steps.append(ProgramStep(circ, bind))
-    init = None
-    if doc.get("initial_state") is not None:
-        init = jsonio.decode_vector(doc["initial_state"])
+    try:
+        steps = []
+        for sd in doc["steps"]:
+            if "circuit" in sd:
+                circ = circuit_from_dict(sd["circuit"])
+            elif "circuit_file" in sd:
+                path = Path(sd["circuit_file"])
+                if base_dir is not None and not path.is_absolute():
+                    path = base_dir / path
+                circ = _decode_circuit(path.read_text())
+            else:
+                raise CircuitError("program step needs 'circuit' or 'circuit_file'")
+            bind = [tuple(p) for p in sd["bind"]] if sd.get("bind") else None
+            steps.append(ProgramStep(circ, bind))
+        init = None
+        if doc.get("initial_state") is not None:
+            init = jsonio.decode_vector(doc["initial_state"])
+    except CircuitError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise CircuitError(f"malformed program document: {exc}") from exc
     return Program(str(doc.get("name", "program")), steps, init)
 
 

@@ -1,12 +1,17 @@
 """Shared JSON encoding: complex scalars as [re, im] pairs, matrices as
-row-major nested arrays, and a canonical emitter with deterministic float
-formatting (17 significant digits) so equal data always yields equal bytes.
+row-major nested arrays, and one canonical writer, ``_emit``, with
+deterministic float formatting (17 significant digits) so equal data always
+yields equal bytes. ``dumps`` collects the writer's text into a string;
+``dump`` hands it to a stream as it is made and writes an array given as an
+iterator item by item, so a document never has to sit in memory whole.
+``dumps_vector`` formats one state vector for the JSON Lines hot path.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -72,49 +77,56 @@ def dumps_vector(v) -> str:
 def dumps(obj, *, indent: int | None = None) -> str:
     """Serialize with canonical float formatting; keys keep insertion order."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out.append, indent, 0)
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int | None, level: int) -> None:
-    pad = ", " if indent is None else ",\n" + " " * (indent * (level + 1))
-    first = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * level)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad if i else first)
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out, indent, level + 1)
-        out.append(end + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        # Flat numeric pairs ([re, im]) stay on one line even when indenting.
-        flat = all(isinstance(x, (int, float, bool)) or x is None for x in seq)
-        out.append("[")
-        for i, v in enumerate(seq):
-            if flat:
-                out.append(", " if i else "")
-            else:
-                out.append(pad if i else first)
-            _emit(v, out, indent, level + 1)
-        out.append(("" if flat else end) + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+def dump(obj, stream, *, indent: int | None = None) -> None:
+    """Write the bytes of ``dumps(obj, indent=indent)`` to ``stream`` as they
+    are made, taking an iterator's items one at a time."""
+    _emit(obj, stream.write, indent, 0)
+
+
+def _emit(obj, write, indent: int | None, level: int) -> None:
+    if isinstance(obj, str):
+        write(_encode_str(obj))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(format_float(float(obj)))
+    elif isinstance(obj, bool):
+        write("true" if obj else "false")
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, (int, np.integer)):
+        write(str(int(obj)))
+    elif isinstance(obj, dict):
+        first, pad, end = _breaks(indent, level)
+        write("{")
+        for i, (k, v) in enumerate(obj.items()):
+            write(pad if i else first)
+            write(_encode_str(str(k)))
+            write(": ")
+            _emit(v, write, indent, level + 1)
+        write(end + "}" if obj else "}")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        # Flat numeric pairs ([re, im]) stay on one line even when indenting;
+        # an iterator's items are not known ahead, so each gets its own line.
+        flat = isinstance(obj, (list, tuple)) and all(
+            isinstance(x, (int, float, bool)) or x is None for x in obj)
+        first, pad, end = ("", ", ", "") if flat else _breaks(indent, level)
+        write("[")
+        i = -1
+        for i, v in enumerate(obj):
+            write(pad if i else first)
+            _emit(v, write, indent, level + 1)
+        write(end + "]" if i >= 0 else "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _breaks(indent: int | None, level: int) -> tuple[str, str, str]:
+    """What goes before a container's first item, between items, and before
+    its closing bracket."""
+    if indent is None:
+        return "", ", ", ""
+    inner = "\n" + " " * (indent * (level + 1))
+    return inner, "," + inner, "\n" + " " * (indent * level)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from onticsim import gallery
+from onticsim import cli, gallery
 from onticsim.cli import main
 from onticsim.engine import enumerate_histories
 
@@ -79,6 +80,50 @@ class TestValidate:
         for command in ("run", "enumerate", "classify"):
             assert main([command, str(bad)]) == 1
             assert "error" in capsys.readouterr().err
+
+
+def _malformed(case: str, circuits_dir: Path) -> dict:
+    bell = str(circuits_dir / "bell_pair.json")
+    if case == "program without steps":
+        return {"kind": "program"}
+    if case == "initial state not a list":
+        return {"kind": "program", "steps": [{"circuit_file": bell}], "initial_state": "abc"}
+    doc = json.loads(Path(bell).read_text())
+    if case == "kraus entry not a matrix":
+        doc["nodes"][0]["events"][0]["kraus"][0] = "oops"
+    else:  # "dimension not a number"
+        doc["systems"][0]["dim"] = "two"
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify", "validate"])
+@pytest.mark.parametrize("case", ["program without steps", "initial state not a list",
+                                  "kraus entry not a matrix", "dimension not a number"])
+def test_malformed_document_gives_one_error_line(command, case, circuits_dir, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(case, circuits_dir)))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    prefix = "invalid: " if command == "validate" else "error: "
+    assert captured.err.startswith(prefix + "malformed "), captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "bell_pair.json", "--trajectories", "-3"],
+    ["bench-memory", "--trials", "0"],
+    ["bench-memory", "--copies", "x"],
+    ["bench-memory", "--dims", "2,"],
+])
+def test_bad_argument_is_a_usage_error(argv, circuits_dir, capsys):
+    argv = [str(circuits_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "Traceback" not in captured.err
 
 
 class TestRun:
@@ -257,3 +302,42 @@ class TestBenchMemory:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestStreaming:
+    """Documents are written record by record, so the memory a command
+    needs does not grow with the number of records it writes."""
+
+    @staticmethod
+    def _peak(argv: list[str]) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_json_document_streams(self, circuits_dir, tmp_path):
+        argv = ["run", str(circuits_dir / "conditioned_step_program.json"), "--format", "json",
+                "--store-states", "--out", str(tmp_path / "runs.json"), "--trajectories"]
+        assert main(argv + ["10"]) == 0  # first use: imports and caches
+        small = self._peak(argv + ["2000"])
+        large = self._peak(argv + ["20000"])
+        assert large < 1.5 * small, (small, large)
+        doc = json.loads((tmp_path / "runs.json").read_text())
+        assert [rec["index"] for rec in doc] == list(range(20000))
+
+    def test_enumerate_document_streams(self, circuits_dir, tmp_path, monkeypatch):
+        def law(n):  # built before tracing starts: only writing it is measured
+            return [((("a", str(i % 3)), ("b", str(i))), 1.0 / n) for i in range(n)]
+
+        argv = ["enumerate", str(circuits_dir / "bell_pair.json"), "--out", str(tmp_path / "law.json")]
+        peaks = []
+        for n in (1000, 20000):
+            histories = law(n)
+            monkeypatch.setattr(cli, "enumerate_histories", lambda *a, **k: histories)
+            peaks.append(self._peak(argv))
+        assert peaks[1] < 1.5 * peaks[0], peaks
+        doc = json.loads((tmp_path / "law.json").read_text())
+        assert len(doc["histories"]) == 20000
+        assert doc["histories"][7] == {"outcomes": [["a", "1"], ["b", "7"]], "probability": 1 / 20000}
