@@ -146,12 +146,11 @@ def _int_at_least(low: int):
     """An argparse type: an integer of at least ``low``."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            if int(text) >= low:
+                return int(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
     return parse
 
 
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CircuitError, EngineError, IndividuationError, MeasurementError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -81,6 +81,13 @@ class TestValidate:
             assert main([command, str(bad)]) == 1
             assert "error" in capsys.readouterr().err
 
+    def test_undecodable_file_exits_one_everywhere(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"not": "utf-8"}')
+        for command in ("run", "enumerate", "classify", "validate"):
+            assert main([command, str(bad)]) == 1
+            assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
 
 def _malformed(case: str, circuits_dir: Path) -> dict:
     bell = str(circuits_dir / "bell_pair.json")
