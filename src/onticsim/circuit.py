@@ -12,6 +12,7 @@ instead of another node's outcome.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from math import prod
@@ -157,6 +158,13 @@ class ValidationReport:
     # (node index, admissible event subset) pairs whose operators sum to
     # the identity within the tolerance
     deterministic: set[tuple[int, tuple[int, ...]]] = field(default_factory=set)
+    # The graph ``layout`` builds on, complete only when the report is ok:
+    # (node, output port) -> (node, input port) per wire, each node's DAG
+    # parents with conditioning sources included, and the topological
+    # order, None when validation stopped early or found a cycle.
+    wiring: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    predecessors: list[set[int]] = field(default_factory=list)
+    topo_order: list[int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -208,6 +216,7 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
     the slack allowed on the trace-nonincreasing test normalization; one
     spectral run per admissible event subset also decides, at the same
     tolerance, whether the subset is deterministic (``report.deterministic``).
+    The report also keeps the wiring graph and its topological order.
     """
     report = ValidationReport(node_count=len(circuit.nodes))
     errors = report.errors
@@ -225,13 +234,15 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
         return report
 
     # Port occupancy and wire typing.
-    in_taken: dict[tuple[int, int], WireSpec] = {}
-    out_taken: dict[tuple[int, int], WireSpec] = {}
+    in_taken: set[tuple[int, int]] = set()
+    wiring = report.wiring
+    preds = report.predecessors = [set() for _ in circuit.nodes]
     for w in circuit.wires:
         if w.from_node not in index or w.to_node not in index:
             errors.append(f"wire references unknown node: {w.from_node}->{w.to_node}")
             continue
         fi, ti = index[w.from_node], index[w.to_node]
+        preds[ti].add(fi)
         f_node, t_node = circuit.nodes[fi], circuit.nodes[ti]
         if not (0 <= w.from_port < len(f_node.outputs)):
             errors.append(f"wire from {w.from_node}.{w.from_port}: no such output port")
@@ -247,12 +258,12 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                 f"{s_from.label}(dim {s_from.dim}, {s_from.theory}) vs "
                 f"{s_to.label}(dim {s_to.dim}, {s_to.theory})"
             )
-        if (fi, w.from_port) in out_taken:
+        if (fi, w.from_port) in wiring:
             errors.append(f"output port {w.from_node}.{w.from_port} wired twice")
         if (ti, w.to_port) in in_taken:
             errors.append(f"input port {w.to_node}.{w.to_port} wired twice")
-        out_taken[(fi, w.from_port)] = w
-        in_taken[(ti, w.to_port)] = w
+        wiring[(fi, w.from_port)] = (ti, w.to_port)
+        in_taken.add((ti, w.to_port))
 
     # Event operator shapes and test normalization.
     for node_index, n in enumerate(circuit.nodes):
@@ -299,8 +310,6 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                 report.deterministic.add((node_index, idxs))
 
     # Conditioning sources.
-    edges: list[tuple[int, int]] = [(index[w.from_node], index[w.to_node]) for w in circuit.wires
-                                    if w.from_node in index and w.to_node in index]
     for n in circuit.nodes:
         if n.condition is None or n.condition.source == INPUT_SOURCE:
             continue
@@ -313,16 +322,17 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
             errors.append(
                 f"node {n.label!r}: condition map misses source outcomes {missing}"
             )
-        edges.append((index[n.condition.source], index[n.label]))
+        preds[index[n.label]].add(index[n.condition.source])
 
     # Acyclicity over wires + conditioning edges.
-    if _topo_sort(len(circuit.nodes), edges) is None:
+    report.topo_order = _topo_sort(preds)
+    if report.topo_order is None:
         errors.append("cycle detected in wiring/conditioning graph")
 
     dangling = [
         f"{n.label}.{p}"
         for i, n in enumerate(circuit.nodes)
-        for kind, ports, taken in (("in", n.inputs, in_taken), ("out", n.outputs, out_taken))
+        for kind, ports, taken in (("in", n.inputs, in_taken), ("out", n.outputs, wiring))
         for p in range(len(ports))
         if (i, p) not in taken
     ]
@@ -332,89 +342,67 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
     return report
 
 
-def _topo_sort(n: int, edges: list[tuple[int, int]]) -> list[int] | None:
-    """Kahn's algorithm, stable by node index; None if cyclic."""
-    succs: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in edges:
-        succs[a].append(b)
-        indeg[b] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
+def _topo_sort(preds: list[set[int]]) -> list[int] | None:
+    """Kahn's algorithm, smallest ready index first; None if cyclic."""
+    succs: list[list[int]] = [[] for _ in preds]
+    for b, parents in enumerate(preds):
+        for a in parents:
+            succs[a].append(b)
+    indeg = [len(parents) for parents in preds]
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[int] = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        freed = []
         for j in succs[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                freed.append(j)
-        ready = sorted(ready + freed)
-    return order if len(order) == n else None
+                heapq.heappush(ready, j)
+    return order if len(order) == len(preds) else None
 
 
 def layout(circuit: Circuit) -> CircuitLayout:
-    """Resolve wires (including the open boundary) and the topological order.
+    """Resolve wires (including the open boundary) on the graph that
+    ``validate_dag`` found.
 
     Raises CircuitError if validation fails.
     """
     report = validate_dag(circuit)
     if not report.ok:
         raise CircuitError("invalid circuit:\n" + str(report))
-    index = {n.label: i for i, n in enumerate(circuit.nodes)}
 
-    node_in: list[list[int | None]] = [[None] * len(n.inputs) for n in circuit.nodes]
-    node_out: list[list[int | None]] = [[None] * len(n.outputs) for n in circuit.nodes]
+    node_in: list[list[int]] = [[-1] * len(n.inputs) for n in circuit.nodes]
+    node_out: list[list[int]] = [[-1] * len(n.outputs) for n in circuit.nodes]
     wires: list[WireInfo] = []
 
     def add_wire(system: str, src, dst) -> int:
         s = circuit.systems[system]
         w = WireInfo(len(wires), system, s.dim, s.theory, src, dst)
         wires.append(w)
+        if src:
+            node_out[src[0]][src[1]] = w.index
+        if dst:
+            node_in[dst[0]][dst[1]] = w.index
         return w.index
 
     # Canonical wire order: input boundary, internal (sorted by source), output boundary.
-    input_wires, output_wires = [], []
-    for i, n in enumerate(circuit.nodes):
-        for p, s in enumerate(n.inputs):
-            if not any(w.to_node == n.label and w.to_port == p for w in circuit.wires):
-                wi = add_wire(s, None, (i, p))
-                node_in[i][p] = wi
-                input_wires.append(wi)
-    for w in sorted(circuit.wires, key=lambda w: (index[w.from_node], w.from_port)):
-        fi, ti = index[w.from_node], index[w.to_node]
-        sys_label = circuit.nodes[fi].outputs[w.from_port]
-        wi = add_wire(sys_label, (fi, w.from_port), (ti, w.to_port))
-        node_out[fi][w.from_port] = wi
-        node_in[ti][w.to_port] = wi
-    for i, n in enumerate(circuit.nodes):
-        for p, s in enumerate(n.outputs):
-            if node_out[i][p] is None:
-                wi = add_wire(s, (i, p), None)
-                node_out[i][p] = wi
-                output_wires.append(wi)
-
-    edges = [(w.src[0], w.dst[0]) for w in wires if w.src and w.dst]
-    preds: list[set[int]] = [set() for _ in circuit.nodes]
-    for a, b in edges:
-        preds[b].add(a)
-    for n in circuit.nodes:
-        if n.condition and n.condition.source != INPUT_SOURCE:
-            a, b = index[n.condition.source], index[n.label]
-            preds[b].add(a)
-            edges.append((a, b))
-    topo = _topo_sort(len(circuit.nodes), edges)
-    assert topo is not None  # validate_dag already checked acyclicity
+    wired_inputs = set(report.wiring.values())
+    input_wires = [add_wire(s, None, (i, p)) for i, n in enumerate(circuit.nodes)
+                   for p, s in enumerate(n.inputs) if (i, p) not in wired_inputs]
+    for src, dst in sorted(report.wiring.items()):
+        add_wire(circuit.nodes[src[0]].outputs[src[1]], src, dst)
+    output_wires = [add_wire(s, (i, p), None) for i, n in enumerate(circuit.nodes)
+                    for p, s in enumerate(n.outputs) if (i, p) not in report.wiring]
 
     return CircuitLayout(
         circuit=circuit,
         wires=wires,
-        node_in_wires=[[w for w in lst] for lst in node_in],
-        node_out_wires=[[w for w in lst] for lst in node_out],
+        node_in_wires=node_in,
+        node_out_wires=node_out,
         input_wires=input_wires,
         output_wires=output_wires,
-        topo_order=topo,
-        predecessors=preds,
+        topo_order=report.topo_order,
+        predecessors=report.predecessors,
         deterministic=frozenset(report.deterministic),
     )
 

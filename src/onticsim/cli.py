@@ -154,13 +154,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _int_list(text: str) -> list[int]:
-    """An argparse type: comma-separated integers."""
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+def _int_list_at_least(low: int):
+    """An argparse type: comma-separated integers, each of at least ``low``."""
+    item = _int_at_least(low)
+    return lambda text: [item(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,8 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store-and-recall fidelity sweep (CSV)")
     p.add_argument("--strategies", type=str,
                    default="optimal_covariant_qubit,sic_estimate,random_vn_repeat")
-    p.add_argument("--copies", type=_int_list, default="1,2,3", help="comma-separated M values")
-    p.add_argument("--dims", type=_int_list, default="2", help="comma-separated dimensions")
+    p.add_argument("--copies", type=_int_list_at_least(1), default="1,2,3",
+                   help="comma-separated M values")
+    p.add_argument("--dims", type=_int_list_at_least(2), default="2",
+                   help="comma-separated dimensions")
     p.add_argument("--trials", type=_int_at_least(1), default=20000)
     p.set_defaults(func=cmd_bench_memory)
 

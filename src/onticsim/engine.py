@@ -136,7 +136,6 @@ def load_run_spec(path) -> Program:
 @dataclass
 class _SlicePlan:
     node_indices: list[int]           # topo order within the slice
-    in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     fast: bool
     # Nodes whose condition reads from outside the slice (or @input), in
@@ -209,8 +208,7 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
                 if n.condition is not None
                 and (n.condition.source == INPUT_SOURCE or n.condition.source not in labels)
             )
-            plans.append(_SlicePlan(topo_members, fol.leaf_dims(s), fol.leaf_dims(s + 1), fast,
-                                    key_nodes))
+            plans.append(_SlicePlan(topo_members, fol.leaf_dims(s + 1), fast, key_nodes))
         compiled.append(CompiledStep(lay, fol, plans, step.bind))
         prev_out = lay.output_dims
     return compiled
@@ -700,42 +698,44 @@ def enumerate_histories(
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
     inputs = _padded_inputs(inputs, len(compiled))
-    state0 = _initial_tensor(program, compiled, omega0)
-    results: list[tuple[tuple[tuple[str, str], ...], float]] = []
-    count = [0]
+    prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
 
-    def recurse_step(t: int, state: np.ndarray, key: tuple):
-        if t == len(compiled):
-            results.append((key, float(np.real(np.vdot(state, state)))))
-            count[0] += 1
-            if count[0] > cap:
-                raise HistoryCapExceeded(f"more than {cap} histories")
-            return
+    def children(t: int, s: int, state: np.ndarray, order: list[int], chosen: dict, key: tuple):
+        """The nodes below (step t, slice s) of the history tree, in order;
+        past a step's last slice, the next step's start."""
         step = compiled[t]
         lay = step.layout
-        prefix = f"{t}:" if len(compiled) > 1 else ""
+        if s == len(step.slices):
+            state, order = _reorder(state, order, list(lay.output_wires)), []
+            if t + 1 < len(compiled):
+                nxt = compiled[t + 1]
+                state = _apply_bind(state, nxt.bind, len(lay.output_dims),
+                                    len(nxt.layout.input_dims), t + 1)
+                order = list(nxt.layout.input_wires)
+            yield t + 1, 0, state, order, {}, key
+            return
+        plan = step.slices[s]
+        branches = _branches(plan, lay, _context_key(plan, chosen, inputs[t]), chosen, inputs[t])
+        for cand, free in zip(branches.cands, branches.frees):
+            out, out_order = _apply_slice(state, order, lay, plan.node_indices, cand)
+            yield (t, s + 1, out, out_order, {**chosen, **cand},
+                   key + tuple((prefixes[t] + n, o) for n, o in free.items()))
 
-        def recurse_slice(s: int, st: np.ndarray, order: list[int], chosen: dict, k: tuple):
-            if s == len(step.slices):
-                st = _reorder(st, order, list(lay.output_wires))
-                nxt = st
-                if t + 1 < len(compiled):
-                    nxt = _apply_bind(
-                        st, compiled[t + 1].bind, len(lay.output_dims),
-                        len(compiled[t + 1].layout.input_dims), t + 1,
-                    )
-                recurse_step(t + 1, nxt, k)
-                return
-            plan = step.slices[s]
-            branches = _branches(plan, lay, _context_key(plan, chosen, inputs[t]), chosen, inputs[t])
-            for cand, free in zip(branches.cands, branches.frees):
-                out_t, out_order = _apply_slice(st, order, lay, plan.node_indices, cand)
-                new_chosen = dict(chosen)
-                new_chosen.update(cand)
-                new_key = k + tuple((prefix + n, o) for n, o in free.items())
-                recurse_slice(s + 1, out_t, out_order, new_chosen, new_key)
-
-        recurse_slice(0, state, list(lay.input_wires), {}, key)
-
-    recurse_step(0, state0, ())
+    # Depth first with one iterator per level, so a deep circuit needs no
+    # deep recursion and only the current path's states are alive.
+    results: list[tuple[tuple[tuple[str, str], ...], float]] = []
+    state0 = _initial_tensor(program, compiled, omega0)
+    stack = [iter([(0, 0, state0, list(compiled[0].layout.input_wires), {}, ())])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        t, _, state, _, _, key = node
+        if t < len(compiled):
+            stack.append(children(*node))
+            continue
+        results.append((key, float(np.real(np.vdot(state, state)))))
+        if len(results) > cap:
+            raise HistoryCapExceeded(f"more than {cap} histories")
     return results

@@ -14,11 +14,15 @@ is the right-to-left product of the slice operators. Every foliation of
 the same circuit with the same outcomes compiles to the same operator,
 which is the invariance the test-suite pins down.
 
-Strategies: ``asap`` fires every node in the earliest admissible slice (a
-node conditioned on another may share its slice, composing through the
-trivial system inside one leaf); ``alap`` fires as late as possible and
-keeps conditioning sources strictly earlier, so every classical edge
-crosses a cut. ``random`` groups a random linear extension into random
+Strategies: ``asap`` and ``alap`` are longest-path schedules, one pass
+over the topological order each. ``asap`` puts a node in the slice one
+past its latest wire predecessor's, and no earlier than its conditioning
+source's slice: a conditioned node may share its source's slice,
+composing through the trivial system inside one leaf. ``alap`` puts a
+node as many slices before the last as the longest path from it to a
+sink, counting wire and conditioning edges alike, so conditioning
+sources fire strictly earlier and every classical edge crosses a cut.
+``random`` groups a random linear extension into random
 consecutive slices, which may bury wires inside a slice; the kernel's
 topological order contracts such internal chains in turn.
 """
@@ -62,14 +66,14 @@ class Foliation:
 
 
 def _leaves_for_slices(lay: CircuitLayout, slices: list[list[int]]) -> list[list[int]]:
-    n_slices = len(slices)
     slice_of = {n: s for s, grp in enumerate(slices) for n in grp}
-    fire = {w.index: (slice_of[w.src[0]] if w.src else -1) for w in lay.wires}
-    consume = {w.index: (slice_of[w.dst[0]] if w.dst else n_slices) for w in lay.wires}
-    return [
-        [w.index for w in lay.wires if fire[w.index] < i <= consume[w.index]]
-        for i in range(n_slices + 1)
-    ]
+    leaves: list[list[int]] = [[] for _ in range(len(slices) + 1)]
+    for w in lay.wires:  # a wire lies on every cut after its source fires, up to its sink's
+        fire = slice_of[w.src[0]] if w.src else -1
+        consume = slice_of[w.dst[0]] if w.dst else len(slices)
+        for i in range(fire + 1, consume + 1):
+            leaves[i].append(w.index)
+    return leaves
 
 
 def _check_slices(lay: CircuitLayout, slices: list[list[int]]) -> None:
@@ -118,73 +122,34 @@ def foliate(circuit, strategy: str = "asap", *, slices=None, rng=None) -> Foliat
     return Foliation(lay, idx_slices, _leaves_for_slices(lay, idx_slices), strategy)
 
 
-def _cond_source(lay: CircuitLayout, i: int) -> int | None:
-    node = lay.circuit.nodes[i]
-    if node.condition and node.condition.source != INPUT_SOURCE:
-        return lay.circuit.node_index(node.condition.source)
-    return None
+def _by_level(level: list[int]) -> list[list[int]]:
+    """Slice ``k`` holds the nodes of level ``k``, in node order."""
+    slices: list[list[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for i, lv in enumerate(level):
+        slices[lv].append(i)
+    return slices
 
 
 def _asap_slices(lay: CircuitLayout) -> list[list[int]]:
-    nodes = lay.circuit.nodes
-    wire_preds = [set() for _ in nodes]
-    for w in lay.wires:
-        if w.src and w.dst:
-            wire_preds[w.dst[0]].add(w.src[0])
-    fired: set[int] = set()
-    slices: list[list[int]] = []
-    while len(fired) < len(nodes):
-        base = [
-            i for i in range(len(nodes))
-            if i not in fired
-            and wire_preds[i] <= fired
-            and (_cond_source(lay, i) is None or _cond_source(lay, i) in fired)
-        ]
-        group = set(base)
-        # Same-slice closure: a node may fire with its conditioning source.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(nodes)):
-                src = _cond_source(lay, i)
-                if (
-                    i not in fired and i not in group
-                    and wire_preds[i] <= fired
-                    and src is not None and src in group
-                ):
-                    group.add(i)
-                    changed = True
-        if not group:
-            raise FoliationError("circuit is not schedulable (should be impossible for a DAG)")
-        slices.append(sorted(group))
-        fired |= group
-    return slices
+    # One level past the latest wire parent, and no earlier than the
+    # conditioning source. ``predecessors`` holds both kinds of parent; a
+    # wire parent's own "+ 1" term always dominates its plain one.
+    level = [0] * len(lay.circuit.nodes)
+    for i in lay.topo_order:
+        wire_preds = [lay.wires[w].src[0] for w in lay.node_in_wires[i] if lay.wires[w].src]
+        level[i] = max([level[p] for p in lay.predecessors[i]]
+                       + [level[p] + 1 for p in wire_preds], default=0)
+    return _by_level(level)
 
 
 def _alap_slices(lay: CircuitLayout) -> list[list[int]]:
-    nodes = lay.circuit.nodes
-    succs = [set() for _ in nodes]
-    for w in lay.wires:
-        if w.src and w.dst:
-            succs[w.src[0]].add(w.dst[0])
-    for i in range(len(nodes)):
-        src = _cond_source(lay, i)
-        if src is not None:
-            succs[src].add(i)
-    rev = [-1] * len(nodes)
-
-    def depth(i: int) -> int:
-        if rev[i] < 0:
-            rev[i] = 1 + max((depth(j) for j in succs[i]), default=-1)
-        return rev[i]
-
-    for i in range(len(nodes)):
-        depth(i)
-    top = max(rev, default=0)
-    slices: list[list[int]] = [[] for _ in range(top + 1)]
-    for i, r in enumerate(rev):
-        slices[top - r].append(i)
-    return slices
+    # Height above the sinks over wire and conditioning edges alike.
+    height = [0] * len(lay.circuit.nodes)
+    for i in reversed(lay.topo_order):
+        for p in lay.predecessors[i]:
+            height[p] = max(height[p], height[i] + 1)
+    top = max(height, default=0)
+    return _by_level([top - h for h in height])
 
 
 def _random_slices(lay: CircuitLayout, rng: np.random.Generator) -> list[list[int]]:
@@ -274,14 +239,13 @@ _BATCH = -1
 def _apply_slice(state: np.ndarray, order: list[int], lay: CircuitLayout,
                  node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
     """Apply one slice's events to a state tensor indexed by wire order."""
-    dims_of = {w.index: w.dim for w in lay.wires}
     for i in node_indices:
         node = lay.circuit.nodes[i]
         op = node.events[node.event_index(events[node.label])].operators[0]
         in_wires = lay.node_in_wires[i]
         out_wires = lay.node_out_wires[i]
-        out_dims = tuple(dims_of[w] for w in out_wires)
-        in_dims = tuple(dims_of[w] for w in in_wires)
+        out_dims = tuple(lay.wires[w].dim for w in out_wires)
+        in_dims = tuple(lay.wires[w].dim for w in in_wires)
         k = op.reshape(out_dims + in_dims)
         pos = [order.index(w) for w in in_wires]
         state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))

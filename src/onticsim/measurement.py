@@ -26,6 +26,10 @@ _STRATEGIES = ("optimal_covariant_qubit", "sic_estimate", "random_vn_repeat")
 
 MESH_POINTS = 4000  # Bloch-sphere discretization of the covariant strategy
 
+#: Haar states ``mean_recall_fidelity`` draws per vectorised batch. The
+#: batches set the order of the RNG draws, so seeded means depend on it.
+TRIAL_CHUNK = 2000
+
 
 class MeasurementError(ValueError):
     pass
@@ -459,7 +463,7 @@ def _check_strategy(strategy: str, d: int) -> None:
 
 
 def mean_recall_fidelity(
-    strategy: str, m: int, d: int, trials: int, seed: int = 0, *, chunk: int = 2000
+    strategy: str, m: int, d: int, trials: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo mean fidelity over Haar-random pure states.
 
@@ -475,7 +479,7 @@ def mean_recall_fidelity(
     fids = np.empty(trials)
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(TRIAL_CHUNK, trials - done)
         if d == 2:
             psis = _haar_qubits(n, rng)
         else:

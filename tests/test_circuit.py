@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from onticsim import gallery
+from _helpers import graph_cases
 from onticsim.circuit import (
+    INPUT_SOURCE,
     Circuit,
     CircuitError,
     Condition,
     Event,
     System,
     TestNode,
+    WireInfo,
     WireSpec,
+    _topo_sort,
     circuit_from_dict,
     circuit_to_dict,
     compose_parallel,
@@ -60,6 +64,7 @@ class TestValidate:
         report = validate_dag(c)
         assert not report.ok
         assert any("cycle" in e for e in report.errors)
+        assert report.topo_order is None
 
     def test_dimension_mismatch(self):
         systems = {"A": System("A", 2), "B": System("B", 3)}
@@ -105,6 +110,96 @@ class TestValidate:
     def test_closed_variant_is_closed(self):
         report = validate_dag(gallery.conditioned_step_closed())
         assert report.ok and report.is_closed
+
+
+def sorting_kahn(n: int, edges: list[tuple[int, int]]) -> list[int] | None:
+    """Kahn's algorithm that re-sorts its ready list after every pop."""
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in edges:
+        succs[a].append(b)
+        indeg[b] += 1
+    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    order: list[int] = []
+    while ready:
+        i = ready.pop(0)
+        order.append(i)
+        freed = []
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                freed.append(j)
+        ready = sorted(ready + freed)
+    return order if len(order) == n else None
+
+
+def scanning_layout(circuit: Circuit) -> dict:
+    """The layout fields built without validation's graph: a label index of
+    its own, a scan of every wire for each input port, and a sort of an
+    edge list rebuilt from the resolved wires."""
+    index = {n.label: i for i, n in enumerate(circuit.nodes)}
+    node_in = [[None] * len(n.inputs) for n in circuit.nodes]
+    node_out = [[None] * len(n.outputs) for n in circuit.nodes]
+    wires: list[WireInfo] = []
+
+    def add_wire(system: str, src, dst) -> int:
+        s = circuit.systems[system]
+        wires.append(WireInfo(len(wires), system, s.dim, s.theory, src, dst))
+        return len(wires) - 1
+
+    input_wires, output_wires = [], []
+    for i, n in enumerate(circuit.nodes):
+        for p, s in enumerate(n.inputs):
+            if not any(w.to_node == n.label and w.to_port == p for w in circuit.wires):
+                node_in[i][p] = add_wire(s, None, (i, p))
+                input_wires.append(node_in[i][p])
+    for w in sorted(circuit.wires, key=lambda w: (index[w.from_node], w.from_port)):
+        fi, ti = index[w.from_node], index[w.to_node]
+        wi = add_wire(circuit.nodes[fi].outputs[w.from_port], (fi, w.from_port), (ti, w.to_port))
+        node_out[fi][w.from_port] = wi
+        node_in[ti][w.to_port] = wi
+    for i, n in enumerate(circuit.nodes):
+        for p, s in enumerate(n.outputs):
+            if node_out[i][p] is None:
+                node_out[i][p] = add_wire(s, (i, p), None)
+                output_wires.append(node_out[i][p])
+    edges = [(w.src[0], w.dst[0]) for w in wires if w.src and w.dst]
+    preds: list[set[int]] = [set() for _ in circuit.nodes]
+    for a, b in edges:
+        preds[b].add(a)
+    for n in circuit.nodes:
+        if n.condition and n.condition.source != INPUT_SOURCE:
+            a, b = index[n.condition.source], index[n.label]
+            preds[b].add(a)
+            edges.append((a, b))
+    return {"wires": wires, "node_in_wires": node_in, "node_out_wires": node_out,
+            "input_wires": input_wires, "output_wires": output_wires,
+            "topo_order": sorting_kahn(len(circuit.nodes), edges), "predecessors": preds}
+
+
+class TestLayoutOracle:
+    def test_layout_equals_scanning_layout(self):
+        for c in graph_cases():
+            lay, ref = layout(c), scanning_layout(c)
+            assert {key: getattr(lay, key) for key in ref} == ref, c.name
+
+    def test_topo_sort_equals_sorting_kahn(self):
+        """Random graphs with parallel edges, most acyclic, some cyclic."""
+        rng = np.random.default_rng(5)
+        cyclic = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            rank = rng.permutation(n)  # edges run forward in this hidden order
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+            edges = [(int(rank[a]), int(rank[b])) for a, b in pairs
+                     if a < b or rng.random() < 0.01]
+            preds = [set() for _ in range(n)]
+            for a, b in edges:
+                preds[b].add(a)
+            order = sorting_kahn(n, edges)
+            cyclic += order is None
+            assert _topo_sort(preds) == order
+        assert 0 < cyclic < 100
 
 
 def oracle_verdicts(circuit: Circuit) -> dict[tuple[int, tuple[int, ...]], bool]:

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import DEEP_CHAIN, closed_chain
 from onticsim import cli, gallery
+from onticsim.circuit import serialize_circuit
 from onticsim.cli import main
 from onticsim.engine import enumerate_histories
 
@@ -122,6 +124,8 @@ def test_malformed_document_gives_one_error_line(command, case, circuits_dir, tm
     ["bench-memory", "--trials", "0"],
     ["bench-memory", "--copies", "x"],
     ["bench-memory", "--dims", "2,"],
+    ["bench-memory", "--copies", "0"],
+    ["bench-memory", "--dims", "1"],
 ])
 def test_bad_argument_is_a_usage_error(argv, circuits_dir, capsys):
     argv = [str(circuits_dir / a) if a.endswith(".json") else a for a in argv]
@@ -250,6 +254,14 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "outcomes,probability"
         assert len(lines) == 5  # header + 4 joint outcomes
+
+    def test_deep_chain(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_circuit(closed_chain(DEEP_CHAIN)))
+        assert main(["enumerate", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [h["outcomes"] for h in doc["histories"]] == [[["m", "0"]], [["m", "1"]]]
+        assert abs(doc["total_probability"] - 1) < 1e-9
 
 
 class TestClassify:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from _helpers import DEEP_CHAIN, closed_chain
 from onticsim import engine, gallery, quantum
 from onticsim.circuit import Circuit, Condition, Event, System, TestNode, WireSpec, layout
 from onticsim.engine import (
@@ -342,6 +343,23 @@ class TestEnumerate:
         l1, l2 = norm(law1), norm(law2)
         assert l1.keys() == l2.keys()
         assert all(abs(l1[k] - l2[k]) < 1e-10 for k in l1)
+
+
+class TestDeepChain:
+    def test_enumerate(self):
+        law = enumerate_histories(closed_chain(DEEP_CHAIN))
+        assert [key for key, _ in law] == [(("m", "0"),), (("m", "1"),)]
+        assert abs(sum(p for _, p in law) - 1) < 1e-9
+
+    def test_run_trajectories(self):
+        c = closed_chain(DEEP_CHAIN)
+        op = compile_history(foliate(c, "asap"), {"m": "0"}).operator
+        p0 = float(np.real(np.vdot(op, op)))
+        trajs = run_trajectories(c, 20, seed=3)
+        assert len(trajs) == 20
+        for t in trajs:
+            want = p0 if t.outcome_items() == [("m", "0")] else 1 - p0
+            assert abs(t.probability - want) < 1e-9
 
 
 class TestEnginePreconditions:

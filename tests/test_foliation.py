@@ -4,9 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import any_assignment
+from _helpers import DEEP_CHAIN, any_assignment, closed_chain, graph_cases
 from onticsim import engine, gallery
-from onticsim.circuit import Circuit, Event, System, TestNode, WireSpec, layout
+from onticsim.circuit import (
+    INPUT_SOURCE,
+    Circuit,
+    Condition,
+    Event,
+    System,
+    TestNode,
+    WireSpec,
+    layout,
+)
 from onticsim.foliation import (
     FoliationError,
     MissingOutcomeError,
@@ -78,6 +87,119 @@ class TestFoliate:
         c = gallery.conditioned_step()
         with pytest.raises(FoliationError):
             foliate(c, "given", slices=[["alpha"]])
+
+
+def _cond_source(lay, i: int) -> int | None:
+    node = lay.circuit.nodes[i]
+    if node.condition and node.condition.source != INPUT_SOURCE:
+        return lay.circuit.node_index(node.condition.source)
+    return None
+
+
+def fixed_point_asap(lay) -> list[list[int]]:
+    """Eager slices round by round: the nodes whose wire parents have all
+    fired, closed under "fires with its conditioning source"."""
+    nodes = lay.circuit.nodes
+    wire_preds = [set() for _ in nodes]
+    for w in lay.wires:
+        if w.src and w.dst:
+            wire_preds[w.dst[0]].add(w.src[0])
+    fired: set[int] = set()
+    slices: list[list[int]] = []
+    while len(fired) < len(nodes):
+        group = {
+            i for i in range(len(nodes))
+            if i not in fired and wire_preds[i] <= fired
+            and (_cond_source(lay, i) is None or _cond_source(lay, i) in fired)
+        }
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(nodes)):
+                src = _cond_source(lay, i)
+                if (i not in fired and i not in group and wire_preds[i] <= fired
+                        and src is not None and src in group):
+                    group.add(i)
+                    changed = True
+        assert group
+        slices.append(sorted(group))
+        fired |= group
+    return slices
+
+
+def recursive_alap(lay) -> list[list[int]]:
+    """Lazy slices from each node's depth above the sinks, by recursion."""
+    nodes = lay.circuit.nodes
+    succs = [set() for _ in nodes]
+    for w in lay.wires:
+        if w.src and w.dst:
+            succs[w.src[0]].add(w.dst[0])
+    for i in range(len(nodes)):
+        src = _cond_source(lay, i)
+        if src is not None:
+            succs[src].add(i)
+    rev = [-1] * len(nodes)
+
+    def depth(i: int) -> int:
+        if rev[i] < 0:
+            rev[i] = 1 + max((depth(j) for j in succs[i]), default=-1)
+        return rev[i]
+
+    for i in range(len(nodes)):
+        depth(i)
+    top = max(rev, default=0)
+    slices: list[list[int]] = [[] for _ in range(top + 1)]
+    for i, r in enumerate(rev):
+        slices[top - r].append(i)
+    return [grp for grp in slices if grp]
+
+
+def scanning_leaves(lay, slices: list[list[int]]) -> list[list[int]]:
+    """Each cut's wires, by a scan of every wire per cut."""
+    slice_of = {n: s for s, grp in enumerate(slices) for n in grp}
+    fire = {w.index: (slice_of[w.src[0]] if w.src else -1) for w in lay.wires}
+    consume = {w.index: (slice_of[w.dst[0]] if w.dst else len(slices)) for w in lay.wires}
+    return [[w.index for w in lay.wires if fire[w.index] < i <= consume[w.index]]
+            for i in range(len(slices) + 1)]
+
+
+class TestSchedulingOracles:
+    def test_slices_and_leaves_equal_the_oracles(self):
+        for c in graph_cases():
+            lay = layout(c)
+            for strategy, oracle in (("asap", fixed_point_asap), ("alap", recursive_alap)):
+                fol = foliate(lay, strategy)
+                assert fol.slices == oracle(lay), (c.name, strategy)
+                assert fol.leaves == scanning_leaves(lay, fol.slices), (c.name, strategy)
+
+    def test_conditioning_chain(self):
+        """Fair coins, each conditioned on the next in node order: asap fires
+        the whole chain in one slice, alap one coin per slice."""
+        half = np.array([[np.sqrt(0.5)]])
+        events = (Event("0", (half,)), Event("1", (half,)))
+        coins = [TestNode(f"c{k}", (), (), events,
+                          Condition(f"c{k + 1}", {"0": (0, 1), "1": (0, 1)}) if k < 3 else None)
+                 for k in range(4)]
+        lay = layout(Circuit("coins", {}, coins, []))
+        assert foliate(lay, "asap").slices == fixed_point_asap(lay) == [[0, 1, 2, 3]]
+        assert foliate(lay, "alap").slices == recursive_alap(lay) == [[3], [2], [1], [0]]
+
+
+class TestDeepChain:
+    @pytest.fixture(scope="class")
+    def lay(self):
+        return layout(closed_chain(DEEP_CHAIN))
+
+    def test_layout(self, lay):
+        assert lay.topo_order == list(range(DEEP_CHAIN + 2))
+        assert len(lay.wires) == DEEP_CHAIN + 1
+        assert lay.input_wires == lay.output_wires == []
+
+    @pytest.mark.parametrize("strategy", ["asap", "alap"])
+    def test_one_slice_per_node(self, lay, strategy):
+        fol = foliate(lay, strategy)
+        assert fol.slices == [[i] for i in range(DEEP_CHAIN + 2)]
+        assert fol.leaves == [[]] + [[w] for w in range(DEEP_CHAIN + 1)] + [[]]
 
 
 class TestCompileSlice:
