@@ -12,7 +12,7 @@ instead of another node's outcome.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import json
 from dataclasses import dataclass, field
 from math import prod
@@ -342,22 +342,24 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
     return report
 
 
-def _topo_sort(preds: list[set[int]]) -> list[int] | None:
-    """Kahn's algorithm, smallest ready index first; None if cyclic."""
+def _topo_sort(preds: list[set[int]], pick=lambda ready: 0) -> list[int] | None:
+    """Kahn's algorithm; None if cyclic. The nodes ready to go are kept in
+    ascending order, and ``pick`` gives the position of the next one, by
+    default the smallest index."""
     succs: list[list[int]] = [[] for _ in preds]
     for b, parents in enumerate(preds):
         for a in parents:
             succs[a].append(b)
     indeg = [len(parents) for parents in preds]
-    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    ready = [i for i, d in enumerate(indeg) if d == 0]
     order: list[int] = []
     while ready:
-        i = heapq.heappop(ready)
+        i = ready.pop(pick(ready))
         order.append(i)
         for j in succs[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                heapq.heappush(ready, j)
+                bisect.insort(ready, j)
     return order if len(order) == len(preds) else None
 
 

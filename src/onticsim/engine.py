@@ -135,11 +135,11 @@ def load_run_spec(path) -> Program:
 
 @dataclass
 class _SlicePlan:
-    node_indices: list[int]           # topo order within the slice
+    node_indices: list[int]           # the foliation's slice, in run order
     out_dims: tuple[int, ...]
     fast: bool
     # Nodes whose condition reads from outside the slice (or @input), in
-    # node order: their admissible event subsets make up the context key.
+    # run order: their admissible event subsets make up the context key.
     key_nodes: tuple[TestNode, ...]
     # context key -> _Branches, filled on first use
     branches: dict = field(default_factory=dict)
@@ -162,7 +162,10 @@ class CompiledStep:
     layout: CircuitLayout
     foliation: Foliation
     slices: list[_SlicePlan]
-    bind: list[tuple[int, int]] | None
+    # (previous output position, input position) pairs, checked once by
+    # ``compile_program``; the identity on the first step, whose input is
+    # the initial state.
+    bind: list[tuple[int, int]]
 
 
 def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[CompiledStep]:
@@ -185,9 +188,11 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
         if prod(lay.input_dims) > max_dim or prod(lay.output_dims) > max_dim:
             raise EngineError(f"step {t}: boundary dimension exceeds cap {max_dim}")
         in_dims = lay.input_dims
-        if prev_out is not None:
-            bound = _bind_pairs(step.bind, len(prev_out), len(in_dims), t)
-            for a, b in bound:
+        if prev_out is None:
+            bind = [(i, i) for i in range(len(in_dims))]
+        else:
+            bind = _bind_pairs(step.bind, len(prev_out), len(in_dims), t)
+            for a, b in bind:
                 if prev_out[a] != in_dims[b]:
                     raise EngineError(
                         f"step {t}: bind maps a dim-{prev_out[a]} output onto a "
@@ -196,20 +201,19 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
         fol = foliate(lay, "asap")
         plans = []
         for s, members in enumerate(fol.slices):
-            topo_members = [i for i in lay.topo_order if i in members]
             fast = (
                 prod(fol.leaf_dims(s)) <= FAST_PATH_MAX_DIM
                 and prod(fol.leaf_dims(s + 1)) <= FAST_PATH_MAX_DIM
             )
-            nodes = [lay.circuit.nodes[i] for i in topo_members]
+            nodes = [lay.circuit.nodes[i] for i in members]
             labels = {n.label for n in nodes}
             key_nodes = tuple(
                 n for n in nodes
                 if n.condition is not None
                 and (n.condition.source == INPUT_SOURCE or n.condition.source not in labels)
             )
-            plans.append(_SlicePlan(topo_members, fol.leaf_dims(s + 1), fast, key_nodes))
-        compiled.append(CompiledStep(lay, fol, plans, step.bind))
+            plans.append(_SlicePlan(members, fol.leaf_dims(s + 1), fast, key_nodes))
+        compiled.append(CompiledStep(lay, fol, plans, bind))
         prev_out = lay.output_dims
     return compiled
 
@@ -398,8 +402,6 @@ def _pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.add.accumulate(weights * (weights > ZERO_BRANCH), axis=1)
     if 0.0 in cum[:, -1].tolist():
         raise EngineError("all outcome branches of a slice have zero weight")
-    if weights.shape[1] == 1:
-        return np.zeros(len(weights), dtype=np.intp)
     # Not counting the last column clips the pick to the last branch.
     return np.add.reduce(cum[:, :-1] <= u[:, None] * cum[:, -1:], axis=1)
 
@@ -421,10 +423,11 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     order = [_BATCH, *lay.input_wires]
     path = np.zeros(n, dtype=np.intp)
     paths: list[tuple[dict[str, str], dict[str, str]]] = [({}, {})]  # (chosen, free)
-    weight = np.ones(n) if not step.slices else None
+    weight = np.ones(n)
     for s, plan in enumerate(step.slices):
         new_paths: list[tuple[dict[str, str], dict[str, str]]] = []
-        new_path = out = w = None
+        new_path = np.empty(n, dtype=np.intp)
+        out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
         if plan.fast:
             x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]])
             x_all = x_all.reshape(n, 1, -1, 1)
@@ -434,7 +437,8 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             key = _context_key(plan, chosen, classical_input)
             branches = _branches(plan, lay, key, chosen, classical_input)
             cands, frees = branches.cands, branches.frees
-            m, k = n if len(paths) == 1 else len(rows), len(cands)
+            u = uniforms[rows, s]
+            m, k = len(u), len(cands)
             if plan.fast:
                 amps = np.matmul(_stacked_operators(step, s, branches), x_all[rows])
                 amps = amps.reshape(m * k, -1)
@@ -449,32 +453,18 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                 weights = np.array([[float(np.real(np.vdot(t, t))) for t, _ in r] for r in results]
                                    ).reshape(k, m).T
                 amps = np.stack([np.stack([t.reshape(-1) for t, _ in r]) for r in results], axis=1)
-            idx = _pick_branches(weights, uniforms[rows, s])
+            idx = _pick_branches(weights, u)
             _check_slice_total(branches, weights)
+            pos = np.arange(m)
+            w_rows = weights[pos, idx]
+            out[rows], w[rows] = amps[pos, idx] / np.sqrt(w_rows)[:, None], w_rows
             distinct = sorted(set(idx.tolist()))
-            if len(distinct) == 1:
-                w_rows, picked = weights[:, distinct[0]], amps[:, distinct[0]]
-            else:
-                pos = np.arange(m)
-                w_rows, picked = weights[pos, idx], amps[pos, idx]
-            picked = picked / np.sqrt(w_rows)[:, None]
-            if len(paths) == 1:
-                out, w = picked, w_rows
-            else:
-                if out is None:
-                    out, w = np.empty((n, picked.shape[1]), dtype=complex), np.empty(n)
-                out[rows], w[rows] = picked, w_rows
-            if len(paths) > 1 or len(distinct) > 1:
-                if new_path is None:
-                    new_path = np.empty(n, dtype=np.intp)
-                lookup = np.zeros(k, dtype=np.intp)
-                lookup[distinct] = np.arange(len(new_paths), len(new_paths) + len(distinct))
-                new_path[rows] = lookup[idx]
+            lookup = np.zeros(k, dtype=np.intp)
+            lookup[distinct] = np.arange(len(new_paths), len(new_paths) + len(distinct))
+            new_path[rows] = lookup[idx]
             new_paths += [({**chosen, **cands[c]}, {**free, **frees[c]}) for c in distinct]
-        state, order, paths = out.reshape((n, *out_shape)), out_order, new_paths
-        if new_path is not None:
-            path = new_path
-        weight = w if s == 0 else weight * w
+        state, order, path, paths = out.reshape((n, *out_shape)), out_order, new_path, new_paths
+        weight = weight * w
     state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
     return path, [free for _, free in paths], state, weight
 
@@ -491,14 +481,13 @@ def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
                 )
 
 
-def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]] | None,
-                n_out: int, n_in: int, t: int) -> np.ndarray:
-    """Route a step's output tensor onto the next step's inputs; axes before
-    the ``n_out`` wire axes (a batch axis) stay in front."""
-    pairs = _bind_pairs(bind, n_out, n_in, t)
-    lead = state.ndim - n_out
-    axes = [0] * n_in
-    for a, b in pairs:
+def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]]) -> np.ndarray:
+    """Route a step's output tensor onto the next step's inputs along the
+    step's checked bind pairs; axes before the wire axes (a batch axis)
+    stay in front."""
+    lead = state.ndim - len(bind)
+    axes = [0] * len(bind)
+    for a, b in bind:
         axes[b] = lead + a
     return state.transpose([*range(lead), *axes])
 
@@ -542,30 +531,25 @@ def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs
                   uniforms: np.ndarray, start: int, store_states: bool) -> TrajectoryBatch:
     n = len(uniforms)
     state = _initial_tensor(program, compiled, omega0).reshape(1, -1).repeat(n, axis=0)
+    dims = compiled[0].layout.input_dims
     path = np.zeros(n, dtype=np.intp)
     outcomes: list[tuple[dict[str, str], ...]] = [()]
+    prob = np.ones(n)
     weights, states = [], []
     col = 0
     for t, step in enumerate(compiled):
-        if t:
-            prev = compiled[t - 1].layout.output_dims
-            state = _apply_bind(
-                state.reshape((n, *prev)), step.bind, len(prev), len(step.layout.input_dims), t,
-            ).reshape(n, -1)
+        state = _apply_bind(state.reshape((n, *dims)), step.bind).reshape(n, -1)
         step_path, step_frees, state, weight = _sample_slices(
             step, state, inputs[t], uniforms[:, col:col + len(step.slices)]
         )
         col += len(step.slices)
-        # Step weights multiply in step order, from the first step's weight.
-        prob = weight if t == 0 else prob * weight
+        dims = step.layout.output_dims
+        prob = prob * weight  # step weights multiply in step order
         weights.append(weight)
-        if len(step_frees) == 1:
-            outcomes = [o + (step_frees[0],) for o in outcomes]
-        else:
-            joint = path * len(step_frees) + step_path
-            ids, path = np.unique(joint, return_inverse=True)
-            outcomes = [outcomes[j // len(step_frees)] + (step_frees[j % len(step_frees)],)
-                        for j in ids.tolist()]
+        joint = path * len(step_frees) + step_path
+        ids, path = np.unique(joint, return_inverse=True)
+        outcomes = [outcomes[j // len(step_frees)] + (step_frees[j % len(step_frees)],)
+                    for j in ids.tolist()]
         if store_states:
             states.append(state)
     return TrajectoryBatch(start, path, outcomes, weights, prob,
@@ -709,8 +693,7 @@ def enumerate_histories(
             state, order = _reorder(state, order, list(lay.output_wires)), []
             if t + 1 < len(compiled):
                 nxt = compiled[t + 1]
-                state = _apply_bind(state, nxt.bind, len(lay.output_dims),
-                                    len(nxt.layout.input_dims), t + 1)
+                state = _apply_bind(state, nxt.bind)
                 order = list(nxt.layout.input_wires)
             yield t + 1, 0, state, order, {}, key
             return

@@ -23,8 +23,11 @@ node as many slices before the last as the longest path from it to a
 sink, counting wire and conditioning edges alike, so conditioning
 sources fire strictly earlier and every classical edge crosses a cut.
 ``random`` groups a random linear extension into random
-consecutive slices, which may bury wires inside a slice; the kernel's
-topological order contracts such internal chains in turn.
+consecutive slices, which may bury wires inside a slice; the kernel
+contracts such internal chains in turn.
+
+Whatever the strategy, ``foliate`` lists each slice's nodes in the
+layout's topological order, which is the order the kernel runs them in.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from math import prod
 
 import numpy as np
 
-from .circuit import Circuit, CircuitLayout, CircuitError, INPUT_SOURCE, TestNode, layout as circuit_layout
+from .circuit import (Circuit, CircuitLayout, CircuitError, INPUT_SOURCE, TestNode, _topo_sort,
+                      layout as circuit_layout)
 from .linalg import MAX_DIM, is_contraction
 
 
@@ -50,7 +54,7 @@ class MissingOutcomeError(FoliationError):
 @dataclass
 class Foliation:
     layout: CircuitLayout
-    slices: list[list[int]]      # node indices per slice
+    slices: list[list[int]]      # node indices per slice, in the layout's topological order
     leaves: list[list[int]]      # wire indices per cut; len(slices) + 1 entries
     strategy: str = "given"
 
@@ -87,13 +91,13 @@ def _check_slices(lay: CircuitLayout, slices: list[list[int]]) -> None:
                 f"wire {w.index} runs backwards across slices "
                 f"({lay.circuit.nodes[w.src[0]].label} -> {lay.circuit.nodes[w.dst[0]].label})"
             )
+    # Every wire parent passed above, so a later predecessor is a
+    # conditioning source.
     for i, node in enumerate(lay.circuit.nodes):
-        if node.condition and node.condition.source != INPUT_SOURCE:
-            src = lay.circuit.node_index(node.condition.source)
-            if slice_of[src] > slice_of[i]:
-                raise FoliationError(
-                    f"conditioning source {node.condition.source} fires after {node.label}"
-                )
+        if any(slice_of[p] > slice_of[i] for p in lay.predecessors[i]):
+            raise FoliationError(
+                f"conditioning source {node.condition.source} fires after {node.label}"
+            )
 
 
 def foliate(circuit, strategy: str = "asap", *, slices=None, rng=None) -> Foliation:
@@ -106,7 +110,11 @@ def foliate(circuit, strategy: str = "asap", *, slices=None, rng=None) -> Foliat
     if strategy == "given":
         if slices is None:
             raise FoliationError("strategy 'given' needs explicit slices")
-        idx_slices = [[lay.circuit.node_index(lbl) for lbl in grp] for grp in slices]
+        index = {node.label: i for i, node in enumerate(lay.circuit.nodes)}
+        try:
+            idx_slices = [[index[lbl] for lbl in grp] for grp in slices]
+        except KeyError as exc:
+            raise FoliationError(f"no node {exc.args[0]!r}") from None
     elif strategy == "asap":
         idx_slices = _asap_slices(lay)
     elif strategy == "alap":
@@ -117,7 +125,8 @@ def foliate(circuit, strategy: str = "asap", *, slices=None, rng=None) -> Foliat
         idx_slices = _random_slices(lay, rng)
     else:
         raise FoliationError(f"unknown foliation strategy {strategy!r}")
-    idx_slices = [grp for grp in idx_slices if grp]
+    rank = {i: r for r, i in enumerate(lay.topo_order)}
+    idx_slices = [sorted(grp, key=rank.__getitem__) for grp in idx_slices if grp]
     _check_slices(lay, idx_slices)
     return Foliation(lay, idx_slices, _leaves_for_slices(lay, idx_slices), strategy)
 
@@ -153,14 +162,10 @@ def _alap_slices(lay: CircuitLayout) -> list[list[int]]:
 
 
 def _random_slices(lay: CircuitLayout, rng: np.random.Generator) -> list[list[int]]:
-    nodes = lay.circuit.nodes
-    preds = [set(p) for p in lay.predecessors]
-    remaining = set(range(len(nodes)))
-    order: list[int] = []
-    while remaining:
-        ready = sorted(i for i in remaining if preds[i] <= set(order))
-        order.append(ready[int(rng.integers(len(ready)))])
-        remaining.discard(order[-1])
+    # A uniform pick from the ready nodes, in ascending order, so that a
+    # given rng yields the same linear extension whatever order the nodes
+    # became ready in.
+    order = _topo_sort(lay.predecessors, lambda ready: int(rng.integers(len(ready))))
     slices: list[list[int]] = [[]]
     for i in order:
         if slices[-1] and rng.random() < 0.5:
@@ -211,7 +216,10 @@ def resolve_assignment(
         node = lay.circuit.nodes[i]
         admissible = admissible_events(node, chosen_label, classical_input)
         if node.label in outcomes:
-            idx = node.event_index(outcomes[node.label])
+            try:
+                idx = node.event_index(outcomes[node.label])
+            except KeyError as exc:
+                raise FoliationError(exc.args[0]) from None
             if idx not in admissible:
                 raise FoliationError(
                     f"outcome {outcomes[node.label]!r} of node {node.label!r} "
@@ -285,7 +293,7 @@ def compile_slice(
         raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
     state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
     order = [*fol.leaves[slice_index], _BATCH]
-    for i in [i for i in lay.topo_order if i in fol.slices[slice_index]]:
+    for i in fol.slices[slice_index]:
         node = lay.circuit.nodes[i]
         event = node.events[resolved[node.label]]
         if not event.is_atomic:

@@ -257,6 +257,7 @@ class TestEnumerate:
             [],
         )
         prog = Program("cross", [ProgramStep(prep), ProgramStep(meas, bind=[(0, 1), (1, 0)])])
+        assert [step.bind for step in compile_program(prog)] == [[], [(0, 1), (1, 0)]]
         law = {tuple(v for _, v in k): p for k, p in enumerate_histories(prog)}
         # m1 sees the |+> qubit (uniform), m2 sees |0> (deterministic).
         assert abs(law[("0", "0")] - 0.5) < 1e-12
@@ -388,6 +389,21 @@ class TestEnginePreconditions:
         prog = Program("bad", [ProgramStep(s1), ProgramStep(s2)])
         with pytest.raises(EngineError, match="dim"):
             compile_program(prog)
+
+    def test_bind_checked_once_at_compile(self, monkeypatch):
+        """Sampling and enumeration route wires along the compiled pairs and
+        check no bind again."""
+        prog, omega0 = rand3_program()
+        calls = []
+        check = engine._bind_pairs
+        monkeypatch.setattr(engine, "_bind_pairs", lambda *a: calls.append(a) or check(*a))
+        compiled = compile_program(prog)
+        assert len(calls) == 2
+        assert [step.bind for step in compiled] == [[(0, 0), (1, 1)]] * 3
+        run_trajectories(prog, 50, seed=1, omega0=omega0, compiled=compiled)
+        assert len(calls) == 2
+        enumerate_histories(prog, omega0)
+        assert len(calls) == 4
 
     def test_normalized_initial_state_required(self):
         prog = Program.single(vn_measure_circuit())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import DEEP_CHAIN, any_assignment, closed_chain, graph_cases
-from onticsim import engine, gallery
+from onticsim import engine, foliation, gallery
 from onticsim.circuit import (
     INPUT_SOURCE,
     Circuit,
@@ -88,6 +88,29 @@ class TestFoliate:
         with pytest.raises(FoliationError):
             foliate(c, "given", slices=[["alpha"]])
 
+    def test_given_unknown_label(self):
+        with pytest.raises(FoliationError, match="no node 'nope'"):
+            foliate(gallery.conditioned_step(), "given", slices=[["nope"]])
+
+    def test_given_conditioning_source_fires_after(self):
+        with pytest.raises(FoliationError, match="conditioning source c1 fires after c0"):
+            foliate(coin_chain(), "given", slices=[["c0"], ["c1", "c2", "c3"]])
+
+    def test_unknown_outcome(self):
+        fol = foliate(gallery.conditioned_step(), "asap")
+        with pytest.raises(FoliationError, match="node 'alpha' has no outcome '7'"):
+            compile_history(fol, {"alpha": "7", "E": "0", "V": "0", "Lambda": "0:0"})
+
+
+def coin_chain() -> Circuit:
+    """Four fair coins, each conditioned on the next in node order."""
+    half = np.array([[np.sqrt(0.5)]])
+    events = (Event("0", (half,)), Event("1", (half,)))
+    coins = [TestNode(f"c{k}", (), (), events,
+                      Condition(f"c{k + 1}", {"0": (0, 1), "1": (0, 1)}) if k < 3 else None)
+             for k in range(4)]
+    return Circuit("coins", {}, coins, [])
+
 
 def _cond_source(lay, i: int) -> int | None:
     node = lay.circuit.nodes[i]
@@ -154,6 +177,30 @@ def recursive_alap(lay) -> list[list[int]]:
     return [grp for grp in slices if grp]
 
 
+def scanning_random_slices(lay, rng) -> list[list[int]]:
+    """A random linear extension cut at random, with the ready nodes found
+    by a scan of every remaining node before each pick."""
+    preds = [set(p) for p in lay.predecessors]
+    remaining = set(range(len(lay.circuit.nodes)))
+    order: list[int] = []
+    while remaining:
+        ready = sorted(i for i in remaining if preds[i] <= set(order))
+        order.append(ready[int(rng.integers(len(ready)))])
+        remaining.discard(order[-1])
+    slices: list[list[int]] = [[]]
+    for i in order:
+        if slices[-1] and rng.random() < 0.5:
+            slices.append([])
+        slices[-1].append(i)
+    return slices
+
+
+def in_topo_order(lay, slices: list[list[int]]) -> list[list[int]]:
+    """Each slice sorted by its nodes' rank in the layout's topological order."""
+    rank = {i: r for r, i in enumerate(lay.topo_order)}
+    return [sorted(grp, key=rank.get) for grp in slices]
+
+
 def scanning_leaves(lay, slices: list[list[int]]) -> list[list[int]]:
     """Each cut's wires, by a scan of every wire per cut."""
     slice_of = {n: s for s, grp in enumerate(slices) for n in grp}
@@ -169,20 +216,48 @@ class TestSchedulingOracles:
             lay = layout(c)
             for strategy, oracle in (("asap", fixed_point_asap), ("alap", recursive_alap)):
                 fol = foliate(lay, strategy)
-                assert fol.slices == oracle(lay), (c.name, strategy)
+                assert fol.slices == in_topo_order(lay, oracle(lay)), (c.name, strategy)
                 assert fol.leaves == scanning_leaves(lay, fol.slices), (c.name, strategy)
 
     def test_conditioning_chain(self):
-        """Fair coins, each conditioned on the next in node order: asap fires
-        the whole chain in one slice, alap one coin per slice."""
-        half = np.array([[np.sqrt(0.5)]])
-        events = (Event("0", (half,)), Event("1", (half,)))
-        coins = [TestNode(f"c{k}", (), (), events,
-                          Condition(f"c{k + 1}", {"0": (0, 1), "1": (0, 1)}) if k < 3 else None)
-                 for k in range(4)]
-        lay = layout(Circuit("coins", {}, coins, []))
-        assert foliate(lay, "asap").slices == fixed_point_asap(lay) == [[0, 1, 2, 3]]
+        """Each coin is conditioned on the next in node order: asap fires the
+        whole chain in one slice, sources first, and alap one coin per slice."""
+        lay = layout(coin_chain())
+        assert fixed_point_asap(lay) == [[0, 1, 2, 3]]
+        assert foliate(lay, "asap").slices == in_topo_order(lay, fixed_point_asap(lay)) == [[3, 2, 1, 0]]
         assert foliate(lay, "alap").slices == recursive_alap(lay) == [[3], [2], [1], [0]]
+
+    def test_random_equals_the_scanning_oracle(self):
+        """The same rng gives the oracle's slices and leaves it in the same
+        state."""
+        for k, c in enumerate(graph_cases()):
+            lay = layout(c)
+            for seed in range(3):
+                rng, oracle_rng = np.random.default_rng([k, seed]), np.random.default_rng([k, seed])
+                want = scanning_random_slices(lay, oracle_rng)
+                assert foliation._random_slices(lay, rng) == want, (c.name, seed)
+                assert rng.random() == oracle_rng.random()
+                fol = foliate(lay, "random", rng=np.random.default_rng([k, seed]))
+                assert fol.slices == in_topo_order(lay, want), (c.name, seed)
+
+
+class TestRunOrder:
+    """Every strategy lists each slice's nodes in the layout's topological
+    order."""
+
+    def test_every_strategy(self):
+        for c in graph_cases():
+            lay = layout(c)
+            rank = {i: r for r, i in enumerate(lay.topo_order)}
+            asap = foliate(lay, "asap")
+            backwards = [labels[::-1] for labels in asap.slice_labels()]
+            fols = [asap, foliate(lay, "alap"), foliate(lay, "given", slices=backwards)]
+            fols += [foliate(lay, "random", rng=np.random.default_rng(seed)) for seed in range(4)]
+            for fol in fols:
+                for grp in fol.slices:
+                    ranks = [rank[i] for i in grp]
+                    assert ranks == sorted(ranks), (c.name, fol.strategy)
+            assert fols[2].slices == asap.slices
 
 
 class TestDeepChain:
@@ -200,6 +275,19 @@ class TestDeepChain:
         fol = foliate(lay, strategy)
         assert fol.slices == [[i] for i in range(DEEP_CHAIN + 2)]
         assert fol.leaves == [[]] + [[w] for w in range(DEEP_CHAIN + 1)] + [[]]
+
+    def test_random(self, lay):
+        fol = foliate(lay, "random", rng=np.random.default_rng(5))
+        assert [i for grp in fol.slices for i in grp] == list(range(DEEP_CHAIN + 2))
+        assert 1 < len(fol.slices) < DEEP_CHAIN + 2
+        assert fol.leaves == scanning_leaves(lay, fol.slices)
+
+    def test_compile_history(self, lay):
+        asap = compile_history(foliate(lay, "asap"), {"m": "0"})
+        rand = compile_history(foliate(lay, "random", rng=np.random.default_rng(5)), {"m": "0"})
+        assert asap.factor_count == DEEP_CHAIN + 2
+        assert asap.operator.shape == rand.operator.shape == (1, 1)
+        assert np.abs(asap.operator - rand.operator).max() < 1e-10
 
 
 class TestCompileSlice:
