@@ -14,15 +14,27 @@ Schmidt rank one, i.e. Tr rho_A^2 = 1. The scan reads the rank off an SVD
 (m x m) from one small Gram product. Any state the SVD would call rank one
 has 1 - P <= 2 (m - 1) TAU_RANK^2, so a defect above that bound plus a
 rounding allowance certifies the bipartition entangled and its SVD is
-skipped. The SVD still decides every case the bound cannot settle, so the
-partitions, split vectors and purities are those of the SVD-only scan.
+skipped.
+
+Before any scan, a block of more than two systems is read through its
+two-site marginals. A cut the SVD rule calls rank one leaves the state
+within trace norm 2 eps of a product, eps = sqrt(m - 1) TAU_RANK, and
+partial trace is contractive in trace norm, so every pair i, j across that
+cut has ||rho_ij - rho_i (x) rho_j||_1 <= 6 eps. A pair whose deviation is
+above that bound plus a rounding allowance is therefore a certified edge:
+no cut between its two systems splits. When the certified edges connect the
+block it is irreducible and no bipartition is scanned; otherwise the scan
+skips every bipartition that cuts an edge, and sub-blocks keep the edges of
+the block they came from. The SVD still decides every case the bounds
+cannot settle, so the partitions, split vectors and purities are those of
+the SVD-only scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, isqrt, prod, sqrt
 
 import numpy as np
 
@@ -43,6 +55,11 @@ MAX_FACTORS = 12  # factorization search is exponential in block size
 # (moving the bound by ~4 (m - 1) TAU_RANK D u), and a trace below 1 by the
 # 1e-9 normalisation tolerance (moving it by a factor 1 + 2e-9).
 _PURITY_ROUNDING = 1e-6
+
+# Largest d_i d_j whose two-site marginal the pair certificate forms; pairs
+# of larger systems certify nothing.
+_PAIR_DIM_CAP = 64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class IndividuationError(ValueError):
@@ -70,17 +87,26 @@ class MindPartition:
         return [list(b) for b in self.blocks]
 
 
-def _try_split(tensor: np.ndarray, local_n: int):
+def _try_split(tensor: np.ndarray, local_n: int, groups: tuple[int, ...] | None = None):
     """First rank-one bipartition of a block, anchored on its first factor.
 
     Returns (left axes, right axes, left state, right state) or None when
     the block is irreducible. Every bipartition is tried once, smallest
-    anchored side first, so the scan order is canonical.
+    anchored side first, so the scan order is canonical. ``groups`` labels
+    each axis with its component in the graph of certified pairs (see
+    ``_pair_groups``): one label for every axis proves the block
+    irreducible, and a bipartition that separates two axes of one component
+    is skipped.
     """
+    if groups is not None and len(set(groups)) == 1:
+        return None
     for size in range(1, local_n):
         for extra in combinations(range(1, local_n), size - 1):
             left_axes = (0,) + extra
             right_axes = tuple(i for i in range(local_n) if i not in left_axes)
+            if groups is not None and not {groups[i] for i in left_axes}.isdisjoint(
+                    groups[i] for i in right_axes):
+                continue
             d_left = prod(tensor.shape[i] for i in left_axes)
             mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
             if _certainly_entangled(mat):
@@ -89,6 +115,104 @@ def _try_split(tensor: np.ndarray, local_n: int):
             if np.sum(s > TAU_RANK) == 1:
                 return left_axes, right_axes, u[:, 0], vh[0, :]
     return None
+
+
+def _pair_threshold(size: int, n: int) -> float:
+    """Deviation ||rho_ij - rho_i (x) rho_j||_1 above which a pair of systems
+    of a block of ``n`` systems and ``size`` amplitudes is a certified edge.
+
+    The bound. Suppose the SVD rule calls a cut A|B of a unit vector psi
+    rank one, with i in A and j in B: the Schmidt coefficients after the
+    first, at most m - 1 of them (m the dimension of the smaller side), are
+    each at most TAU_RANK. The product phi = u_1 (x) v_1 then has
+    ||psi psi^dag - phi phi^dag||_1 = 2 sqrt(1 - s_1^2) <= 2 eps with
+    eps = sqrt(m - 1) TAU_RANK. Partial trace is contractive in trace norm
+    (Nielsen & Chuang, sec. 9.2), so the marginal rho_ij is within 2 eps of
+    sigma_i (x) sigma_j, the marginal of phi, and rho_i and rho_j are each
+    within 2 eps of sigma_i and sigma_j; unit trace norms make
+    rho_i (x) rho_j within 4 eps of sigma_i (x) sigma_j. Hence the
+    deviation is at most 6 eps. Every cut of the block has m <= isqrt(size),
+    so one threshold serves all of its cuts, and those of its sub-blocks.
+    A NaN deviation exceeds no threshold and certifies nothing.
+
+    The rounding allowance, to first order in u = 2^-53, doubled:
+    * Forming the marginal: rho_ij is a Gram product of size / r terms
+      (r = d_i d_j <= _PAIR_DIM_CAP), so each entry is off by at most
+      gamma_{size/r} (|M||M|^dag)_ab (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., sec. 3.5) and rho_ij by at most
+      sqrt(r) (size / r) u <= size u in trace norm. The partial traces are
+      contractive, so the deviation is off by at most 3 size u, plus the
+      Hermitian eigensolver's r u per eigenvalue, 2 r^2 u in all. The
+      marginals are divided by their trace, so the state's 1e-9
+      normalisation tolerance only scales eps by 1 + 1e-9.
+    * The SVD's error in each singular value it compares with TAU_RANK,
+      about size u (as for ``_PURITY_ROUNDING``): eps grows by
+      sqrt(m - 1) size u, the bound by 6 sqrt(m) size u.
+    * Sub-blocks reuse the edges of their parent instead of forming their
+      own marginals. A rank-one split leaves the sub-block's vector within
+      trace norm 2 (m - 1) TAU_RANK^2 + 2 size u of the parent's marginal
+      (the Schmidt weight it drops, and the SVD's backward error), and the
+      deviation moves by at most three times that. A chain of splits is at
+      most n long: 6 n (m TAU_RANK^2 + size u).
+    The sum is at most (6 sqrt(m) + 6 n + 3) (size + _PAIR_DIM_CAP^2) u
+    + 6 n m TAU_RANK^2; for twelve qubits the allowance is 2.3e-10 against
+    a bound of 4.8e-7.
+    """
+    m = isqrt(size)
+    rounding = ((6 * sqrt(m) + 6 * n + 3) * (size + _PAIR_DIM_CAP ** 2) * _UNIT_ROUNDOFF
+                + 6 * n * m * TAU_RANK ** 2)
+    return 6 * sqrt(m - 1) * TAU_RANK + 2 * rounding
+
+
+def _pair_groups(tensor: np.ndarray) -> tuple[int, ...]:
+    """Component label of each axis in the graph of certified pairs.
+
+    Pairs are read row by row (i, j > i), and only while i and j are not
+    already joined, so a state whose first row connects it costs n - 1
+    marginals. The components do not depend on which pairs were skipped.
+    """
+    n, dims = tensor.ndim, tensor.shape
+    threshold = _pair_threshold(tensor.size, n)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(n - 1):
+        js = [j for j in range(i + 1, n)
+              if find(j) != find(i) and dims[i] * dims[j] <= _PAIR_DIM_CAP]
+        for j, deviation in zip(js, _pair_deviations(tensor, i, js)):
+            if deviation > threshold:
+                parent[find(j)] = find(i)
+        if len({find(a) for a in range(n)}) == 1:
+            break
+    return tuple(find(a) for a in range(n))
+
+
+def _pair_deviations(tensor: np.ndarray, i: int, js: list[int]) -> list[float]:
+    """||rho_ij - rho_i (x) rho_j||_1 for each j > i in ``js``, from the
+    trace-normalised two-site marginals of ``tensor``; pairs with systems j
+    of one dimension are stacked and go through numpy together."""
+    di = tensor.shape[i]
+    front = np.ascontiguousarray(np.moveaxis(tensor, i, 0))
+    deviation = {}
+    for dj in {tensor.shape[j] for j in js}:
+        group = [j for j in js if tensor.shape[j] == dj]
+        mats = np.empty((len(group), di * dj, tensor.size // (di * dj)), dtype=complex)
+        for mat, j in zip(mats, group):
+            a, b = prod(front.shape[1:j]), prod(front.shape[j + 1:])  # j > i keeps its axis
+            mat.reshape(di, dj, a, b)[...] = front.reshape(di, a, dj, b).transpose(0, 2, 1, 3)
+        rho = mats @ mats.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        r5 = rho.reshape(-1, di, dj, di, dj)
+        rho_i = np.trace(r5, axis1=2, axis2=4)
+        rho_j = np.trace(r5, axis1=1, axis2=3)
+        product = (rho_i[:, :, None, :, None] * rho_j[:, None, :, None, :]).reshape(rho.shape)
+        norms = np.abs(np.linalg.eigvalsh(rho - product)).sum(axis=-1)
+        deviation.update(zip(group, norms.tolist()))
+    return [deviation[j] for j in js]
 
 
 def _certainly_entangled(mat: np.ndarray) -> bool:
@@ -131,6 +255,9 @@ def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise IndividuationError("state must be finite and normalized")
 
+    # Certified pairs are read once, on the whole state; every sub-block
+    # keeps the labels of its systems (see _pair_threshold).
+    groups = _pair_groups(psi.reshape(dims)) if n > 2 else None
     final_blocks: list[tuple[int, ...]] = []
     queue: list[tuple[tuple[int, ...], np.ndarray]] = [(tuple(range(n)), psi)] if n else []
     while queue:
@@ -139,7 +266,8 @@ def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
             final_blocks.append(block)
             continue
         tensor = vec.reshape(tuple(dims[i] for i in block))
-        split = _try_split(tensor, len(block))
+        split = _try_split(tensor, len(block),
+                           None if groups is None else tuple(groups[i] for i in block))
         if split is None:
             final_blocks.append(block)
         else:

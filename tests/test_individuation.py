@@ -125,20 +125,23 @@ class TestFinestFactorization:
         assert (part.blocks, part.purities, part.timestamp) == ((), (), 4)
 
 
-def brickwork_state(n, layers, seed, cuts=()):
+def brickwork_state(n, layers, seed, cuts=(), periodic=False):
     """Seeded brickwork of Haar two-qubit gates on n qubits from |0...0>,
     with the qubit axes permuted at the end. A gate on (i, i + 1) is left
-    out when i + 1 is in ``cuts``, so the cuts split the chain into blocks."""
+    out when i + 1 is in ``cuts``, so the cuts split the chain into blocks.
+    A periodic chain is a ring, its odd layers ending on (n - 1, 0), as in
+    the cold-12q benchmark."""
     rng = np.random.default_rng(seed)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     for layer in range(layers):
-        for i in range(layer % 2, n - 1, 2):
+        for i in range(layer % 2, n if periodic else n - 1, 2):
             if i + 1 in cuts:
                 continue
+            pair = (i, (i + 1) % n)
             gate = haar_unitary(4, rng).reshape(2, 2, 2, 2)
-            psi = np.tensordot(gate, psi, axes=((2, 3), (i, i + 1)))
-            psi = np.moveaxis(psi, (0, 1), (i, i + 1))
+            psi = np.tensordot(gate, psi, axes=((2, 3), pair))
+            psi = np.moveaxis(psi, (0, 1), pair)
     return psi.transpose(rng.permutation(n)).reshape(-1)
 
 
@@ -164,9 +167,10 @@ def test_brickwork_partition_is_pinned(cuts):
     assert tuple(p.hex() for p in part.purities) == purities
 
 
-def svd_try_split(tensor, local_n):
+def svd_try_split(tensor, local_n, groups=None):
     """Oracle scan: one full SVD per anchored bipartition, rank read off the
-    singular values, with no purity prefilter."""
+    singular values, with no purity prefilter and no pair certificate
+    (``groups`` is ignored)."""
     for size in range(1, local_n):
         for extra in combinations(range(1, local_n), size - 1):
             left_axes = (0,) + extra
@@ -306,6 +310,101 @@ class TestPrefilterFires:
         calls = self.count_scan_svds(monkeypatch)
         assert finest_factorization(psi, (2,) * 5).blocks == ((0, 3), (1, 2, 4))
         assert len(calls) == 1
+
+
+def weak_chain_state(n, delta, seed):
+    """|0...0> + delta sum_i |1_i 1_{i+1}> on an open chain of n qubits,
+    normalised, qubit axes shuffled. Each neighbouring pair deviates from
+    a product marginal by about 2 delta in trace norm; every cut separates
+    a neighbouring pair, so no cut has Schmidt rank one."""
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for i in range(n - 1):
+        psi[(0,) * i + (1, 1) + (0,) * (n - i - 2)] = delta
+    perm = np.random.default_rng(seed).permutation(n)
+    return psi.transpose(perm).reshape(-1) / np.linalg.norm(psi)
+
+
+def pair_deviation_oracle(psi, dims, i, j):
+    """||rho_ij - rho_i (x) rho_j||_1 by tensordot and a nuclear norm."""
+    t = psi.reshape(dims)
+    rest = [a for a in range(len(dims)) if a not in (i, j)]
+    rho = np.tensordot(t, t.conj(), axes=(rest, rest))
+    rho = rho / np.einsum("abab->", rho).real
+    rho_i, rho_j = np.einsum("abcb->ac", rho), np.einsum("abad->bd", rho)
+    r = dims[i] * dims[j]
+    return np.linalg.norm(rho.reshape(r, r) - np.kron(rho_i, rho_j), "nuc")
+
+
+class TestPairCertificate:
+    """A pair whose two-site marginal is far from a product joins its two
+    systems; a block whose pairs connect it needs no scan at all."""
+
+    @staticmethod
+    def count_scan_grams(monkeypatch):
+        calls = []
+        certainly_entangled = individuation._certainly_entangled
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return certainly_entangled(mat)
+
+        monkeypatch.setattr(individuation, "_certainly_entangled", counting)
+        return calls
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (3, 2, 2, 3, 2)])
+    def test_deviation_matches_a_partial_trace_oracle(self, dims):
+        psi = haar_state(prod(dims), np.random.default_rng(len(dims)))
+        for i in range(len(dims) - 1):
+            js = list(range(i + 1, len(dims)))
+            got = individuation._pair_deviations(psi.reshape(dims), i, js)
+            want = [pair_deviation_oracle(psi, dims, i, j) for j in js]
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    # Ten qubits keep the oracle's full scan of an irreducible state short.
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_periodic_brickwork_matches_svd_scan(self, depth, seed, monkeypatch):
+        psi = brickwork_state(10, depth, seed, periodic=True)
+        part = finest_factorization(psi, (2,) * 10)
+        assert part == TestPrefilterAgainstSvdScan.oracle(psi, (2,) * 10, monkeypatch)
+        assert [len(b) for b in part.blocks] == ([2] * 5 if depth == 1 else [10])
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_cut_brickwork_matches_svd_scan(self, depth, monkeypatch):
+        psi = brickwork_state(12, depth, 2024, cuts=(4, 9))
+        part = finest_factorization(psi, (2,) * 12)
+        assert part == TestPrefilterAgainstSvdScan.oracle(psi, (2,) * 12, monkeypatch)
+
+    @pytest.mark.parametrize("psi", [brickwork_state(12, 4, 3, periodic=True),
+                                     haar_state(2 ** 12, np.random.default_rng(12))])
+    def test_connected_state_runs_no_gram_and_no_svd(self, psi, monkeypatch):
+        grams = self.count_scan_grams(monkeypatch)
+        svds = TestPrefilterFires.count_scan_svds(monkeypatch)
+        assert finest_factorization(psi, (2,) * 12).blocks == (tuple(range(12)),)
+        assert (grams, svds) == ([], [])
+
+    def test_weakly_correlated_chain_is_certified(self, monkeypatch):
+        # Neighbouring pairs deviate by about 2e-6, four times the twelve-qubit
+        # bound of 4.8e-7: certified, so the block needs no scan.
+        psi = weak_chain_state(12, 1e-6, 5)
+        expected = TestPrefilterAgainstSvdScan.oracle(psi, (2,) * 12, monkeypatch)
+        grams = self.count_scan_grams(monkeypatch)
+        svds = TestPrefilterFires.count_scan_svds(monkeypatch)
+        assert finest_factorization(psi, (2,) * 12) == expected
+        assert expected.blocks == (tuple(range(12)),)
+        assert (grams, svds) == ([], [])
+
+    def test_reducible_state_scans_only_unions_of_components(self, monkeypatch):
+        # Six entangled pairs: each of the five splits tries the next pair
+        # first, and every other bipartition cuts a certified edge.
+        psi = brickwork_state(12, 1, 0, periodic=True)
+        grams = self.count_scan_grams(monkeypatch)
+        svds = TestPrefilterFires.count_scan_svds(monkeypatch)
+        part = finest_factorization(psi, (2,) * 12)
+        assert [len(b) for b in part.blocks] == [2] * 6
+        assert grams == [(4, 4 ** k) for k in range(5, 0, -1)]
+        assert len(svds) == 5
 
 
 class TestTimeline:
