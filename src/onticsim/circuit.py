@@ -301,8 +301,11 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                 ops = [k for i in idxs for k in n.events[i].operators]
                 spectra[idxs] = _gram_spectrum(ops, 1.0 - tol, 1.0 + tol)
             bottom, top = spectra[idxs]
-            if top > 1.0 + tol:
-                ctx = f" (conditioned on {key!r})" if key else ""
+            ctx = f" (conditioned on {key!r})" if key else ""
+            if np.isnan(top):
+                errors.append(f"node {n.label!r}{ctx}: sum K^dag K is not finite "
+                              "(a non-finite or overflowing operator entry)")
+            elif top > 1.0 + tol:
                 errors.append(
                     f"node {n.label!r}{ctx} is trace-increasing: sigma_max - 1 = {top - 1.0:.3g}"
                 )

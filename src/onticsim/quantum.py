@@ -87,6 +87,8 @@ class KrausSet:
     def validate(self) -> None:
         """Raise unless trace-nonincreasing: sum K^dag K <= I."""
         top = gram_top_eigenvalue(self.operators)
+        if np.isnan(top):
+            raise ValueError("sum K^dag K is not finite")
         if top > 1.0 + COMPLETENESS_TOL:
             raise ValueError(
                 f"trace-increasing transformation: sigma_max(sum K^dag K) - 1 = {top - 1.0:.3g}"
@@ -124,6 +126,7 @@ def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
     return hi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite G reads as NaN, below
 def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]:
     """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
     each resolved until it settles its own side of [lower, upper].
@@ -150,6 +153,11 @@ def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]
     The recurrence stops once both sides are fixed, so with lower = -inf it
     stops at the top side's verdict. A side that ``_LANCZOS_STEPS`` steps
     leave open takes the exact value from the dense eigvalsh of the formed G.
+
+    Both bounds are NaN when the recurrence or the formed G meets a value
+    that is not finite: an operator entry that is NaN or infinite, or one
+    such as 1e308 whose square overflows. No verdict holds then, and NaN
+    fails every comparison, so callers test for it.
     """
     ops = [np.asarray(k, dtype=complex) for k in operators]
     d = ops[0].shape[1]
@@ -170,6 +178,8 @@ def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]
             for _ in range(2):  # full reorthogonalisation, twice for stability
                 w -= done.T @ (done.conj() @ w)
             b = float(np.linalg.norm(w))
+            if not np.isfinite(alpha[-1] + b):
+                return np.nan, np.nan
             ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             if top is None and ritz[-1] > upper:
                 top = float(ritz[-1])
@@ -185,7 +195,10 @@ def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]
                 return bottom, top
             beta.append(b)
             q = w / b
-    w = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops))
+    gram = sum(k.conj().T @ k for k in ops)
+    if not np.isfinite(gram).all():
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(gram)
     return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onticsim import gallery
 from _helpers import graph_cases
@@ -88,6 +90,36 @@ class TestValidate:
         nodes = [TestNode("bad", ("A",), ("A",), (Event("0", (2 * np.eye(2, dtype=complex),)),))]
         report = validate_dag(Circuit("ti", systems, nodes, []))
         assert any("trace-increasing" in e for e in report.errors)
+
+    # d = 4 takes the dense eigvalsh, d = 257 the Lanczos recurrence.
+    @pytest.mark.parametrize("dim", [4, 257])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(entry=st.one_of(st.floats(), st.complex_numbers()).filter(lambda x: not abs(x) <= 2))
+    @example(entry=1e308)
+    @example(entry=float("nan"))
+    @example(entry=float("-inf"))
+    @example(entry=complex(0.0, 1e308))
+    def test_non_finite_gram_invalidates_the_node(self, dim, entry):
+        k = np.eye(dim, dtype=complex)
+        k[0, 0] = entry
+        node = TestNode("k", ("A",), ("A",), (Event("0", (k,)),))
+        report = validate_dag(Circuit("big", {"A": System("A", dim)}, [node], []))
+        assert not report.ok
+        # NaN, an infinity, or an entry whose square overflows every G q.
+        if not abs(entry) < 1e300:
+            assert report.errors == ["node 'k': sum K^dag K is not finite "
+                                     "(a non-finite or overflowing operator entry)"]
+
+    def test_overflowing_entry_of_a_program_node(self):
+        circuit = gallery.conditioned_step_program().steps[0].circuit
+        r = circuit.node("R")
+        k = r.events[0].operators[0].copy()
+        k[0, 0] = 1e308
+        nodes = [TestNode(n.label, n.inputs, n.outputs, (Event("0", (k,)),), n.condition)
+                 if n is r else n for n in circuit.nodes]
+        report = validate_dag(Circuit(circuit.name, circuit.systems, nodes, circuit.wires))
+        assert not report.ok
+        assert any("'R'" in e and "not finite" in e for e in report.errors)
 
     def test_condition_map_must_cover_source(self):
         base = gallery.conditioned_step()

@@ -119,6 +119,18 @@ def test_malformed_document_gives_one_error_line(command, case, circuits_dir, tm
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "classify"])
+def test_overflowing_kraus_entry_is_named(command, circuits_dir, tmp_path, capsys):
+    doc = json.loads((circuits_dir / "conditioned_step_program.json").read_text())
+    doc["steps"][0]["circuit"]["nodes"][3]["events"][0]["kraus"][0][0][0] = [1e308, 0.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "node 'R'" in err and "not finite" in err
+    assert "zero weight" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "bell_pair.json", "--trajectories", "-3"],
     ["bench-memory", "--trials", "0"],

@@ -47,6 +47,15 @@ class TestKrausSet:
         with pytest.raises(ValueError):
             KrausSet((2 * np.eye(2),)).validate()
 
+    @pytest.mark.parametrize("d", [2, 257])
+    @pytest.mark.parametrize("entry", [1e308, np.nan, np.inf])
+    def test_rejects_a_gram_that_is_not_finite(self, d, entry):
+        k = np.eye(d, dtype=complex)
+        k[0, 0] = entry
+        with pytest.raises(ValueError, match="not finite"):
+            KrausSet((k,)).validate()
+        assert not KrausSet((k,)).is_deterministic
+
     def test_shape_mismatch(self):
         with pytest.raises(SignatureError):
             KrausSet((np.eye(2), np.eye(3)))
