@@ -595,8 +595,10 @@ def _trajectories(batch: TrajectoryBatch, compiled: list[CompiledStep], inputs: 
                     step.foliation, dict(rec.outcomes), classical_input=inputs[t], max_dim=max_dim
                 ).operator
             steps.append(rec)
-        result.append(Trajectory(seed, batch.start + r, steps, prob, batch.states[-1][r],
-                                 list(dims)))
+        # With stored states the last step's copy is the final state; a row
+        # view would keep the whole batch array alive.
+        final = steps[-1].state if store_states else batch.states[-1][r]
+        result.append(Trajectory(seed, batch.start + r, steps, prob, final, list(dims)))
     return result
 
 

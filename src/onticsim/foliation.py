@@ -207,9 +207,14 @@ def resolve_assignment(
 
     Nodes whose admissible subset is a singleton resolve automatically;
     every genuine choice must be present in ``outcomes``. Raises
-    MissingOutcomeError otherwise.
+    MissingOutcomeError otherwise, and FoliationError for an outcome keyed
+    by a label that is no node of the circuit.
     """
     outcomes = dict(outcomes or {})
+    labels = {node.label for node in lay.circuit.nodes}
+    for label in outcomes:
+        if label not in labels:
+            raise FoliationError(f"no node {label!r}")
     resolved: dict[str, int] = {}
     chosen_label: dict[str, str] = {}
     for i in lay.topo_order:

@@ -119,6 +119,16 @@ class TestRunTrajectory:
         assert np.array_equal(t1.final_state, t2.final_state)
         assert t1.probability == t2.probability
 
+    def test_final_state_is_the_last_stored_state(self):
+        prog = gallery.merge_split_program()
+        stored = run_trajectories(prog, 5, seed=5, store_states=True)
+        plain = run_trajectories(prog, 5, seed=5)
+        for s, p in zip(stored, plain):
+            # No second copy, and no view that keeps the batch array alive.
+            assert np.shares_memory(s.final_state, s.steps[-1].state)
+            assert s.final_state.base is None
+            assert s.final_state.tobytes() == p.final_state.tobytes()
+
     def test_different_indices_differ(self):
         prog = gallery.conditioned_step_program()
         compiled = compile_program(prog)

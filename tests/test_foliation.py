@@ -101,6 +101,17 @@ class TestFoliate:
         with pytest.raises(FoliationError, match="node 'alpha' has no outcome '7'"):
             compile_history(fol, {"alpha": "7", "E": "0", "V": "0", "Lambda": "0:0"})
 
+    def test_unknown_label_in_outcomes(self):
+        # A misspelt label is named, not dropped (nor reported as a missing
+        # outcome of the node it was meant for).
+        fol = foliate(gallery.conditioned_step(), "asap")
+        outcomes = {"alpha": "0", "E": "0", "V": "0", "Lambda": "0:0", "Lamda": "1:1"}
+        with pytest.raises(FoliationError, match="no node 'Lamda'"):
+            compile_history(fol, outcomes)
+        del outcomes["Lambda"]
+        with pytest.raises(FoliationError, match="no node 'Lamda'"):
+            resolve_assignment(fol.layout, outcomes)
+
 
 def coin_chain() -> Circuit:
     """Four fair coins, each conditioned on the next in node order."""
