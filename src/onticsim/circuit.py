@@ -508,30 +508,55 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     return doc
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer field, such as a dimension, port index or bind
+    position; booleans, fractions and strings are malformed."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _label(value, field: str) -> str:
+    """A JSON string field, such as a label, outcome, port name or
+    condition source; an integer stands for its decimal text."""
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def circuit_from_dict(doc: dict) -> Circuit:
     try:
-        systems = {
-            s["label"]: System(s["label"], int(s["dim"]), s.get("theory", "quantum"))
-            for s in doc["systems"]
-        }
+        systems = [System(_label(s["label"], "system label"), _integer(s["dim"], "dim"),
+                          s.get("theory", "quantum"))
+                   for s in doc["systems"]]
         nodes = []
         for nd in doc["nodes"]:
             events = tuple(
-                Event(str(ev["outcome"]), tuple(jsonio.decode_matrix(m) for m in ev["kraus"]))
+                Event(_label(ev["outcome"], "outcome"),
+                      tuple(jsonio.decode_matrix(m) for m in ev["kraus"]))
                 for ev in nd["events"]
             )
             cond = None
             if nd.get("condition"):
-                cond = Condition(str(nd["condition"]["source"]),
-                                 {str(k): tuple(v) for k, v in nd["condition"]["map"].items()})
-            nodes.append(TestNode(str(nd["label"]), tuple(nd.get("inputs", ())),
-                                  tuple(nd.get("outputs", ())), events, cond))
+                outcome_map = nd["condition"]["map"]
+                if not isinstance(outcome_map, dict):
+                    raise TypeError(f"condition map must be an object, got {outcome_map!r}")
+                cond = Condition(_label(nd["condition"]["source"], "condition source"),
+                                 {k: tuple(_integer(i, "event index") for i in v)
+                                  for k, v in outcome_map.items()})
+            nodes.append(TestNode(_label(nd["label"], "node label"),
+                                  tuple(_label(s, "port name") for s in nd.get("inputs", ())),
+                                  tuple(_label(s, "port name") for s in nd.get("outputs", ())),
+                                  events, cond))
         wires = [
-            WireSpec(str(w["from"][0]), int(w["from"][1]), str(w["to"][0]), int(w["to"][1]))
+            WireSpec(_label(w["from"][0], "wire node"), _integer(w["from"][1], "port index"),
+                     _label(w["to"][0], "wire node"), _integer(w["to"][1], "port index"))
             for w in doc.get("wires", ())
         ]
-        return Circuit(str(doc.get("name", "circuit")), systems, nodes, wires,
-                       bool(doc.get("closed", False)))
+        return Circuit(_label(doc.get("name", "circuit"), "name"), {s.label: s for s in systems},
+                       nodes, wires, bool(doc.get("closed", False)))
     except CircuitError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -542,14 +567,22 @@ def serialize_circuit(circuit: Circuit) -> str:
     return jsonio.dumps(circuit_to_dict(circuit), indent=2) + "\n"
 
 
-def _decode_circuit(text: str) -> Circuit:
+def _json_object(text: str) -> dict | None:
+    """The JSON object a document holds, or None for a line-DSL document."""
+    if not text.lstrip().startswith("{"):
+        return None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CircuitError(f"JSON syntax error at line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+
+
+def _decode_circuit(text: str, doc: dict | None = None) -> Circuit:
     """Build a circuit from JSON (or the line DSL) without validating it;
-    ``layout`` validates before anything runs on it."""
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CircuitError(f"JSON syntax error at line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    ``layout`` validates before anything runs on it. ``doc`` is the JSON
+    object of ``text`` when the caller has read it already."""
+    doc = _json_object(text) if doc is None else doc
+    if doc is not None:
         return circuit_from_dict(doc)
     from .dsl import parse_dsl
 
@@ -562,7 +595,5 @@ def parse_circuit(text: str) -> Circuit:
     Raises CircuitError with a description of every violation found.
     """
     circuit = _decode_circuit(text)
-    report = validate_dag(circuit)
-    if not report.ok:
-        raise CircuitError("invalid circuit:\n" + str(report))
+    layout(circuit)
     return circuit

@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Subcommands: ``validate`` (parse + DAG check), ``run`` (trajectory
-sampling, JSON Lines), ``enumerate`` (exhaustive history law), ``classify``
-(individuation timeline), and ``bench-memory`` (store-and-recall fidelity
-sweep, CSV). Every command is deterministic given its inputs and seed;
+Subcommands: ``validate`` (parse + DAG check of each step), ``run``
+(trajectory sampling, JSON Lines), ``enumerate`` (exhaustive history law),
+``classify`` (individuation timeline), and ``bench-memory`` (store-and-
+recall fidelity sweep, CSV). Every command is deterministic given its inputs and seed;
 stdout carries only data, diagnostics go to stderr. Exit codes: 0 success,
 1 domain failure, 2 I/O or usage error.
 """
@@ -14,10 +14,9 @@ import argparse
 import contextlib
 import json
 import sys
-from pathlib import Path
 
 from . import jsonio
-from .circuit import CircuitError, _decode_circuit, validate_dag
+from .circuit import CircuitError, validate_dag
 from .engine import (
     EngineError,
     TrajectoryBatch,
@@ -37,13 +36,14 @@ DEFAULT_SEED = 20120712  # fixed so runs are reproducible by default
 
 def cmd_validate(args) -> int:
     try:
-        circuit = _decode_circuit(Path(args.path).read_text())
+        program = load_run_spec(args.path)
     except CircuitError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    report = validate_dag(circuit, tol=args.tolerance)
-    print(str(report), file=sys.stderr)
-    return 0 if report.ok else 1
+    reports = [validate_dag(step.circuit, tol=args.tolerance) for step in program.steps]
+    for t, report in enumerate(reports):
+        print(f"step {t}: {report}" if len(reports) > 1 else report, file=sys.stderr)
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def _output(args):
@@ -168,11 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--max-dim", type=int, default=MAX_DIM)
     common.add_argument("--out", type=str, default=None, help="write output to a file")
 
-    p = sub.add_parser("validate", help="parse a circuit file and check the DAG")
+    p = sub.add_parser("validate", help="parse a circuit or program file and check each step's DAG")
     p.add_argument("path")
     p.add_argument("--tolerance", type=float, default=COMPLETENESS_TOL,
                    help="slack on the trace-nonincreasing normalization check")
@@ -209,6 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=20000)
     p.set_defaults(func=cmd_bench_memory)
 
+    # Each subcommand takes only the options it reads.
+    for name in ("run", "classify", "bench-memory"):
+        sub.choices[name].add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for name in ("run", "enumerate", "classify"):
+        sub.choices[name].add_argument("--max-dim", type=int, default=MAX_DIM)
     return parser
 
 
@@ -220,7 +223,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CircuitError, EngineError, IndividuationError, MeasurementError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

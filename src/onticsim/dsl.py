@@ -95,6 +95,8 @@ def _parse_matrix(text: str, line_no: int) -> np.ndarray:
 
 
 def _basis_state(dim: int, j: int) -> np.ndarray:
+    if not 0 <= j < dim:
+        raise IndexError(j)
     v = np.zeros((dim, 1), dtype=complex)
     v[j, 0] = 1.0
     return v
@@ -185,7 +187,7 @@ def parse_dsl(text: str) -> Circuit:
                 raise DslError(line_no, "expected `sys LABEL : KINDdim`")
             label, kind = (p.strip() for p in rest.split(":", 1))
             theory = {"q": "quantum", "c": "classical", "t": "trivial"}.get(kind[:1])
-            if theory is None or not kind[1:].isdigit():
+            if theory is None or not kind[1:].isdecimal():  # what int() reads
                 raise DslError(line_no, f"bad system kind {kind!r} (want e.g. q2, c3, t1)")
             systems[label] = System(label, int(kind[1:]), theory)
         elif kw == "node":

@@ -14,7 +14,6 @@ history operator applied to the initial state.
 
 from __future__ import annotations
 
-import json
 from collections import ChainMap
 from dataclasses import dataclass, field
 from math import prod
@@ -31,7 +30,11 @@ from .circuit import (
     INPUT_SOURCE,
     TestNode,
     _decode_circuit,
+    _integer,
+    _json_object,
+    _label,
     circuit_from_dict,
+    circuit_to_dict,
     layout as circuit_layout,
 )
 from .foliation import (
@@ -103,32 +106,47 @@ def program_from_dict(doc: dict, *, base_dir: Path | None = None) -> Program:
                 circ = _decode_circuit(path.read_text())
             else:
                 raise CircuitError("program step needs 'circuit' or 'circuit_file'")
-            bind = [tuple(p) for p in sd["bind"]] if sd.get("bind") else None
+            bind = ([(_integer(a, "bind position"), _integer(b, "bind position"))
+                     for a, b in sd["bind"]] if sd.get("bind") else None)
             steps.append(ProgramStep(circ, bind))
+        if not steps:
+            raise CircuitError("malformed program document: no steps")
         init = None
         if doc.get("initial_state") is not None:
             init = jsonio.decode_vector(doc["initial_state"])
+        name = _label(doc.get("name", "program"), "name")
     except CircuitError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CircuitError(f"malformed program document: {exc}") from exc
-    return Program(str(doc.get("name", "program")), steps, init)
+    return Program(name, steps, init)
+
+
+def program_to_dict(program: Program) -> dict:
+    doc: dict = {"kind": "program", "name": program.name, "steps": []}
+    if program.initial_state is not None:
+        doc["initial_state"] = jsonio.encode_vector(program.initial_state)
+    for step in program.steps:
+        sd: dict = {"circuit": circuit_to_dict(step.circuit)}
+        if step.bind:
+            sd["bind"] = [list(p) for p in step.bind]
+        doc["steps"].append(sd)
+    return doc
 
 
 def load_run_spec(path) -> Program:
     """Load a circuit or program file; circuits become one-step programs.
+    Each document, the file and every ``circuit_file``, is parsed once.
 
     Circuits are decoded, not validated: ``compile_program`` validates each
     step once.
     """
     path = Path(path)
     text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        if doc.get("kind") == "program" or "steps" in doc:
-            return program_from_dict(doc, base_dir=path.parent)
-    return Program.single(_decode_circuit(text))
+    doc = _json_object(text)
+    if doc is not None and (doc.get("kind") == "program" or "steps" in doc):
+        return program_from_dict(doc, base_dir=path.parent)
+    return Program.single(_decode_circuit(text, doc))
 
 
 # --- compiled execution plan --------------------------------------------------
@@ -226,10 +244,9 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
                 f"{n_in}; declare an explicit bind map"
             )
         return [(i, i) for i in range(n_out)]
-    pairs = [(int(a), int(b)) for a, b in bind]
-    if sorted(a for a, _ in pairs) != list(range(n_out)) or sorted(b for _, b in pairs) != list(range(n_in)):
+    if sorted(a for a, _ in bind) != list(range(n_out)) or sorted(b for _, b in bind) != list(range(n_in)):
         raise EngineError(f"step {t}: bind must be a bijection between boundary wires")
-    return pairs
+    return bind
 
 
 # --- slice candidates ---------------------------------------------------------
@@ -341,7 +358,7 @@ def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> n
     omega0 = np.asarray(omega0, dtype=complex).reshape(-1)
     if omega0.size != total:
         raise EngineError(f"initial state has dim {omega0.size}, program expects {total}")
-    if abs(np.linalg.norm(omega0) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(omega0) - 1.0) <= 1e-9:  # NaN fails too
         raise EngineError("initial state is not normalized")
     return omega0.reshape(dims)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .circuit import Circuit, Condition, Event, System, TestNode, WireSpec, circuit_to_dict
-from .engine import Program, ProgramStep
+from .engine import Program, ProgramStep, program_to_dict
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -211,18 +211,6 @@ def bloch_axes() -> Circuit:
         TestNode("up", (), ("QZ",), (Event("0", (_ket(1, 0),)),)),
     ]
     return Circuit("bloch-axes", systems, nodes, [], closed=False)
-
-
-def program_to_dict(program: Program) -> dict:
-    doc: dict = {"kind": "program", "name": program.name, "steps": []}
-    if program.initial_state is not None:
-        doc["initial_state"] = jsonio.encode_vector(program.initial_state)
-    for step in program.steps:
-        sd: dict = {"circuit": circuit_to_dict(step.circuit)}
-        if step.bind:
-            sd["bind"] = [list(p) for p in step.bind]
-        doc["steps"].append(sd)
-    return doc
 
 
 GALLERY = {

@@ -377,6 +377,15 @@ cond u on m
         with pytest.raises(DslError, match="unknown system"):
             parse_dsl("circuit x\nnode p : -> A = state(0)\n")
 
+    def test_dsl_dimension_is_decimal(self):
+        with pytest.raises(DslError, match="line 2: bad system kind"):
+            parse_dsl("circuit x\nsys A : q\N{SUPERSCRIPT TWO}\n")
+
+    @pytest.mark.parametrize("index", ["-1", "2"])
+    def test_dsl_basis_index_in_range(self, index):
+        with pytest.raises(DslError, match="line 3: bad basis index"):
+            parse_dsl(f"circuit x\nsys A : q2\nnode p : -> A = state({index})\n")
+
     def test_dsl_wire_and_effect(self):
         text = """
 circuit w closed

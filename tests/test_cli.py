@@ -90,6 +90,44 @@ class TestValidate:
             assert main([command, str(bad)]) == 1
             assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("name, report", [
+        ("bell_pair.json", "OK: 3 nodes, closed\n"),
+        ("bell_pair.opt", "OK: 3 nodes, closed\n"),
+        ("bloch_axes.json", "OK: 3 nodes, open\n"),
+        ("conditioned_step.json", "OK: 9 nodes, open\n"),
+        ("conditioned_step_closed.json", "OK: 11 nodes, closed\n"),
+        # A one-step program reports as its circuit does.
+        ("conditioned_step_program.json", "OK: 9 nodes, open\n"),
+    ])
+    def test_shipped_file_report(self, name, report, circuits_dir, capsys):
+        assert main(["validate", str(circuits_dir / name)]) == 0
+        assert capsys.readouterr().err == report
+
+    def test_program_reports_each_step(self, circuits_dir, capsys):
+        assert main(["validate", str(circuits_dir / "merge_split.json")]) == 0
+        assert capsys.readouterr().err == (
+            "step 0: OK: 2 nodes, open\nstep 1: OK: 1 nodes, open\nstep 2: OK: 2 nodes, open\n")
+
+    def test_invalid_program_step_exits_one(self, circuits_dir, tmp_path, capsys):
+        doc = json.loads((circuits_dir / "merge_split.json").read_text())
+        doc["steps"][1]["circuit"]["wires"] = [{"from": ["join", 0], "to": ["join", 0]}]
+        path = tmp_path / "cyclic_step.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("step 0: OK: 2 nodes, open\nstep 1: INVALID: 1 nodes, open\n")
+        assert "cycle" in err and err.endswith("step 2: OK: 2 nodes, open\n")
+
+    def test_bind_is_checked_by_run(self, circuits_dir, tmp_path, capsys):
+        doc = json.loads((circuits_dir / "merge_split.json").read_text())
+        doc["steps"][1]["bind"] = [[0, 0], [1, 0]]
+        path = tmp_path / "bad_bind.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: step 1: bind must be a bijection between boundary wires\n"
+
 
 def _malformed(case: str, circuits_dir: Path) -> dict:
     bell = str(circuits_dir / "bell_pair.json")
@@ -119,6 +157,109 @@ def test_malformed_document_gives_one_error_line(command, case, circuits_dir, tm
     assert captured.out == ""
 
 
+FIELD_CASES = {
+    # Shapes that raised a traceback.
+    "port name is a list": ("merge_split.json", ("steps", 0, "circuit", "nodes", 0, "outputs"),
+                            [["Q1"]], "circuit document: port name must be a string, got ['Q1']"),
+    "condition map is a list": ("conditioned_step.json", ("nodes", 1, "condition", "map"),
+                                [[0], [1]], "circuit document: condition map must be an object"),
+    "bind pair too short": ("merge_split.json", ("steps", 1, "bind"), [[0], [1]],
+                            "program document: not enough values to unpack"),
+    "bind position a string": ("merge_split.json", ("steps", 1, "bind"), [["a", 0], [1, 1]],
+                               "program document: bind position must be an integer, got 'a'"),
+    "bind an object": ("merge_split.json", ("steps", 1, "bind"), {"0": 0},
+                       "program document: not enough values to unpack"),
+    "no steps": ("merge_split.json", ("steps",), [], "program document: no steps"),
+    # Values the decoder coerced.
+    "dim a fraction": ("bell_pair.json", ("systems", 0, "dim"), 2.5,
+                       "circuit document: dim must be an integer, got 2.5"),
+    "dim a boolean": ("bell_pair.json", ("systems", 0, "dim"), True,
+                      "circuit document: dim must be an integer, got True"),
+    "dim a string": ("bell_pair.json", ("systems", 0, "dim"), "2",
+                     "circuit document: dim must be an integer, got '2'"),
+    "port index a string": ("bell_pair.json", ("wires", 0, "from", 1), "0",
+                            "circuit document: port index must be an integer, got '0'"),
+    "port index a fraction": ("bell_pair.json", ("wires", 0, "to", 1), 0.0,
+                              "circuit document: port index must be an integer, got 0.0"),
+    "outcome an object": ("bell_pair.json", ("nodes", 1, "events", 0, "outcome"), {"a": 1},
+                          "circuit document: outcome must be a string, got {'a': 1}"),
+    "outcome a boolean": ("bell_pair.json", ("nodes", 1, "events", 0, "outcome"), False,
+                          "circuit document: outcome must be a string, got False"),
+    "node label a fraction": ("bell_pair.json", ("nodes", 0, "label"), 1.5,
+                              "circuit document: node label must be a string, got 1.5"),
+    "port name null": ("bell_pair.json", ("nodes", 0, "outputs", 0), None,
+                       "circuit document: port name must be a string, got None"),
+    "event index a fraction": ("conditioned_step.json", ("nodes", 1, "condition", "map", "0", 0),
+                               0.0, "circuit document: event index must be an integer, got 0.0"),
+}
+
+
+def _with_field(circuits_dir: Path, name: str, path: tuple, value) -> dict:
+    doc = json.loads((circuits_dir / name).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify", "validate"])
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_malformed_field_gives_one_error_line(command, case, circuits_dir, tmp_path, capsys):
+    name, field, value, message = FIELD_CASES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with_field(circuits_dir, name, field, value)))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    prefix = "invalid: " if command == "validate" else "error: "
+    assert captured.err.startswith(prefix + "malformed " + message), captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_integer_labels_read_as_text(circuits_dir, tmp_path, capsys):
+    """An integer outcome, label or port name stands for its decimal text,
+    so such a file runs as the shipped one does."""
+    doc = json.loads((circuits_dir / "bell_pair.json").read_text())
+    doc["systems"][0]["label"] = 7
+    doc["nodes"][0]["outputs"][0] = 7
+    doc["nodes"][1]["inputs"][0] = 7
+    for event in doc["nodes"][1]["events"]:
+        event["outcome"] = int(event["outcome"])
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--trajectories", "20", "--seed", "3"]
+    assert main(["run", str(path), *argv]) == 0
+    renamed = capsys.readouterr().out
+    assert main(["run", str(circuits_dir / "bell_pair.json"), *argv]) == 0
+    assert renamed == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify", "validate"])
+def test_json_syntax_error_reads_the_same_everywhere(command, tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"name": "x", "systems": }')
+    assert main([command, str(path)]) == 1
+    prefix = "invalid: " if command == "validate" else "error: "
+    assert capsys.readouterr().err == prefix + "JSON syntax error at line 1, col 26: Expecting value\n"
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify", "validate"])
+def test_each_document_parsed_once(command, circuits_dir, tmp_path, monkeypatch):
+    loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    circuit = circuits_dir / "bell_pair.json"
+    assert main([command, str(circuit)]) == 0
+    assert parsed == [circuit.read_text()]
+    prog = {"kind": "program", "name": "two-files",
+            "steps": [{"circuit_file": str(circuit)},
+                      {"circuit_file": str(circuits_dir / "bell_pair.opt")}]}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(prog))
+    parsed.clear()
+    assert main([command, str(path)]) == 0
+    assert parsed == [path.read_text(), circuit.read_text()]
+
+
 @pytest.mark.parametrize("command", ["run", "classify"])
 def test_overflowing_kraus_entry_is_named(command, circuits_dir, tmp_path, capsys):
     doc = json.loads((circuits_dir / "conditioned_step_program.json").read_text())
@@ -138,6 +279,9 @@ def test_overflowing_kraus_entry_is_named(command, circuits_dir, tmp_path, capsy
     ["bench-memory", "--dims", "2,"],
     ["bench-memory", "--copies", "0"],
     ["bench-memory", "--dims", "1"],
+    # Each subcommand takes only the options it reads.
+    ["enumerate", "bell_pair.json", "--seed", "1"],
+    ["bench-memory", "--max-dim", "5"],
 ])
 def test_bad_argument_is_a_usage_error(argv, circuits_dir, capsys):
     argv = [str(circuits_dir / a) if a.endswith(".json") else a for a in argv]

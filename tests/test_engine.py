@@ -7,7 +7,9 @@ import pytest
 
 from _helpers import DEEP_CHAIN, closed_chain
 from onticsim import engine, gallery, quantum
-from onticsim.circuit import Circuit, Condition, Event, System, TestNode, WireSpec, layout
+from onticsim.circuit import (
+    Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec, layout,
+)
 from onticsim.engine import (
     BATCH_SIZE,
     EngineError,
@@ -415,10 +417,39 @@ class TestEnginePreconditions:
         enumerate_histories(prog, omega0)
         assert len(calls) == 4
 
-    def test_normalized_initial_state_required(self):
+    @pytest.mark.parametrize("omega0", [[1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_normalized_initial_state_required(self, omega0):
         prog = Program.single(vn_measure_circuit())
         with pytest.raises(EngineError, match="normalized"):
-            run_trajectory(prog, omega0=np.array([1.0, 1.0]), seed=0)
+            run_trajectory(prog, omega0=np.array(omega0), seed=0)
+
+
+class TestProgramDocument:
+    @pytest.mark.parametrize("build", [gallery.conditioned_step_program,
+                                       gallery.merge_split_program, rand3_program])
+    def test_round_trip(self, build):
+        prog = build()
+        prog = prog[0] if isinstance(prog, tuple) else prog
+        doc = engine.program_to_dict(prog)
+        assert engine.program_to_dict(engine.program_from_dict(doc)) == doc
+
+    def test_bind_decoded_once_into_integer_pairs(self):
+        prog, _ = rand3_program()
+        prog.steps[1].bind = [(1, 0), (0, 1)]
+        decoded = engine.program_from_dict(engine.program_to_dict(prog))
+        assert decoded.steps[1].bind == [(1, 0), (0, 1)]
+        assert engine._bind_pairs(decoded.steps[1].bind, 2, 2, 1) is decoded.steps[1].bind
+
+    @pytest.mark.parametrize("bind", [[[0], [1]], [["a", 0], [1, 1]], {"0": 0}, [[0.0, 0], [1, 1]]])
+    def test_malformed_bind(self, bind):
+        doc = engine.program_to_dict(rand3_program()[0])
+        doc["steps"][1]["bind"] = bind
+        with pytest.raises(CircuitError, match="^malformed program document: "):
+            engine.program_from_dict(doc)
+
+    def test_program_needs_a_step(self):
+        with pytest.raises(CircuitError, match="^malformed program document: no steps$"):
+            engine.program_from_dict({"kind": "program", "steps": []})
 
 
 def large_conditioned_program() -> Program:
