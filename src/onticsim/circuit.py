@@ -190,6 +190,8 @@ class CircuitLayout:
     topo_order: list[int]
     predecessors: list[set[int]]   # DAG parents, conditioning included
     deterministic: frozenset[tuple[int, tuple[int, ...]]]  # from ``validate_dag``
+    # (node index, incoming wire order) -> contraction plan; see foliation._apply_slice
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def input_dims(self) -> tuple[int, ...]:
@@ -526,6 +528,14 @@ def _label(value, field: str) -> str:
     return value
 
 
+def _boolean(value, field: str) -> bool:
+    """A JSON boolean field, such as ``closed``; a number or string that
+    Python would read as true is malformed."""
+    if type(value) is not bool:
+        raise TypeError(f"{field} must be a boolean, got {value!r}")
+    return value
+
+
 def circuit_from_dict(doc: dict) -> Circuit:
     try:
         systems = [System(_label(s["label"], "system label"), _integer(s["dim"], "dim"),
@@ -556,7 +566,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
             for w in doc.get("wires", ())
         ]
         return Circuit(_label(doc.get("name", "circuit"), "name"), {s.label: s for s in systems},
-                       nodes, wires, bool(doc.get("closed", False)))
+                       nodes, wires, _boolean(doc.get("closed", False), "closed"))
     except CircuitError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:

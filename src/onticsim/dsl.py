@@ -97,9 +97,14 @@ def _parse_matrix(text: str, line_no: int) -> np.ndarray:
 def _basis_state(dim: int, j: int) -> np.ndarray:
     if not 0 <= j < dim:
         raise IndexError(j)
-    v = np.zeros((dim, 1), dtype=complex)
-    v[j, 0] = 1.0
-    return v
+    return _unit(dim, 1, j, 0)
+
+
+def _unit(rows: int, cols: int, r: int, c: int) -> np.ndarray:
+    """A zero matrix with a single 1 at (r, c), on an array of its own."""
+    m = np.zeros((rows, cols), dtype=complex)
+    m[r, c] = 1
+    return m
 
 
 def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event, ...]:
@@ -107,16 +112,11 @@ def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event
     if spec == "measure":
         if d_in != d_out:
             raise DslError(line_no, "measure needs matching input/output dimensions")
-        return tuple(
-            Event(str(j), (np.outer(np.eye(d_in)[j], np.eye(d_in)[j]).astype(complex),))
-            for j in range(d_in)
-        )
+        return tuple(Event(str(j), (_unit(d_in, d_in, j, j),)) for j in range(d_in))
     if spec == "effect":
         if d_out != 1:
             raise DslError(line_no, "effect nodes must have no output ports")
-        return tuple(
-            Event(str(j), (np.eye(d_in, dtype=complex)[j].reshape(1, -1),)) for j in range(d_in)
-        )
+        return tuple(Event(str(j), (_unit(1, d_in, 0, j),)) for j in range(d_in))
     if "(" not in spec or not spec.endswith(")"):
         raise DslError(line_no, f"unrecognized event spec {spec!r}")
     head, body = spec.split("(", 1)

@@ -358,7 +358,9 @@ def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> n
     omega0 = np.asarray(omega0, dtype=complex).reshape(-1)
     if omega0.size != total:
         raise EngineError(f"initial state has dim {omega0.size}, program expects {total}")
-    if not abs(np.linalg.norm(omega0) - 1.0) <= 1e-9:  # NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check
+        normalized = abs(np.linalg.norm(omega0) - 1.0) <= 1e-9
+    if not normalized:
         raise EngineError("initial state is not normalized")
     return omega0.reshape(dims)
 

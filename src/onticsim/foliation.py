@@ -6,7 +6,11 @@ cuts (leaves); the nodes between two adjacent cuts form a slice. A slice is
 applied by one kernel, ``_apply_slice``: it contracts each firing event's
 Kraus operator into a tensor with one axis per wire, node by node in
 topological order, while wires the slice does not touch ride along as
-untouched axes. The trajectory engine runs it on state tensors;
+untouched axes. Each (node index, incoming wire order) pair is planned
+once, on the ``CircuitLayout``: the transpose that puts the node's input
+axes first, d_in, the output shape and the next order. The kernel then
+does what ``np.tensordot`` does, on the same operands, so its bits are
+``tensordot``'s. The trajectory engine runs it on state tensors;
 ``compile_slice`` runs it on the identity basis of the incoming leaf and
 transposes the result into the next leaf's wire order, which yields the
 slice operator for a fixed outcome assignment. The full history operator
@@ -32,7 +36,7 @@ layout's topological order, which is the order the kernel runs them in.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import prod
 
@@ -249,25 +253,33 @@ def resolve_assignment(
 _BATCH = -1
 
 
-def _apply_slice(state: np.ndarray, order: list[int], lay: CircuitLayout,
-                 node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, list[int]]:
+def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
+                 node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, tuple]:
     """Apply one slice's events to a state tensor indexed by wire order."""
+    order = tuple(order)
     for i in node_indices:
         node = lay.circuit.nodes[i]
         op = node.events[node.event_index(events[node.label])].operators[0]
-        in_wires = lay.node_in_wires[i]
-        out_wires = lay.node_out_wires[i]
-        out_dims = tuple(lay.wires[w].dim for w in out_wires)
-        in_dims = tuple(lay.wires[w].dim for w in in_wires)
-        k = op.reshape(out_dims + in_dims)
-        pos = [order.index(w) for w in in_wires]
-        state = np.tensordot(k, state, axes=(list(range(len(out_dims), k.ndim)), pos))
-        order = list(out_wires) + [w for w in order if w not in in_wires]
+        plan = lay.plans.get((i, order))
+        if plan is None:  # a function of its key alone: racing threads store equal plans
+            in_wires, out_wires = lay.node_in_wires[i], lay.node_out_wires[i]
+            rest = [a for a, w in enumerate(order) if w not in in_wires]
+            nxt = (*out_wires, *(order[a] for a in rest))
+            op_shape = tuple(lay.wires[w].dim for w in (*out_wires, *in_wires))
+            shape = tuple(-1 if w == _BATCH else lay.wires[w].dim for w in nxt)
+            plan = lay.plans[i, order] = ([order.index(w) for w in in_wires] + rest, op_shape,
+                                          prod(op_shape[len(out_wires):]), shape, nxt)
+        axes, op_shape, d_in, shape, order = plan
+        # np.tensordot(op.reshape(op_shape), state, (input axes, their positions))
+        # is this transpose, reshape and np.dot of the same operands, the operator
+        # through the same two reshapes (they set its strides, hence the BLAS call).
+        state = np.dot(op.reshape(op_shape).reshape(-1, d_in),
+                       state.transpose(axes).reshape(d_in, -1)).reshape(shape)
     return state, order
 
 
-def _reorder(state: np.ndarray, order: list[int], target: list[int]) -> np.ndarray:
-    if order == target:
+def _reorder(state: np.ndarray, order: Sequence[int], target: Sequence[int]) -> np.ndarray:
+    if tuple(order) == tuple(target):
         return state
     axes = [order.index(w) for w in target]
     return state.transpose(axes)

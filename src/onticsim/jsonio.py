@@ -30,10 +30,15 @@ def encode_vector(v) -> list[list[float]]:
     return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _decode_scalar(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    """A number, or an [re, im] pair of numbers; a JSON boolean is neither."""
+    if _is_number(obj):
         return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, (int, float)) for x in obj):
+    if isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
         return complex(obj[0], obj[1])
     raise ValueError(f"not a complex scalar: {obj!r}")
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,33 @@ cond u on m
     def test_dsl_basis_index_in_range(self, index):
         with pytest.raises(DslError, match="line 3: bad basis index"):
             parse_dsl(f"circuit x\nsys A : q2\nnode p : -> A = state({index})\n")
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_dsl_basis_operators(self, d):
+        """``effect`` reads each basis vector and ``measure`` projects onto
+        it, with exact 0s and 1s."""
+        c = parse_dsl(f"circuit b\nsys A : q{d}\nnode m : A -> A = measure\n"
+                      "node e : A -> = effect\nwire m.0 -> e.0\n")
+        eye = np.eye(d)
+        for j in range(d):
+            assert np.array_equal(c.node("m").events[j].operators[0], np.outer(eye[j], eye[j]))
+            assert np.array_equal(c.node("e").events[j].operators[0], eye[j].reshape(1, -1))
+
+    def test_dsl_effect_holds_only_its_operators(self):
+        """Each outcome's operator is an array of its own: 128 rows of 128
+        complex entries are 0.25 MiB, where row views of one identity per
+        outcome kept 32 MiB alive."""
+        text = "circuit e\nsys A : q128\nnode m : A -> = effect\n"
+        parse_dsl(text)  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            circuit = parse_dsl(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        operators = sum(e.operators[0].nbytes for e in circuit.node("m").events)
+        assert operators == 128 * 128 * 16
+        assert held < 2 * operators, held
 
     def test_dsl_wire_and_effect(self):
         text = """

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -191,6 +194,16 @@ FIELD_CASES = {
                        "circuit document: port name must be a string, got None"),
     "event index a fraction": ("conditioned_step.json", ("nodes", 1, "condition", "map", "0", 0),
                                0.0, "circuit document: event index must be an integer, got 0.0"),
+    "closed a string": ("bloch_axes.json", ("closed",), "no",
+                        "circuit document: closed must be a boolean, got 'no'"),
+    "closed a number": ("bell_pair.json", ("closed",), 1,
+                        "circuit document: closed must be a boolean, got 1"),
+    "kraus entry a boolean": ("bell_pair.json", ("nodes", 1, "events", 0, "kraus", 0, 0, 0), True,
+                              "circuit document: not a complex scalar: True"),
+    "kraus part a boolean": ("bell_pair.json", ("nodes", 1, "events", 0, "kraus", 0, 0, 0, 0),
+                             True, "circuit document: not a complex scalar: [True, 0.0]"),
+    "state entry a boolean": ("conditioned_step_program.json", ("initial_state", 0, 1), False,
+                              "program document: not a complex scalar: [0.70710678"),
 }
 
 
@@ -270,6 +283,22 @@ def test_overflowing_kraus_entry_is_named(command, circuits_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert "node 'R'" in err and "not finite" in err
     assert "zero weight" not in err and "Warning" not in err
+
+
+def test_overflowing_initial_state_prints_one_line(circuits_dir, tmp_path):
+    """An initial-state entry of 1e308 overflows the norm; the one line on
+    stderr is the verdict, with no numpy warning before it. A subprocess,
+    because pytest would capture the warning."""
+    doc = json.loads((circuits_dir / "conditioned_step_program.json").read_text())
+    doc["initial_state"][0] = [1e308, 0.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "onticsim.cli", "run", str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: initial state is not normalized\n"
 
 
 @pytest.mark.parametrize("argv", [

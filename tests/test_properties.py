@@ -1,7 +1,18 @@
-"""Property tests of the document path: mutated circuit and program files
-go through ``cli.main`` in-process under every file command. Each run must
-end in a documented exit code with a diagnosis, never in a traceback, and
-a document that ``validate`` rejects must not run."""
+"""Property tests of the document path and of whole circuits.
+
+Documents: mutated circuit and program files go through ``cli.main``
+in-process under every file command. Each run must end in a documented
+exit code with a diagnosis, never in a traceback, and a document that
+``validate`` rejects must not run.
+
+Circuits: ``random_circuits.random_circuit`` with drawn seeds and shapes.
+History operators agree under every foliation strategy (the given one
+runs one node per slice), enumerated laws sum to one, each sampled
+probability is the squared norm of its history operator on the initial
+state, and ``run`` output does not depend on the batch size. The sampler
+runs with its fast path on and off, so the slice kernel is exercised on
+the enumeration path and on the tensor path.
+"""
 
 import contextlib
 import io
@@ -9,12 +20,17 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onticsim import gallery
+from onticsim import engine, gallery
+from onticsim.circuit import layout
 from onticsim.cli import main
+from onticsim.engine import Program, enumerate_histories, program_to_dict, run_trajectories
+from onticsim.foliation import admissible_events, compile_history, foliate
+from onticsim.random_circuits import random_circuit
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 JSON_FILES = sorted(gallery.GALLERY)
@@ -113,6 +129,29 @@ def _main(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _keeps_json_type(path: tuple, value) -> bool:
+    """False when ``value`` in the field at ``path`` breaks a JSON type the
+    decoder must enforce: ``closed`` is a boolean, and an operator or state
+    entry a number or an [re, im] pair of numbers. Booleans are not
+    numbers."""
+    def number(x):
+        return type(x) in (int, float)
+
+    if value == DELETE:
+        return True
+    if path[-1] == "closed":
+        return type(value) is bool
+    for name, depth in (("kraus", 3), ("initial_state", 1)):
+        if name in path:
+            below = len(path) - path.index(name) - 1
+            if below == depth:
+                return number(value) or (isinstance(value, list) and len(value) == 2
+                                         and all(map(number, value)))
+            if below == depth + 1:
+                return number(value)
+    return True
+
+
 def _check_document(path: Path) -> None:
     codes = {}
     for command, *options in COMMANDS:
@@ -148,6 +187,11 @@ def work(tmp_path_factory) -> Path:
 @example(mutation=("bell_pair.json", ("systems", 0, "dim"), 2.5))
 @example(mutation=("bell_pair.json", ("systems", 0, "dim"), True))
 @example(mutation=("bell_pair.json", ("nodes", 1, "events", 0, "outcome"), {"a": 1}))
+# ``closed`` read with ``bool()``, and booleans read as the numbers 1 and 0.
+@example(mutation=("bloch_axes.json", ("closed",), "no"))
+@example(mutation=("bell_pair.json", ("nodes", 1, "events", 0, "kraus", 0, 0, 0), True))
+@example(mutation=("bell_pair.json", ("nodes", 1, "events", 0, "kraus", 0, 0, 0, 0), True))
+@example(mutation=("conditioned_step_program.json", ("initial_state", 0, 1), False))
 def test_mutated_json_document(work, mutation):
     name, path, value = mutation
     doc = json.loads(_shipped(name))
@@ -159,6 +203,9 @@ def test_mutated_json_document(work, mutation):
     target = work / "doc.json"
     target.write_text(json.dumps(doc))
     _check_document(target)
+    if not _keeps_json_type(path, value):
+        code, err = _main(["validate", str(target)])
+        assert code == 1 and err.startswith("invalid: malformed "), err
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -169,3 +216,93 @@ def test_mutated_dsl_document(work, text):
     target = work / "doc.opt"
     target.write_text(text)
     _check_document(target)
+
+
+# --- whole circuits -------------------------------------------------------------
+
+#: Criterion 1's tolerance on history operators, and criterion 2's on the
+#: total probability.
+INVARIANCE_TOL = 1e-10
+NORMALIZATION_TOL = 1e-9
+#: ``engine.FAST_PATH_MAX_DIM`` values: the default, and 0, which sends every
+#: slice down the tensor path.
+FAST_PATH_DIMS = (engine.FAST_PATH_MAX_DIM, 0)
+
+
+@st.composite
+def random_circuits(draw):
+    """A random circuit, and a normalized initial state for its open inputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = random_circuit(rng, n_nodes=draw(st.sampled_from([(2, 4), (4, 8)])),
+                             max_total_dim=draw(st.sampled_from([16, 64])))
+    d = int(np.prod(layout(circuit).input_dims))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return circuit, v / np.linalg.norm(v)
+
+
+def _random_outcomes(lay, rng) -> dict[str, str]:
+    """One admissible outcome per node, drawn in topological order."""
+    labels: dict[str, str] = {}
+    for i in lay.topo_order:
+        node = lay.circuit.nodes[i]
+        idxs = admissible_events(node, labels, "0")
+        labels[node.label] = node.events[idxs[int(rng.integers(len(idxs)))]].outcome
+    return labels
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=random_circuits(), seed=st.integers(0, 2**16))
+def test_history_operator_is_foliation_invariant(case, seed):
+    circuit, _ = case
+    lay = layout(circuit)
+    rng = np.random.default_rng(seed)
+    outcomes = _random_outcomes(lay, rng)
+    reference = compile_history(foliate(lay, "asap"), outcomes).operator
+    one_per_slice = [[lay.circuit.nodes[i].label] for i in lay.topo_order]
+    others = [foliate(lay, "alap"), foliate(lay, "given", slices=one_per_slice)]
+    others += [foliate(lay, "random", rng=rng) for _ in range(3)]
+    for fol in others:
+        got = compile_history(fol, outcomes).operator
+        assert np.abs(got - reference).max() < INVARIANCE_TOL, (fol.strategy, fol.slices)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(case=random_circuits())
+def test_enumerated_law_sums_to_one(case):
+    circuit, omega0 = case
+    total = sum(p for _, p in enumerate_histories(circuit, omega0))
+    assert abs(total - 1) < NORMALIZATION_TOL
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=random_circuits(), seed=st.integers(0, 2**16))
+def test_sampled_probability_is_the_history_norm(case, seed):
+    circuit, omega0 = case
+    fol = foliate(layout(circuit), "asap")
+    for fast_dim in FAST_PATH_DIMS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "FAST_PATH_MAX_DIM", fast_dim)
+            trajectories = run_trajectories(circuit, 8, seed, omega0=omega0)
+        for traj in trajectories:
+            op = compile_history(fol, traj.steps[0].outcomes).operator
+            assert abs(np.linalg.norm(op @ omega0) ** 2 - traj.probability) < 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(case=random_circuits(), seed=st.integers(0, 2**16))
+def test_run_bytes_do_not_depend_on_batch_size(work, case, seed):
+    circuit, omega0 = case
+    target = work / "program.json"
+    target.write_text(json.dumps(program_to_dict(Program.single(circuit, omega0))))
+    out = work / "run.jsonl"
+    argv = ["run", str(target), "--trajectories", "20", "--seed", str(seed), "--store-states",
+            "--out", str(out)]
+    for fast_dim in FAST_PATH_DIMS:
+        runs = set()
+        for batch_size in (1, 7, 1024):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "FAST_PATH_MAX_DIM", fast_dim)
+                mp.setattr(engine, "BATCH_SIZE", batch_size)
+                assert _main(argv) == (0, "")
+            runs.add(out.read_bytes())
+        assert len(runs) == 1, fast_dim
