@@ -414,6 +414,41 @@ class TestRun:
         assert main([command, str(path)]) == 0
         assert len(validated) == 2
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    def test_sampling_error_ends_output_at_last_complete_batch(self, fmt, circuits_dir,
+                                                               tmp_path, monkeypatch, capsys):
+        from onticsim import engine
+
+        args = ["run", str(circuits_dir / "conditioned_step_program.json"),
+                "--trajectories", "10", "--seed", "3", "--format", fmt]
+        full = tmp_path / "full"
+        assert main(args + ["--out", str(full)]) == 0
+        batches = []
+        sample_batch, check = engine._sample_batch, engine._check_slice_total
+
+        def counting_batch(*a, **kw):
+            batches.append(None)
+            return sample_batch(*a, **kw)
+
+        def failing_check(branches, weights):
+            if len(batches) == 2:
+                raise engine.EngineError("slice outcome weights sum to 0.5")
+            check(branches, weights)
+
+        monkeypatch.setattr(engine, "BATCH_SIZE", 4)
+        monkeypatch.setattr(engine, "_sample_batch", counting_batch)
+        monkeypatch.setattr(engine, "_check_slice_total", failing_check)
+        cut = tmp_path / "cut"
+        assert main(args + ["--out", str(cut)]) == 1
+        assert capsys.readouterr().err == "error: slice outcome weights sum to 0.5\n"
+        assert len(batches) == 2
+        if fmt == "jsonl":
+            assert cut.read_text().splitlines() == full.read_text().splitlines()[:4]
+        else:
+            text = cut.read_text()
+            assert full.read_text().startswith(text) and '"index": 3' in text
+            assert '"index": 4' not in text
+
     def test_final_state_stored_on_request(self, circuits_dir, capsys):
         assert main([
             "run", str(circuits_dir / "conditioned_step_program.json"),

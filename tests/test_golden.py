@@ -131,6 +131,12 @@ RECALL_GOLDEN = {
     ("optimal_covariant_qubit", 3, 2, 20_000): "(0.7999577983229205, 0.0011522319726079652)",
     ("optimal_covariant_qubit", 4, 2, 20_000): "(0.8325715735971148, 0.0009992886896620578)",
     ("optimal_covariant_qubit", 5, 2, 20_000): "(0.8587209175632974, 0.0008674973333849837)",
+    ("random_vn_repeat", 1, 2, 20_000): "(0.6672612611529758, 0.001663289439031045)",
+    ("random_vn_repeat", 2, 2, 20_000): "(0.7232149968800586, 0.001595724724973138)",
+    ("random_vn_repeat", 3, 2, 20_000): "(0.7587735769356263, 0.0014371062821065576)",
+    ("sic_estimate", 1, 2, 20_000): "(0.6633299595583277, 0.0016713351451396266)",
+    ("sic_estimate", 2, 2, 20_000): "(0.7247821865573417, 0.001578356318339688)",
+    ("sic_estimate", 3, 2, 20_000): "(0.7657120606964971, 0.0014540225826614177)",
     ("sic_estimate", 1, 3, 10_000): "(0.5000917308674466, 0.0022338949937441414)",
     ("sic_estimate", 2, 3, 10_000): "(0.5700295038446582, 0.00225596967787847)",
     ("sic_estimate", 3, 3, 10_000): "(0.6090798099057451, 0.0022452815476188288)",

@@ -7,6 +7,7 @@ import pytest
 
 from onticsim.linalg import bloch_projectors, haar_state
 from onticsim.measurement import (
+    TRIAL_CHUNK,
     MeasurementError,
     _bloch_of,
     _bloch_qubit,
@@ -17,6 +18,7 @@ from onticsim.measurement import (
     _haar_qubits,
     _haar_states,
     _sic_batch,
+    _sic_tables,
     _vn_batch,
     Povm,
     attention_repetition,
@@ -468,3 +470,71 @@ class TestHaarBatch:
         states = np.array([haar_state(3, loop) for _ in range(2_000)])
         assert np.array_equal(_haar_states(2_000, 3, batch), states)
         assert batch.bit_generator.state == loop.bit_generator.state
+
+
+def sic_batch_per_trial(psis, m, rng):
+    """The symmetric-frame recall before count classes: the inversion and
+    the eigendecomposition of every row."""
+    d = psis.shape[1]
+    states, pinv, basis = _sic_tables(d)
+    probs = np.abs(psis.conj() @ states.T) ** 2 / d
+    cum = np.cumsum(probs, axis=1)
+    n = psis.shape[0]
+    counts = np.zeros((n, d * d))
+    for _ in range(m):
+        u = rng.random(n)[:, None] * cum[:, -1:]
+        picks = (cum < u).sum(axis=1).clip(0, d * d - 1)
+        counts[np.arange(n), picks] += 1
+    coords = (counts / m) @ pinv.T
+    rhos = np.einsum("na,aij->nij", coords, basis)
+    rhos = (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2
+    _, vecs = np.linalg.eigh(rhos)
+    return vecs[:, :, -1]
+
+
+class Replay:
+    """Stands in for a generator: each ``random(n)`` returns the next
+    planned row of uniforms."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, n):
+        u = np.asarray(next(self.rows), dtype=float)
+        assert u.shape == (n,)
+        return u
+
+
+class TestSicClasses:
+    """``_sic_batch`` decomposes each distinct count vector once; every
+    recalled vector and the generator's next draw keep their bits."""
+
+    @pytest.mark.parametrize("n", [1, 7, TRIAL_CHUNK])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 130])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_per_trial_kernel(self, d, m, n):
+        psis = _haar_states(n, d, np.random.default_rng(1000 * d + n))
+        classes, trials = np.random.default_rng(m), np.random.default_rng(m)
+        assert np.array_equal(_sic_batch(psis, m, classes), sic_batch_per_trial(psis, m, trials))
+        assert classes.random() == trials.random()
+
+    def test_one_class_in_a_batch_of_two(self):
+        """Two rows with the same counts still go through gemm, as the
+        per-trial kernel's two rows did."""
+        psis = np.repeat(build_sic(2).states[:1], 2, axis=0)
+        single = 0
+        for seed in range(40):
+            top = _sic_batch(psis, 3, np.random.default_rng(seed))
+            assert np.array_equal(top, sic_batch_per_trial(psis, 3, np.random.default_rng(seed)))
+            single += np.array_equal(top[0], top[1])
+        assert single > 0
+
+    def test_counts_past_float_precision_stay_apart(self):
+        """At d = 3 and M = 130 a positional key sum_j c_j (M+1)^j exceeds
+        2^63, so the counts e_0 + 129 e_8 and e_1 + 129 e_8 would share a float key."""
+        psis = np.repeat(build_sic(3).states[:1], 2, axis=0)  # p = 1/3, then 1/12 each
+        rows = [[0.0, 0.37]] + [[0.99, 0.99]] * 129  # picks 0 and 1, then 8
+        top = _sic_batch(psis, 130, Replay(rows))
+        want = sic_batch_per_trial(psis, 130, Replay(rows))
+        assert not np.array_equal(want[0], want[1])
+        assert np.array_equal(top, want)
