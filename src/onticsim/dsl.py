@@ -25,6 +25,7 @@ from math import prod, sqrt
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec
+from .linalg import MAX_DIM
 
 
 class DslError(CircuitError):
@@ -107,15 +108,25 @@ def _unit(rows: int, cols: int, r: int, c: int) -> np.ndarray:
     return m
 
 
+def _check_entries(entries: int, spec: str, line_no: int) -> None:
+    """Refuse a spec whose operators, built from its port dimensions alone,
+    would hold more than ``MAX_DIM ** 2`` entries in all."""
+    if entries > MAX_DIM ** 2:
+        raise DslError(line_no, f"{spec} would hold {entries} operator entries, "
+                                f"more than the cap of {MAX_DIM ** 2}")
+
+
 def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event, ...]:
     spec = spec.strip()
     if spec == "measure":
         if d_in != d_out:
             raise DslError(line_no, "measure needs matching input/output dimensions")
+        _check_entries(d_in ** 3, spec, line_no)
         return tuple(Event(str(j), (_unit(d_in, d_in, j, j),)) for j in range(d_in))
     if spec == "effect":
         if d_out != 1:
             raise DslError(line_no, "effect nodes must have no output ports")
+        _check_entries(d_in ** 2, spec, line_no)
         return tuple(Event(str(j), (_unit(1, d_in, 0, j),)) for j in range(d_in))
     if "(" not in spec or not spec.endswith(")"):
         raise DslError(line_no, f"unrecognized event spec {spec!r}")
@@ -132,6 +143,7 @@ def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event
         if body.startswith("["):
             vec = _parse_matrix(body, line_no).reshape(-1, 1)
         else:
+            _check_entries(d_out, spec, line_no)
             try:
                 vec = _basis_state(d_out, int(body))
             except (ValueError, IndexError):

@@ -203,8 +203,6 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
                         f"step {t}: node {n.label!r} outcome {e.outcome!r} is not atomic; "
                         "ontic evolution needs single-Kraus events"
                     )
-        if prod(lay.input_dims) > max_dim or prod(lay.output_dims) > max_dim:
-            raise EngineError(f"step {t}: boundary dimension exceeds cap {max_dim}")
         in_dims = lay.input_dims
         if prev_out is None:
             bind = [(i, i) for i in range(len(in_dims))]
@@ -217,6 +215,9 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
                         f"dim-{in_dims[b]} input"
                     )
         fol = foliate(lay, "asap")
+        # Leaf 0 and the last leaf are the boundary.
+        if any(prod(fol.leaf_dims(s)) > max_dim for s in range(len(fol.leaves))):
+            raise EngineError(f"step {t}: leaf dimension exceeds cap {max_dim}")
         plans = []
         for s, members in enumerate(fol.slices):
             fast = (

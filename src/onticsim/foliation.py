@@ -1,5 +1,5 @@
 """Foliation of circuits into ordered slices and their compilation to
-operator products.
+operators.
 
 A foliation covers the circuit's wires with an ordered sequence of global
 cuts (leaves); the nodes between two adjacent cuts form a slice. A slice is
@@ -10,13 +10,13 @@ untouched axes. Each (node index, incoming wire order) pair is planned
 once, on the ``CircuitLayout``: the transpose that puts the node's input
 axes first, d_in, the output shape and the next order. The kernel then
 does what ``np.tensordot`` does, on the same operands, so its bits are
-``tensordot``'s. The trajectory engine runs it on state tensors;
-``compile_slice`` runs it on the identity basis of the incoming leaf and
-transposes the result into the next leaf's wire order, which yields the
-slice operator for a fixed outcome assignment. The full history operator
-is the right-to-left product of the slice operators. Every foliation of
-the same circuit with the same outcomes compiles to the same operator,
-which is the invariance the test-suite pins down.
+``tensordot``'s. The trajectory engine runs it on state tensors. Operator
+compilation runs it in one pass over a range of slices, on the identity
+basis of the range's first leaf, then transposes the result into the last
+leaf's wire order: over one slice this is ``compile_slice``'s operator,
+over every slice ``compile_history``'s, for fixed outcomes. Every
+foliation of a circuit compiles to the same history operator, which is
+the invariance the test-suite pins down.
 
 Strategies: ``asap`` and ``alap`` are longest-path schedules, one pass
 over the topological order each. ``asap`` puts a node in the slice one
@@ -285,48 +285,49 @@ def _reorder(state: np.ndarray, order: Sequence[int], target: Sequence[int]) -> 
     return state.transpose(axes)
 
 
-def compile_slice(
-    fol: Foliation,
-    slice_index: int,
-    outcomes: dict[str, str] | None = None,
-    *,
-    classical_input: str = "0",
-    resolved: dict[str, int] | None = None,
-    max_dim: int = MAX_DIM,
-) -> np.ndarray:
-    """Operator of one slice: leaf ``slice_index`` -> leaf ``slice_index + 1``.
+def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
+             max_dim: int) -> np.ndarray:
+    """Operator of slices ``first .. stop - 1``: leaf ``first`` -> leaf ``stop``.
 
-    The kernel runs on the incoming leaf's identity basis as a batch of
-    states, batch axis last, so column j is the slice applied to the j-th
-    basis vector. Every intermediate tensor holds at most ``max_dim ** 2``
-    entries.
+    The kernel runs node by node on leaf ``first``'s identity basis, batch
+    axis last, so column j is the slices applied to the j-th basis vector.
     """
-    if resolved is None:
-        resolved = resolve_assignment(fol.layout, outcomes, classical_input)
     lay = fol.layout
-    in_dims = fol.leaf_dims(slice_index)
+    in_dims = fol.leaf_dims(first)
     d_in = prod(in_dims)
     if d_in > max_dim:
         raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
     state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
-    order = [*fol.leaves[slice_index], _BATCH]
-    for i in fol.slices[slice_index]:
-        node = lay.circuit.nodes[i]
-        event = node.events[resolved[node.label]]
-        if not event.is_atomic:
-            raise FoliationError(
-                f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
-                "operator compilation needs single-Kraus events"
-            )
-        state, order = _apply_slice(state, order, lay, [i], {node.label: event.outcome})
-        if state.size > max_dim * max_dim:
-            raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
-    return _reorder(state, order, [*fol.leaves[slice_index + 1], _BATCH]).reshape(-1, d_in)
+    order = [*fol.leaves[first], _BATCH]
+    for s in range(first, stop):
+        if s > first and prod(fol.leaf_dims(s)) > max_dim:
+            raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
+        for i in fol.slices[s]:
+            node = lay.circuit.nodes[i]
+            event = node.events[resolved[node.label]]
+            if not event.is_atomic:
+                raise FoliationError(
+                    f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
+                    "operator compilation needs single-Kraus events"
+                )
+            state, order = _apply_slice(state, order, lay, [i], {node.label: event.outcome})
+            if state.size > max_dim * max_dim:
+                raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
+    return _reorder(state, order, [*fol.leaves[stop], _BATCH]).reshape(-1, d_in)
+
+
+def compile_slice(fol: Foliation, slice_index: int, outcomes: dict[str, str] | None = None, *,
+                  classical_input: str = "0", resolved: dict[str, int] | None = None,
+                  max_dim: int = MAX_DIM) -> np.ndarray:
+    """Operator of one slice, leaf ``slice_index`` -> ``slice_index + 1``: the pass over it alone."""
+    if resolved is None:
+        resolved = resolve_assignment(fol.layout, outcomes, classical_input)
+    return _compose(fol, slice_index, slice_index + 1, resolved, max_dim)
 
 
 @dataclass(frozen=True)
 class HistoryOperator:
-    """Ordered product of slice operators (rightmost factor acts first)."""
+    """A history's operator, leaf 0 -> last leaf, over ``factor_count`` slices."""
 
     operator: np.ndarray
     factor_count: int
@@ -335,17 +336,14 @@ class HistoryOperator:
         return is_contraction(self.operator)
 
 
-def compile_history(
-    fol: Foliation,
-    outcomes: dict[str, str] | None = None,
-    *,
-    classical_input: str = "0",
-    max_dim: int = MAX_DIM,
-) -> HistoryOperator:
-    """Compile the full circuit operator for one complete outcome assignment."""
+def compile_history(fol: Foliation, outcomes: dict[str, str] | None = None, *,
+                    classical_input: str = "0", max_dim: int = MAX_DIM) -> HistoryOperator:
+    """Compile the full circuit operator for one complete outcome assignment.
+
+    One kernel pass over every slice, on leaf 0's identity basis, so the
+    cap bounds what the pass holds: each leaf a slice starts from has at
+    most ``max_dim`` dimensions, and each in-slice tensor times leaf 0's
+    dimension at most ``max_dim ** 2`` entries.
+    """
     resolved = resolve_assignment(fol.layout, outcomes, classical_input)
-    op = np.eye(prod(fol.leaf_dims(0)) if fol.leaves[0] else 1, dtype=complex)
-    for s in range(len(fol.slices)):
-        op = compile_slice(fol, s, resolved=resolved, classical_input=classical_input,
-                           max_dim=max_dim) @ op
-    return HistoryOperator(op, len(fol.slices))
+    return HistoryOperator(_compose(fol, 0, len(fol.slices), resolved, max_dim), len(fol.slices))

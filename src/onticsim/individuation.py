@@ -316,6 +316,8 @@ def classify_timeline(trajectory, shapes=None) -> list[MindPartition]:
         shapes = getattr(trajectory, "state_dims", None)
     if shapes is None:
         raise IndividuationError("provide shapes: one factor-dimension tuple per step")
+    if len(shapes) != len(states):
+        raise IndividuationError(f"{len(shapes)} shapes for {len(states)} stored states")
     for t, (state, shape) in enumerate(zip(states, shapes)):
         partitions.append(finest_factorization(state, shape, timestamp=t))
     return partitions

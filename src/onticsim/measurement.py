@@ -431,12 +431,14 @@ def _bloch_of(psis: np.ndarray) -> np.ndarray:
 def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Measure M copies of ``psi``, re-prepare from the classical record.
 
-    Returns (recalled state, fidelity |<psi|psi_hat>|^2).
+    Returns (recalled state, fidelity |<psi|psi_hat>|^2). Raises
+    MeasurementError for M < 1 or a state that is not finite and normalized,
+    before any draw from ``rng``.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise MeasurementError("input state must be normalized")
-    _check_strategy(strategy, psi.size)
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
+        raise MeasurementError("input state must be finite and normalized")
+    _check_strategy(strategy, psi.size, m)
     if strategy == "optimal_covariant_qubit":
         frame = covariant_qubit_frame(m)
         x = (frame.tighten @ _dicke_coords(psi[0], psi[1], m))[None, :]
@@ -449,9 +451,11 @@ def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> 
     return recalled, float(np.abs(np.vdot(psi, recalled)) ** 2)
 
 
-def _check_strategy(strategy: str, d: int) -> None:
+def _check_strategy(strategy: str, d: int, m: int) -> None:
     """The guard of both recall entry points: a known strategy, implemented
-    for dimension d."""
+    for dimension d, on at least one copy."""
+    if m < 1:
+        raise MeasurementError(f"need at least one copy, got M = {m}")
     if strategy not in _STRATEGIES:
         raise MeasurementError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
     if strategy == "optimal_covariant_qubit" and d != 2:
@@ -468,12 +472,15 @@ def mean_recall_fidelity(
     """Monte Carlo mean fidelity over Haar-random pure states.
 
     Returns (mean, standard error). Vectorized per strategy; a fixed seed
-    gives reproducible results.
+    gives reproducible results. Raises MeasurementError for M < 1 or fewer
+    than one trial.
     """
+    _check_strategy(strategy, d, m)
+    if trials < 1:
+        raise MeasurementError(f"need at least one trial, got {trials}")
     stream = zlib.crc32(f"{strategy}:{m}:{d}".encode())
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)))
-    _check_strategy(strategy, d)
     if strategy == "optimal_covariant_qubit":
         frame = covariant_qubit_frame(m)
     fids = np.empty(trials)

@@ -414,6 +414,26 @@ cond u on m
         assert operators == 128 * 128 * 16
         assert held < 2 * operators, held
 
+    @pytest.mark.parametrize("sig,d", [
+        ("A -> A = measure", 257), ("A -> = effect", 4097), ("-> A = state(0)", 4096 ** 2 + 1),
+    ])
+    def test_dsl_refuses_oversized_operators_before_allocating(self, sig, d):
+        """``measure`` holds d**3 entries, ``effect`` d**2 and ``state(j)``
+        d: each one past 4096**2 is refused with its line, not built."""
+        text = f"circuit big\nsys A : q{d}\nnode n : {sig}\n"
+        with pytest.raises(DslError, match="line 3: .* more than the cap of 16777216"):
+            parse_dsl(text)  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            with pytest.raises(DslError):
+                parse_dsl(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        small = parse_dsl(f"circuit small\nsys A : q16\nnode n : {sig}\n")
+        assert small.node("n").events
+
     def test_dsl_wire_and_effect(self):
         text = """
 circuit w closed

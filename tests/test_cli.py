@@ -322,6 +322,31 @@ def test_bad_argument_is_a_usage_error(argv, circuits_dir, capsys):
     assert "usage:" in captured.err and "Traceback" not in captured.err
 
 
+GROW_DSL = """circuit grow closed
+sys A : q2
+sys B : q2
+sys C : q2
+node prep : -> A B C = state(0)
+node read : A B C -> = effect
+wire prep.0 -> read.0
+wire prep.1 -> read.1
+wire prep.2 -> read.2
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "enumerate", "classify"])
+def test_max_dim_caps_internal_leaves(command, tmp_path, capsys):
+    """Both boundary leaves are 1-dim; the leaf between the two nodes is 8-dim."""
+    path = tmp_path / "grow.opt"
+    path.write_text(GROW_DSL)
+    assert main([command, str(path), "--max-dim", "8"]) == 0
+    capsys.readouterr()
+    assert main([command, str(path), "--max-dim", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step 0: leaf dimension exceeds cap 4\n"
+
+
 class TestRun:
     def test_replay_is_byte_identical(self, circuits_dir, tmp_path):
         args = [

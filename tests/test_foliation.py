@@ -621,3 +621,78 @@ class TestDimensionCaps:
         assert np.array_equal(compile_slice(fol, 0, outcomes, max_dim=3), np.ones((1, 1)))
         with pytest.raises(FoliationError, match="slice operator exceeds dimension cap 2"):
             compile_slice(fol, 0, outcomes, max_dim=2)
+
+
+def product_compile_history(fol, outcomes, classical_input="0", max_dim=MAX_DIM) -> np.ndarray:
+    """The history operator as the product of the slice operators, the
+    rightmost acting first: how ``compile_history`` composed slices before
+    it ran one pass over all of them."""
+    resolved = resolve_assignment(fol.layout, outcomes, classical_input)
+    op = np.eye(prod(fol.leaf_dims(0)), dtype=complex)
+    for s in range(len(fol.slices)):
+        op = compile_slice(fol, s, resolved=resolved, max_dim=max_dim) @ op
+    return op
+
+
+def readout_then_grow() -> Circuit:
+    """Slice 0 reads out the input qubit; slice 1 prepares three qubits and
+    reads them out again, so it holds an 8-dim tensor between 1-dim leaves."""
+    systems = {lbl: System(lbl, 2) for lbl in ("Q", "A", "B", "C")}
+    ket = np.zeros((8, 1))
+    ket[0, 0] = 1.0
+    nodes = [
+        TestNode("in", ("Q",), (), tuple(Event(str(j), (np.eye(2)[j:j + 1],)) for j in range(2))),
+        TestNode("prep", (), ("A", "B", "C"), (Event("0", (ket,)),)),
+        TestNode("read", ("A", "B", "C"), (), tuple(Event(str(j), (np.eye(8)[j:j + 1],))
+                                                  for j in range(8))),
+    ]
+    wires = [WireSpec("prep", k, "read", k) for k in range(3)]
+    return Circuit("readout-then-grow", systems, nodes, wires)
+
+
+class TestHistoryPass:
+    """``compile_history`` runs the kernel once over every slice; the
+    product of the slice operators is its oracle."""
+
+    def test_graph_cases_equal_the_product(self):
+        cases = graph_cases()
+        checked = 0
+        for k, c in enumerate(cases):
+            lay = layout(c)
+            outcomes = any_assignment(lay)
+            fols = [foliate(lay, "asap"), foliate(lay, "alap")]
+            fols += [foliate(lay, "random", rng=np.random.default_rng([k, seed])) for seed in (0, 1)]
+            for fol in fols:
+                got = compile_history(fol, outcomes)
+                want = product_compile_history(fol, outcomes)
+                assert got.operator.shape == want.shape, (c.name, fol.strategy)
+                assert np.abs(got.operator - want).max() < 1e-13, (c.name, fol.strategy)
+                assert got.factor_count == len(fol.slices)
+                checked += 1
+        assert checked == 4 * len(cases)
+
+    @pytest.mark.parametrize("strategy", ["asap", "alap", "random"])
+    def test_deep_chain_equals_the_product(self, strategy):
+        lay = layout(closed_chain(DEEP_CHAIN))
+        fol = foliate(lay, strategy, rng=np.random.default_rng(5))
+        for outcome in ("0", "1"):
+            got = compile_history(fol, {"m": outcome}).operator
+            assert np.abs(got - product_compile_history(fol, {"m": outcome})).max() < 1e-13
+
+    def test_cap_bounds_the_tensors_of_the_pass(self):
+        """The pass holds slice 1's 8-dim tensor against the 2-dim input
+        basis, 16 entries, where the product held 8 per slice operator."""
+        fol = foliate(readout_then_grow(), "given", slices=[["in"], ["prep", "read"]])
+        outcomes = {"in": "1", "read": "0"}
+        want = product_compile_history(fol, outcomes, max_dim=3)
+        assert np.array_equal(want, np.array([[0.0, 1.0]]))
+        assert np.array_equal(compile_history(fol, outcomes, max_dim=4).operator, want)
+        with pytest.raises(FoliationError, match="slice operator exceeds dimension cap 3"):
+            compile_history(fol, outcomes, max_dim=3)
+
+    def test_later_leaf_cap(self):
+        fol = foliate(readout_then_grow(), "given", slices=[["in", "prep"], ["read"]])
+        outcomes = {"in": "0", "read": "0"}
+        with pytest.raises(FoliationError, match="leaf dimension exceeds cap 4"):
+            compile_history(fol, outcomes, max_dim=4)
+        assert compile_history(fol, outcomes, max_dim=8).operator.shape == (1, 2)

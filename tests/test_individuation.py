@@ -446,6 +446,14 @@ class TestTimeline:
         with pytest.raises(IndividuationError, match="finite"):
             classify_timeline(traj)
 
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_shape_per_stored_state(self, count):
+        traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=True)
+        shapes = (traj.state_dims * 2)[:count]
+        with pytest.raises(IndividuationError, match=f"{count} shapes for 3 stored states"):
+            classify_timeline(traj, shapes=shapes)
+        assert len(classify_timeline(traj, shapes=traj.state_dims)) == 3
+
     def test_needs_stored_states(self):
         traj = run_trajectory(gallery.merge_split_program(), seed=3, store_states=False)
         with pytest.raises(IndividuationError, match="store_states"):

@@ -336,6 +336,31 @@ class TestStoreRecall:
         with pytest.raises(MeasurementError):
             mean_recall_fidelity("sic_estimate", 1, 5, 10)
 
+    @pytest.mark.parametrize("strategy", ["optimal_covariant_qubit", "sic_estimate",
+                                          "random_vn_repeat"])
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_no_copies(self, strategy, m):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(MeasurementError, match="at least one copy"):
+            store_recall_cycle(np.array([1, 0]), m, strategy, rng)
+        assert rng.bit_generator.state == before
+        with pytest.raises(MeasurementError, match="at least one copy"):
+            mean_recall_fidelity(strategy, m, 2, 10)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials(self, trials):
+        with pytest.raises(MeasurementError, match="at least one trial"):
+            mean_recall_fidelity("sic_estimate", 1, 2, trials)
+
+    @pytest.mark.parametrize("psi", [[np.nan, 0], [np.inf, 0], [1, 1]])
+    def test_unnormalized_input(self, psi):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(MeasurementError, match="finite and normalized"):
+            store_recall_cycle(np.array(psi), 1, "sic_estimate", rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("strategy,d", [
         ("sic_estimate", 2), ("sic_estimate", 3), ("random_vn_repeat", 2),
     ])

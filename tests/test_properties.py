@@ -11,7 +11,8 @@ runs one node per slice), enumerated laws sum to one, each sampled
 probability is the squared norm of its history operator on the initial
 state, and ``run`` output does not depend on the batch size. The sampler
 runs with its fast path on and off, so the slice kernel is exercised on
-the enumeration path and on the tensor path.
+the enumeration path and on the tensor path. Drawn circuits and programs
+also survive a JSON round trip byte for byte.
 """
 
 import contextlib
@@ -25,10 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onticsim import engine, gallery
-from onticsim.circuit import layout
+from onticsim import engine, gallery, jsonio
+from onticsim.circuit import layout, parse_circuit, serialize_circuit
 from onticsim.cli import main
-from onticsim.engine import Program, enumerate_histories, program_to_dict, run_trajectories
+from onticsim.engine import (Program, ProgramStep, enumerate_histories, program_from_dict,
+                             program_to_dict, run_trajectories)
 from onticsim.foliation import admissible_events, compile_history, foliate
 from onticsim.random_circuits import random_circuit
 
@@ -306,3 +308,32 @@ def test_run_bytes_do_not_depend_on_batch_size(work, case, seed):
                 assert _main(argv) == (0, "")
             runs.add(out.read_bytes())
         assert len(runs) == 1, fast_dim
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=random_circuits())
+def test_circuit_json_round_trip_is_byte_stable(case):
+    circuit, _ = case
+    text = serialize_circuit(circuit)
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+@st.composite
+def random_programs(draw):
+    """One to three drawn circuits as steps, each later step with a drawn
+    bind over its input wires, and the first step's initial state or none."""
+    cases = draw(st.lists(random_circuits(), min_size=1, max_size=3))
+    steps = []
+    for t, (circuit, _) in enumerate(cases):
+        n_in = len(layout(circuit).input_dims)
+        perm = draw(st.permutations(range(n_in)))
+        steps.append(ProgramStep(circuit, list(enumerate(perm)) if t and n_in else None))
+    initial = cases[0][1] if draw(st.booleans()) else None
+    return Program(draw(st.sampled_from(["p", "two words"])), steps, initial)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(program=random_programs())
+def test_program_dict_round_trip_is_byte_stable(program):
+    text = jsonio.dumps(program_to_dict(program))
+    assert jsonio.dumps(program_to_dict(program_from_dict(json.loads(text)))) == text
