@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 
@@ -92,10 +93,10 @@ def cmd_enumerate(args) -> int:
     total = sum(p for _, p in histories)
     with _output(args) as out:
         if args.format == "csv":
-            out.write("outcomes,probability\n")
-            for key, p in histories:
-                label = ";".join(f"{k}={v}" for k, v in key)
-                out.write(f"{label},{p:.17g}\n")
+            rows = csv.writer(out, lineterminator="\n")
+            rows.writerow(["outcomes", "probability"])
+            rows.writerows((";".join(f"{k}={v}" for k, v in key), f"{p:.17g}")
+                           for key, p in histories)
         else:
             records = ({"outcomes": [[k, v] for k, v in key], "probability": p}
                        for key, p in histories)

@@ -281,21 +281,6 @@ def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, st
     return _Branches(candidates, frees, deterministic)
 
 
-def _context_key(plan: _SlicePlan, chosen: dict[str, str], classical_input: str) -> tuple:
-    """What a slice's candidates depend on, as a hashable key: the admissible
-    event subsets of its nodes that read from outside it."""
-    return tuple([admissible_events(node, chosen, classical_input) for node in plan.key_nodes])
-
-
-def _branches(plan: _SlicePlan, lay: CircuitLayout, key: tuple, chosen: dict[str, str],
-              classical_input: str) -> _Branches:
-    hit = plan.branches.get(key)
-    if hit is None:
-        hit = _slice_candidates(plan, lay, chosen, classical_input)
-        plan.branches[key] = hit
-    return hit
-
-
 def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.ndarray:
     """The fast path's slice operators of each candidate, stacked to
     broadcast over a batch."""
@@ -454,8 +439,10 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
         for p, rows in _groups(path, len(paths)):
             chosen, free = paths[p]
-            key = _context_key(plan, chosen, classical_input)
-            branches = _branches(plan, lay, key, chosen, classical_input)
+            key = tuple([admissible_events(node, chosen, classical_input) for node in plan.key_nodes])
+            branches = plan.branches.get(key)
+            if branches is None:
+                branches = plan.branches[key] = _slice_candidates(plan, lay, chosen, classical_input)
             cands, frees = branches.cands, branches.frees
             u = uniforms[rows, s]
             m, k = len(u), len(cands)
@@ -493,12 +480,13 @@ def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
     """Deterministic coarse-graining must conserve total branch weight.
     ``weights`` holds one row of branch weights per trajectory."""
     if branches.deterministic:
-        for total in np.add.reduce(weights, axis=1).tolist():
-            if abs(total - 1.0) > 1e-6:
-                raise EngineError(
-                    f"slice outcome weights sum to {total:.9f} for a "
-                    "deterministic test (inconsistent events)"
-                )
+        totals = np.add.reduce(weights, axis=1)
+        failed = np.abs(totals - 1.0) > 1e-6  # a NaN total compares False and passes
+        if failed.any():
+            raise EngineError(
+                f"slice outcome weights sum to {float(totals[failed.argmax()]):.9f} for a "
+                "deterministic test (inconsistent events)"
+            )
 
 
 def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]]) -> np.ndarray:
@@ -578,6 +566,8 @@ def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs
 
 def _padded_inputs(inputs, steps: int) -> list[str]:
     inputs = list(inputs) if inputs else []
+    if len(inputs) > steps:
+        raise EngineError(f"got {len(inputs)} classical inputs for a {steps}-step program")
     return inputs + ["0"] * (steps - len(inputs))
 
 
@@ -588,14 +578,14 @@ def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
 
     Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so
     every trajectory equals ``run_trajectory(..., index=i)`` bit for bit,
-    whatever batch it falls in.
+    whatever batch it falls in. Surplus inputs raise here, before any batch.
     """
     inputs = _padded_inputs(inputs, len(compiled))
     slices = sum(len(step.slices) for step in compiled)
-    for start in range(0, count, BATCH_SIZE):
-        n = min(BATCH_SIZE, count - start)
-        uniforms = _trajectory_uniforms(seed, start, n, slices)
-        yield _sample_batch(program, compiled, omega0, inputs, uniforms, start, store_states)
+    return (_sample_batch(program, compiled, omega0, inputs,
+                          _trajectory_uniforms(seed, start, min(BATCH_SIZE, count - start), slices),
+                          start, store_states)
+            for start in range(0, count, BATCH_SIZE))
 
 
 def _trajectories(batch: TrajectoryBatch, compiled: list[CompiledStep], inputs: list[str],
@@ -696,51 +686,52 @@ def enumerate_histories(
 ) -> list[tuple[tuple[tuple[str, str], ...], float]]:
     """All outcome histories with their exact probabilities ||Omega w0||^2.
 
-    History keys are ((node, outcome), ...) over free choices, prefixed by
-    the step index for multi-step programs. Raises HistoryCapExceeded when
-    the combinatorial count passes ``cap``.
+    The history tree has one level per node, in each step's foliation run
+    order; a node's children are its admissible events. History keys are
+    ``Trajectory.outcome_items`` of the free choices. Raises
+    HistoryCapExceeded when the combinatorial count passes ``cap``.
     """
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
     inputs = _padded_inputs(inputs, len(compiled))
-    prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
+    runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
 
-    def children(t: int, s: int, state: np.ndarray, order: list[int], chosen: dict, key: tuple):
-        """The nodes below (step t, slice s) of the history tree, in order;
-        past a step's last slice, the next step's start."""
-        step = compiled[t]
-        lay = step.layout
-        if s == len(step.slices):
-            state, order = _reorder(state, order, list(lay.output_wires)), []
+    def children(t: int, k: int, state: np.ndarray, order: list[int], chosen: dict, frees: tuple):
+        """The nodes below (step t, k nodes applied) of the history tree, in
+        order; past a step's last node, the next step's start."""
+        lay = compiled[t].layout
+        if k == len(runs[t]):
+            state = _reorder(state, order, list(lay.output_wires))
             if t + 1 < len(compiled):
                 nxt = compiled[t + 1]
-                state = _apply_bind(state, nxt.bind)
-                order = list(nxt.layout.input_wires)
-            yield t + 1, 0, state, order, {}, key
+                state, order = _apply_bind(state, nxt.bind), list(nxt.layout.input_wires)
+                frees += ({},)
+            yield t + 1, 0, state, order, {}, frees
             return
-        plan = step.slices[s]
-        branches = _branches(plan, lay, _context_key(plan, chosen, inputs[t]), chosen, inputs[t])
-        for cand, free in zip(branches.cands, branches.frees):
-            out, out_order = _apply_slice(state, order, lay, plan.node_indices, cand)
-            yield (t, s + 1, out, out_order, {**chosen, **cand},
-                   key + tuple((prefixes[t] + n, o) for n, o in free.items()))
+        node = lay.circuit.nodes[runs[t][k]]
+        admissible = admissible_events(node, chosen, inputs[t])
+        for e in admissible:
+            event = {node.label: node.events[e].outcome}
+            out, out_order = _apply_slice(state, order, lay, [runs[t][k]], event)
+            free = {**frees[-1], **event} if len(admissible) > 1 else frees[-1]
+            yield t, k + 1, out, out_order, {**chosen, **event}, frees[:-1] + (free,)
 
     # Depth first with one iterator per level, so a deep circuit needs no
     # deep recursion and only the current path's states are alive.
     results: list[tuple[tuple[tuple[str, str], ...], float]] = []
     state0 = _initial_tensor(program, compiled, omega0)
-    stack = [iter([(0, 0, state0, list(compiled[0].layout.input_wires), {}, ())])]
+    stack = [iter([(0, 0, state0, list(compiled[0].layout.input_wires), {}, ({},))])]
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
+        item = next(stack[-1], None)
+        if item is None:
             stack.pop()
             continue
-        t, _, state, _, _, key = node
+        t, _, state, _, _, frees = item
         if t < len(compiled):
-            stack.append(children(*node))
+            stack.append(children(*item))
             continue
-        results.append((key, float(np.real(np.vdot(state, state)))))
+        results.append((tuple(_outcome_items(frees)), float(np.real(np.vdot(state, state)))))
         if len(results) > cap:
             raise HistoryCapExceeded(f"more than {cap} histories")
     return results

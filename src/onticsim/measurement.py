@@ -441,9 +441,7 @@ def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> 
     _check_strategy(strategy, psi.size, m)
     if strategy == "optimal_covariant_qubit":
         frame = covariant_qubit_frame(m)
-        x = (frame.tighten @ _dicke_coords(psi[0], psi[1], m))[None, :]
-        i = int(_covariant_picks(frame, x, np.array([rng.random()]))[0])
-        recalled = frame.spinors[i]
+        recalled = frame.spinors[_covariant_draw(psi[None], frame, rng)[0]]
     elif strategy == "sic_estimate":
         recalled = _sic_batch(psi[None], m, rng)[0]
     else:
@@ -505,10 +503,17 @@ def mean_recall_fidelity(
     return mean, stderr
 
 
+def _covariant_draw(psis: np.ndarray, frame: CovariantQubitFrame,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The covariant strategy's mesh pick for each row of qubit states
+    ``psis``, from one uniform per row."""
+    w = _dicke_coords(psis[:, 0], psis[:, 1], frame.copies)
+    return _covariant_picks(frame, w @ frame.tighten.T, rng.random(psis.shape[0]))
+
+
 def _covariant_batch(psis: np.ndarray, frame: CovariantQubitFrame,
                      rng: np.random.Generator) -> np.ndarray:
-    w = _dicke_coords(psis[:, 0], psis[:, 1], frame.copies)
-    picks = _covariant_picks(frame, w @ frame.tighten.T, rng.random(psis.shape[0]))
+    picks = _covariant_draw(psis, frame, rng)
     r = _bloch_of(psis)
     return (1 + np.einsum("ij,ij->i", r, frame.directions[picks])) / 2
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -347,6 +349,24 @@ def test_max_dim_caps_internal_leaves(command, tmp_path, capsys):
     assert captured.err == "error: step 0: leaf dimension exceeds cap 4\n"
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["run", "conditioned_step_program.json", "--inputs", "1,0,1,1"], 4),
+    (["run", "conditioned_step_program.json", "--inputs", "1,0", "--format", "json"], 2),
+    (["enumerate", "bell_pair.json", "--inputs", "5,6"], 2),
+    (["enumerate", "bell_pair.json", "--inputs", "5,6", "--format", "csv"], 2),
+])
+def test_surplus_inputs_refused(argv, given, circuits_dir, tmp_path, capsys):
+    command, name, *options = argv
+    args = [command, str(circuits_dir / name), *options]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: got {given} classical inputs for a 1-step program\n"
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 class TestRun:
     def test_replay_is_byte_identical(self, circuits_dir, tmp_path):
         args = [
@@ -499,6 +519,20 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "outcomes,probability"
         assert len(lines) == 5  # header + 4 joint outcomes
+
+    def test_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys):
+        doc = json.loads(serialize_circuit(closed_chain(1)))
+        assert doc["nodes"][-1]["label"] == doc["wires"][-1]["to"][0] == "m"
+        doc["nodes"][-1]["label"] = doc["wires"][-1]["to"][0] = "a,b"
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(doc))
+        assert main(["enumerate", str(path), "--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[1].startswith('"a,b=0",')
+        law = enumerate_histories(closed_chain(1))
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["outcomes", "probability"], *([f"a,b={o}", f"{p:.17g}"] for ((_, o),), p in law)
+        ]
 
     def test_deep_chain(self, tmp_path, capsys):
         path = tmp_path / "chain.json"

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _helpers import DEEP_CHAIN, closed_chain
+from _helpers import DEEP_CHAIN, closed_chain, graph_cases
 from onticsim import engine, gallery, quantum
 from onticsim.circuit import (
     Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec, layout,
@@ -375,7 +375,113 @@ class TestDeepChain:
             assert abs(t.probability - want) < 1e-9
 
 
+def slice_walk_histories(program, omega0=None, inputs=None, cap=engine.DEFAULT_HISTORY_CAP):
+    """``enumerate_histories`` as it stood before the node walk: one tree
+    level per slice, whose children are the slice's joint candidates, each
+    applied by one ``_apply_slice`` call over the slice's nodes."""
+    if isinstance(program, Circuit):
+        program = Program.single(program)
+    compiled = compile_program(program)
+    inputs = engine._padded_inputs(inputs, len(compiled))
+    prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
+
+    def children(t, s, state, order, chosen, key):
+        step = compiled[t]
+        lay = step.layout
+        if s == len(step.slices):
+            state, order = engine._reorder(state, order, list(lay.output_wires)), []
+            if t + 1 < len(compiled):
+                nxt = compiled[t + 1]
+                state = engine._apply_bind(state, nxt.bind)
+                order = list(nxt.layout.input_wires)
+            yield t + 1, 0, state, order, {}, key
+            return
+        plan = step.slices[s]
+        branches = engine._slice_candidates(plan, lay, chosen, inputs[t])
+        for cand, free in zip(branches.cands, branches.frees):
+            out, out_order = engine._apply_slice(state, order, lay, plan.node_indices, cand)
+            yield (t, s + 1, out, out_order, {**chosen, **cand},
+                   key + tuple((prefixes[t] + n, o) for n, o in free.items()))
+
+    results = []
+    state0 = engine._initial_tensor(program, compiled, omega0)
+    stack = [iter([(0, 0, state0, list(compiled[0].layout.input_wires), {}, ())])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        t, _, state, _, _, key = node
+        if t < len(compiled):
+            stack.append(children(*node))
+            continue
+        results.append((key, float(np.real(np.vdot(state, state)))))
+        if len(results) > cap:
+            raise HistoryCapExceeded(f"more than {cap} histories")
+    return results
+
+
+def walk_cases():
+    """(program, initial state, inputs) for every graph case and every
+    multi-step program, under each classical input they read."""
+    cases = []
+    for c in graph_cases():
+        d = int(np.prod(layout(c).input_dims))
+        cases.append((Program.single(c), haar_state(d, np.random.default_rng(d)), None))
+    for inputs in (["0"], ["1"]):
+        cases.append((gallery.conditioned_step_program(), None, inputs))
+    cases.append((gallery.merge_split_program(), None, None))
+    cases.append((*rand3_program(), ["1", "0"]))
+    return cases
+
+
+class TestNodeWalk:
+    """The node walk against the slice walk it replaced: keys, their order
+    and the float probabilities are equal, not just close."""
+
+    def test_equals_the_slice_walk(self):
+        for prog, omega0, inputs in walk_cases():
+            assert enumerate_histories(prog, omega0, inputs) == slice_walk_histories(
+                prog, omega0, inputs), prog.name
+
+    def test_deep_chain_equals_the_slice_walk(self):
+        c = closed_chain(DEEP_CHAIN)
+        assert enumerate_histories(c) == slice_walk_histories(c)
+
+    def test_needs_no_slice_candidates(self, monkeypatch):
+        prog = gallery.conditioned_step_program()
+        law = slice_walk_histories(prog, inputs=["1"])
+
+        def refuse(*args):
+            raise AssertionError("enumeration asked for slice candidates")
+
+        monkeypatch.setattr(engine, "_slice_candidates", refuse)
+        assert enumerate_histories(prog, inputs=["1"]) == law
+
+    def test_cap_raised_at_the_same_count(self):
+        prog, psi0 = rand3_program()
+        law = enumerate_histories(prog, omega0=psi0)
+        assert len(enumerate_histories(prog, omega0=psi0, cap=len(law))) == len(law)
+        for walk in (enumerate_histories, slice_walk_histories):
+            with pytest.raises(HistoryCapExceeded, match=f"more than {len(law) - 1} histories"):
+                walk(prog, omega0=psi0, cap=len(law) - 1)
+
+
 class TestEnginePreconditions:
+    def test_surplus_inputs_refused(self):
+        prog, psi0 = rand3_program()
+        message = "got 4 classical inputs for a 3-step program"
+        for call in (
+            lambda: enumerate_histories(prog, psi0, ["0", "1", "0", "1"]),
+            lambda: run_trajectory(prog, psi0, ["0", "1", "0", "1"]),
+            lambda: run_trajectories(prog, 3, omega0=psi0, inputs=["0", "1", "0", "1"]),
+            lambda: engine.sample_batches(prog, 3, omega0=psi0, inputs=["0", "1", "0", "1"],
+                                          compiled=compile_program(prog)),
+        ):
+            with pytest.raises(EngineError, match=message):
+                call()
+        assert len(enumerate_histories(prog, psi0, ["0", "1", "0"])) == 8
+
     def test_rejects_non_atomic_events(self):
         systems = {"Q": System("Q", 2)}
         eye = np.eye(2, dtype=complex)
@@ -601,6 +707,14 @@ class TestBatchKernel:
             run_trajectory(prog, RARE_ONE, seed=RARE_SEED, index=RARE_INDEX, compiled=compiled)
         with pytest.raises(EngineError, match=message):
             run_trajectories(prog, 1000, seed=RARE_SEED, omega0=RARE_ONE, compiled=compiled)
+
+    def test_slice_total_names_the_first_failing_row(self):
+        weights = np.array([[0.5, 0.5], [np.nan, 0.0], [0.2, 0.3], [0.1, 0.1]])
+        deterministic = engine._Branches([], [], deterministic=True)
+        with pytest.raises(EngineError, match=r"weights sum to 0\.500000000 for a deterministic"):
+            engine._check_slice_total(deterministic, weights)
+        engine._check_slice_total(deterministic, weights[:2])  # a NaN total passes
+        engine._check_slice_total(engine._Branches([], [], deterministic=False), weights)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
     @pytest.mark.parametrize("count", [1, 4, 5, 13])

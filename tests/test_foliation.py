@@ -541,7 +541,7 @@ def kron_compile_slice(fol, slice_index: int, resolved: dict[str, int],
 
 
 def _fast_path_operators(step, classical_input):
-    """(slice, resolved event indices, cached operator) for every candidate
+    """(slice, resolved event indices, stacked operator) for every candidate
     of every fast slice in every context reachable under ``classical_input``."""
     lay = step.layout
     found = []
@@ -550,8 +550,7 @@ def _fast_path_operators(step, classical_input):
         if s == len(step.slices):
             return
         plan = step.slices[s]
-        key = engine._context_key(plan, chosen, classical_input)
-        branches = engine._branches(plan, lay, key, chosen, classical_input)
+        branches = engine._slice_candidates(plan, lay, chosen, classical_input)
         stacked = engine._stacked_operators(step, s, branches) if plan.fast else None
         for c, cand in enumerate(branches.cands):
             if stacked is not None:
