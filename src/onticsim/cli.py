@@ -13,20 +13,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import sys
 
 from . import jsonio
 from .circuit import CircuitError, validate_dag
-from .engine import (
-    EngineError,
-    TrajectoryBatch,
-    compile_program,
-    enumerate_histories,
-    load_run_spec,
-    run_trajectory,
-    sample_batches,
-)
+from .engine import (EngineError, compile_program, enumerate_histories, load_run_spec,
+                     run_trajectory, sample_batches)
 from .individuation import IndividuationError, classify_timeline
 from .linalg import MAX_DIM
 from .measurement import MeasurementError, mean_recall_fidelity, recall_fidelity_bound
@@ -52,19 +44,14 @@ def _output(args):
     return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _run_lines(batch: TrajectoryBatch, seed: int, store_states: bool) -> str:
-    """The JSONL text of one batch: the bytes of ``jsonio.dumps(record)`` per
-    line, with each path's outcome list formatted once."""
-    outcomes = [jsonio.dumps(items) for items in batch.outcome_items()]
-    head = f'{{"seed": {jsonio.dumps(seed)}, "index": '
-    lines = []
-    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
-        line = (f'{head}{batch.start + r}, "outcomes": {outcomes[p]}, '
-                f'"probability": {jsonio.format_float(prob)}')
-        if store_states:
-            line += f', "final_state": {jsonio.dumps_vector(batch.states[-1][r])}'
-        lines.append(line + "}\n")
-    return "".join(lines)
+def _run_records(batch, writer: jsonio.RecordWriter, seed: int, store_states: bool) -> list[str]:
+    """One batch's records as text; each path's outcomes and the states are formatted once."""
+    outcomes = [writer.outcomes(items) for items in batch.outcome_items()]
+    states = (jsonio.format_vectors(batch.states[-1], writer.indent, writer.level + 1)
+              if store_states else None)
+    return [writer.format((seed, batch.start + r), outcomes[p], prob,
+                          (states[r],) if store_states else ())
+            for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist()))]
 
 
 def cmd_run(args) -> int:
@@ -73,16 +60,16 @@ def cmd_run(args) -> int:
     compiled = compile_program(program, max_dim=args.max_dim)
     batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
                              store_states=args.store_states, compiled=compiled)
-    texts = (_run_lines(batch, args.seed, args.store_states) for batch in batches)
+    document = args.format == "json"
+    writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if args.store_states else (),
+                                 indent=2 if document else None, level=1 if document else 0)
+    texts = (_run_records(batch, writer, args.seed, args.store_states) for batch in batches)
     with _output(args) as out:
-        if args.format == "json":
-            # Each JSONL line parses back to its record: canonical floats
-            # round-trip, so the indented document has the same numbers.
-            jsonio.dump((json.loads(line) for text in texts for line in text.splitlines()),
-                        out, indent=2)
+        if document:
+            writer.write(out.write, (text for batch in texts for text in batch))
             out.write("\n")
         else:
-            out.writelines(texts)
+            out.writelines("\n".join(batch) + "\n" for batch in texts)
     return 0
 
 
@@ -98,10 +85,11 @@ def cmd_enumerate(args) -> int:
             rows.writerows((";".join(f"{k}={v}" for k, v in key), f"{p:.17g}")
                            for key, p in histories)
         else:
-            records = ({"outcomes": [[k, v] for k, v in key], "probability": p}
-                       for key, p in histories)
-            jsonio.dump({"histories": records, "total_probability": total}, out, indent=2)
-            out.write("\n")
+            writer = jsonio.RecordWriter(indent=2, level=2)
+            out.write('{\n  "histories": ')
+            writer.write(out.write, (writer.format((), writer.outcomes(key), p)
+                                     for key, p in histories))
+            out.write(f',\n  "total_probability": {jsonio.format_float(total)}\n}}\n')
     print(f"{len(histories)} histories, total probability {total:.12f}", file=sys.stderr)
     return 0
 
@@ -110,11 +98,10 @@ def cmd_classify(args) -> int:
     program = load_run_spec(args.path)
     traj = run_trajectory(program, seed=args.seed, store_states=True, max_dim=args.max_dim)
     partitions = classify_timeline(traj)
-    records = ({"step": p.timestamp, "partition": p.block_lists(), "purities": list(p.purities)}
-               for p in partitions)
+    records = [{"step": p.timestamp, "partition": p.block_lists(), "purities": list(p.purities)}
+               for p in partitions]
     with _output(args) as out:
-        jsonio.dump(records, out, indent=2)
-        out.write("\n")
+        out.write(jsonio.dumps(records, indent=2) + "\n")
     return 0
 
 
@@ -124,22 +111,13 @@ def cmd_bench_memory(args) -> int:
         for strategy in args.strategies.split(","):
             for d in args.dims:
                 for m in args.copies:
-                    bound = float(recall_fidelity_bound(m, d))
                     try:
-                        mean, err = mean_recall_fidelity(
-                            strategy, m, d, args.trials, seed=args.seed
-                        )
+                        mean, err = mean_recall_fidelity(strategy, m, d, args.trials, seed=args.seed)
+                        cells = f"{args.trials},{mean:.6f},{err:.6f}"
                     except MeasurementError as exc:
-                        print(
-                            f"warning: skipping {strategy} M={m} d={d}: {exc}",
-                            file=sys.stderr,
-                        )
-                        out.write(f"{strategy},{m},{d},0,,,{bound:.6f}\n")
-                        continue
-                    out.write(
-                        f"{strategy},{m},{d},{args.trials},"
-                        f"{mean:.6f},{err:.6f},{bound:.6f}\n"
-                    )
+                        print(f"warning: skipping {strategy} M={m} d={d}: {exc}", file=sys.stderr)
+                        cells = "0,,"
+                    out.write(f"{strategy},{m},{d},{cells},{float(recall_fidelity_bound(m, d)):.6f}\n")
     return 0
 
 

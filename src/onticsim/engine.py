@@ -535,10 +535,10 @@ class TrajectoryBatch:
         return [_outcome_items(steps) for steps in self.outcomes]
 
 
-def _sample_batch(program: Program, compiled: list[CompiledStep], omega0, inputs: list[str],
+def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list[str],
                   uniforms: np.ndarray, start: int, store_states: bool) -> TrajectoryBatch:
     n = len(uniforms)
-    state = _initial_tensor(program, compiled, omega0).reshape(1, -1).repeat(n, axis=0)
+    state = state0.reshape(1, -1).repeat(n, axis=0)
     dims = compiled[0].layout.input_dims
     path = np.zeros(n, dtype=np.intp)
     outcomes: list[tuple[dict[str, str], ...]] = [()]
@@ -578,11 +578,13 @@ def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
 
     Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so
     every trajectory equals ``run_trajectory(..., index=i)`` bit for bit,
-    whatever batch it falls in. Surplus inputs raise here, before any batch.
+    whatever batch it falls in. Surplus inputs and a bad initial state raise
+    here, before any batch.
     """
     inputs = _padded_inputs(inputs, len(compiled))
+    state0 = _initial_tensor(program, compiled, omega0)
     slices = sum(len(step.slices) for step in compiled)
-    return (_sample_batch(program, compiled, omega0, inputs,
+    return (_sample_batch(compiled, state0, inputs,
                           _trajectory_uniforms(seed, start, min(BATCH_SIZE, count - start), slices),
                           start, store_states)
             for start in range(0, count, BATCH_SIZE))
@@ -638,7 +640,8 @@ def run_trajectory(
     # One stream's uniforms come cheaper from the Generator than from the
     # vectorised cipher, whose set-up cost only pays off over many rows.
     uniforms = trajectory_rng(seed, index).random(sum(len(s.slices) for s in compiled))[None]
-    batch = _sample_batch(program, compiled, omega0, inputs, uniforms, index, store_states)
+    batch = _sample_batch(compiled, _initial_tensor(program, compiled, omega0), inputs, uniforms,
+                          index, store_states)
     return _trajectories(batch, compiled, inputs, seed, store_states, store_operators, max_dim)[0]
 
 

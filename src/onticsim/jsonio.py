@@ -1,33 +1,25 @@
 """Shared JSON encoding: complex scalars as [re, im] pairs, matrices as
-row-major nested arrays, and one canonical writer, ``_emit``, with
-deterministic float formatting (17 significant digits) so equal data always
-yields equal bytes. ``dumps`` collects the writer's text into a string;
-``dump`` hands it to a stream as it is made and writes an array given as an
-iterator item by item, so a document never has to sit in memory whole.
-``dumps_vector`` formats one state vector for the JSON Lines hot path.
+row-major nested arrays, and deterministic float formatting (17 significant
+digits) so equal data always yields equal bytes. ``dumps`` serializes any
+document; ``RecordWriter`` and ``format_vectors`` make the same bytes for the
+CLI's outcome records and for batches of state vectors, from cached templates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(m) -> list[list[list[float]]]:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[encode_complex(z) for z in row] for row in m]
+    return np.ascontiguousarray(np.atleast_2d(m), dtype=complex)[..., None].view(np.float64).tolist()
 
 
 def encode_vector(v) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    return np.ascontiguousarray(v, dtype=complex).reshape(-1, 1).view(np.float64).tolist()
 
 
 def _is_number(obj) -> bool:
@@ -71,25 +63,62 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps_vector(v) -> str:
-    """``dumps(encode_vector(v))``, formatted without the nested lists."""
-    parts = np.ascontiguousarray(v, dtype=complex).reshape(-1).view(np.float64).tolist()
-    return "[" + ", ".join(
-        f"[{format_float(re)}, {format_float(im)}]" for re, im in zip(parts[::2], parts[1::2])
-    ) + "]"
+def format_vectors(states, indent: int | None = None, level: int = 0) -> list[str]:
+    """``dumps(encode_vector(row), indent=indent, level=level)`` for each row
+    of an (n, d) complex array: one ``%`` template per pattern of entries
+    that ``format_float`` writes as integers."""
+    parts = np.ascontiguousarray(states, dtype=complex).view(np.float64)
+    if not np.isfinite(parts).all():
+        raise ValueError("non-finite float in JSON output")
+    integral = (parts == np.trunc(parts)) & (np.abs(parts) < 1e16)
+    _, kinds, which = np.unique(np.packbits(integral, axis=1), axis=0, return_index=True,
+                                return_inverse=True)
+    first, pad, end = _breaks(indent, level)
+    specs = [["%.1f" if i else "%.17g" for i in row] for row in integral[kinds].tolist()]
+    templates = [f"[{first}{pad.join(map('[{}, {}]'.format, s[::2], s[1::2]))}{end}]" for s in specs]
+    return [templates[k] % tuple(row.tolist()) for k, row in zip(which.reshape(-1).tolist(), parts)]
 
 
-def dumps(obj, *, indent: int | None = None) -> str:
-    """Serialize with canonical float formatting; keys keep insertion order."""
+def dumps(obj, *, indent: int | None = None, level: int = 0) -> str:
+    """Serialize with canonical float formatting, indented as if ``level``
+    deep in a document; keys keep insertion order."""
     out: list[str] = []
-    _emit(obj, out.append, indent, 0)
+    _emit(obj, out.append, indent, level)
     return "".join(out)
 
 
-def dump(obj, stream, *, indent: int | None = None) -> None:
-    """Write the bytes of ``dumps(obj, indent=indent)`` to ``stream`` as they
-    are made, taking an iterator's items one at a time."""
-    _emit(obj, stream.write, indent, 0)
+class RecordWriter:
+    """Records ``{*head, "outcomes": [[label, outcome], ...], "probability": p,
+    *tail}`` with the bytes of ``dumps(record, indent=indent, level=level)``, each
+    from one ``%`` template over JSON texts (or ints). Each distinct pair's text is
+    made once, in a bounded cache, so memory does not grow with the document."""
+
+    PAIR_CACHE = 256
+
+    def __init__(self, head=(), tail=(), *, indent: int | None = None, level: int = 0):
+        self.indent, self.level = indent, level
+        first, pad, end = _breaks(indent, level)
+        keys = (*head, "outcomes", "probability", *tail)
+        self._template = "{" + first + pad.join(f"{_encode_str(k)}: %s" for k in keys) + end + "}"
+        self._list = _breaks(indent, level + 1)
+        self._pair = functools.lru_cache(self.PAIR_CACHE)(
+            lambda kv: dumps(list(kv), indent=indent, level=level + 2))
+
+    def outcomes(self, items) -> str:
+        first, pad, end = self._list
+        return f"[{first}{pad.join(map(self._pair, items))}{end}]" if items else "[]"
+
+    def format(self, head, outcomes: str, probability: float, tail=()) -> str:
+        return self._template % (*head, outcomes, format_float(probability), *tail)
+
+    def write(self, write, texts) -> None:
+        """Write the array (one level up) of ``texts``, one ``write`` per text as it comes."""
+        first, pad, end = _breaks(self.indent, self.level - 1)
+        sep = "[" + first
+        for text in texts:
+            write(sep + text)
+            sep = pad
+        write(end + "]" if sep == pad else "[]")
 
 
 def _emit(obj, write, indent: int | None, level: int) -> None:
@@ -105,25 +134,18 @@ def _emit(obj, write, indent: int | None, level: int) -> None:
         write(str(int(obj)))
     elif isinstance(obj, dict):
         first, pad, end = _breaks(indent, level)
-        write("{")
         for i, (k, v) in enumerate(obj.items()):
-            write(pad if i else first)
-            write(_encode_str(str(k)))
-            write(": ")
+            write((pad if i else "{" + first) + _encode_str(str(k)) + ": ")
             _emit(v, write, indent, level + 1)
-        write(end + "}" if obj else "}")
-    elif isinstance(obj, (list, tuple, Iterator)):
-        # Flat numeric pairs ([re, im]) stay on one line even when indenting;
-        # an iterator's items are not known ahead, so each gets its own line.
-        flat = isinstance(obj, (list, tuple)) and all(
-            isinstance(x, (int, float, bool)) or x is None for x in obj)
+        write(end + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        # Flat numeric pairs ([re, im]) stay on one line even when indenting.
+        flat = all(isinstance(x, (int, float, bool)) or x is None for x in obj)
         first, pad, end = ("", ", ", "") if flat else _breaks(indent, level)
-        write("[")
-        i = -1
         for i, v in enumerate(obj):
-            write(pad if i else first)
+            write(pad if i else "[" + first)
             _emit(v, write, indent, level + 1)
-        write(end + "]" if i >= 0 else "]")
+        write(end + "]" if obj else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

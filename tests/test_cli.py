@@ -303,6 +303,20 @@ def test_overflowing_initial_state_prints_one_line(circuits_dir, tmp_path):
     assert done.stderr == "error: initial state is not normalized\n"
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_bad_initial_state_refused_before_output(fmt, circuits_dir, tmp_path, capsys):
+    doc = json.loads((circuits_dir / "conditioned_step_program.json").read_text())
+    doc["initial_state"][0] = [2, 0]
+    path = tmp_path / "unnormalized.json"
+    path.write_text(json.dumps(doc))
+    args = ["run", str(path), "--trajectories", "5", "--format", fmt]
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert main(args + extra) == 1
+        assert capsys.readouterr() == ("", "error: initial state is not normalized\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "bell_pair.json", "--trajectories", "-3"],
     ["bench-memory", "--trials", "0"],

@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from onticsim import jsonio
 
@@ -16,42 +19,15 @@ DOC = {
 
 
 @pytest.mark.parametrize("indent", [None, 2])
-def test_dump_writes_the_bytes_of_dumps(indent):
-    stream = io.StringIO()
-    jsonio.dump(DOC, stream, indent=indent)
-    assert stream.getvalue() == jsonio.dumps(DOC, indent=indent)
-    assert json.loads(stream.getvalue())["name"] == DOC["name"]
+def test_dumps_reads_back_as_the_document(indent):
+    doc = json.loads(jsonio.dumps(DOC, indent=indent))
+    assert doc["name"] == DOC["name"] and doc["nested"] == [[0.1, -0.0], [], {}]
+    assert doc["scalars"] == [3, 1e300, False]
 
 
 def test_strings_are_encoded_as_json_encodes_them():
-    for text in ["", "plain", "café", "tab\tquote\"back\\slash", " \U0001f600"]:
+    for text in ["", "plain", "café", "tab\tquote\"back\\slash", " \U0001f600"]:
         assert jsonio.dumps(text) == json.dumps(text)
-
-
-@pytest.mark.parametrize("indent", [None, 2])
-def test_iterator_of_records_matches_the_list(indent):
-    records = [{"outcomes": [["a", "0"]], "probability": 0.5}, {"outcomes": [], "probability": 1.0}]
-    stream = io.StringIO()
-    jsonio.dump({"histories": iter(records)}, stream, indent=indent)
-    assert stream.getvalue() == jsonio.dumps({"histories": records}, indent=indent)
-
-
-def test_empty_iterator_is_an_empty_array():
-    assert jsonio.dumps(iter([]), indent=2) == "[]"
-    assert jsonio.dumps({"a": (x for x in ())}, indent=2) == '{\n  "a": []\n}'
-
-
-def test_iterator_items_are_taken_one_at_a_time():
-    stream = io.StringIO()
-    seen = []
-
-    def records():
-        for i in range(3):
-            seen.append(stream.getvalue())  # what was written before item i is made
-            yield {"i": i}
-
-    jsonio.dump(records(), stream)
-    assert seen == ["[", '[{"i": 0}', '[{"i": 0}, {"i": 1}']
 
 
 def test_non_finite_and_unknown_values_are_rejected():
@@ -59,3 +35,120 @@ def test_non_finite_and_unknown_values_are_rejected():
         jsonio.dumps([float("nan")])
     with pytest.raises(TypeError, match="ndarray"):
         jsonio.dumps(np.zeros(2))
+
+
+# --- RecordWriter ----------------------------------------------------------------
+
+STATES = np.array([[1.0, 0.5j], [-0.0, 1 / 3 - 2j]])
+RECORDS = [  # (index, outcome pairs, probability)
+    (0, [("a", "0"), ("b", "1")], 0.25),
+    (1, [], 1.0),
+    (2, [("a\"b", "é"), ("☃", "x\\y")], 1 / 3),
+]
+
+
+def _written(records, indent, level, states=False) -> tuple[str, int]:
+    """The writer's text for ``records`` (index, pairs, probability) and its
+    number of ``write`` calls."""
+    writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if states else (),
+                                 indent=indent, level=level)
+    texts = jsonio.format_vectors(STATES[[i % 2 for i, _, _ in records]], indent, level + 1)
+    out, calls = io.StringIO(), []
+    writer.write(lambda text: calls.append(out.write(text)), (
+        writer.format((7, i), writer.outcomes(pairs), p, (texts[r],) if states else ())
+        for r, (i, pairs, p) in enumerate(records)))
+    return out.getvalue(), len(calls)
+
+
+def _expected(records, indent, level, states=False) -> str:
+    docs = []
+    for i, pairs, p in records:
+        doc = {"seed": 7, "index": i, "outcomes": [list(kv) for kv in pairs], "probability": p}
+        if states:
+            doc["final_state"] = jsonio.encode_vector(STATES[i % 2])
+        docs.append(doc)
+    return jsonio.dumps(docs, indent=indent, level=level - 1)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("states", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_record_writer_bytes_equal_dumps(indent, level, states, count):
+    """0 records, 1 record, an empty outcome list, and labels that need
+    escaping (a quote, a backslash, non-ASCII) write the bytes of ``dumps``."""
+    text, calls = _written(RECORDS[:count], indent, level, states)
+    assert text == _expected(RECORDS[:count], indent, level, states)
+    assert calls == count + 1  # one per record, then the closing bracket
+    assert json.loads(text) == json.loads(_expected(RECORDS[:count], indent, level, states))
+
+
+def test_record_text_is_the_jsonl_line():
+    writer = jsonio.RecordWriter(("seed", "index"))
+    for i, pairs, p in RECORDS:
+        record = {"seed": 7, "index": i, "outcomes": pairs, "probability": p}
+        assert writer.format((7, i), writer.outcomes(pairs), p) == jsonio.dumps(record)
+
+
+def test_records_are_written_as_they_are_made():
+    writer = jsonio.RecordWriter(indent=2, level=1)
+    out = io.StringIO()
+    seen = []
+
+    def records():
+        for i in range(3):
+            seen.append(out.getvalue())  # what was written before record i is made
+            yield writer.format((), writer.outcomes([("n", str(i))]), 0.5)
+
+    writer.write(out.write, records())
+    assert seen[0] == "" and seen[1].endswith("0.5\n  }") and seen[2].count('"n"') == 2
+    assert json.loads(out.getvalue())[2] == {"outcomes": [["n", "2"]], "probability": 0.5}
+
+
+def test_pair_cache_is_bounded():
+    writer = jsonio.RecordWriter(indent=2, level=2)
+    n = 3 * writer.PAIR_CACHE
+    for i in range(n):
+        items = [("a", str(i % 3)), ("b", "x"), ("c", str(i))]
+        text = writer.outcomes(items)
+    assert writer._pair.cache_info().currsize <= writer.PAIR_CACHE
+    assert text == jsonio.dumps([list(kv) for kv in items], indent=2, level=3)
+
+
+def test_non_finite_probability_is_rejected():
+    writer = jsonio.RecordWriter()
+    with pytest.raises(ValueError, match="^non-finite float in JSON output$"):
+        writer.format((), "[]", float("nan"))
+
+
+# --- format_vectors ----------------------------------------------------------------
+
+EDGES = [-0.0, 0.0, 1.0, 9999999999999998.0, 1e16, -1e16, 2.0**53, 5e-324, 1e308, -1e308]
+FLOATS = hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4).map(lambda d: 2 * d)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=FLOATS, indent=st.sampled_from([None, 2]), level=st.integers(0, 3))
+@example(parts=np.array([EDGES]), indent=None, level=0)
+@example(parts=np.array([[v, 0.5] for v in EDGES]), indent=2, level=2)
+@example(parts=np.array([[v, -v] for v in EDGES]), indent=None, level=0)
+def test_format_vectors_matches_format_float(parts, indent, level):
+    texts = jsonio.format_vectors(parts.view(complex), indent, level)
+    assert len(texts) == len(parts)
+    for text, row in zip(texts, parts.tolist()):
+        assert text == jsonio.dumps(jsonio.encode_vector(np.array(row).view(complex)),
+                                    indent=indent, level=level)
+        if indent is None:
+            pairs = (f"[{jsonio.format_float(a)}, {jsonio.format_float(b)}]"
+                     for a, b in zip(row[::2], row[1::2]))
+            assert text == "[" + ", ".join(pairs) + "]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=FLOATS, bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.data())
+def test_format_vectors_rejects_any_non_finite_entry(parts, bad, where):
+    parts = parts.copy()
+    parts.flat[where.draw(st.integers(0, parts.size - 1))] = bad
+    with pytest.raises(ValueError, match="^non-finite float in JSON output$"):
+        jsonio.format_vectors(parts.view(complex))
