@@ -17,8 +17,15 @@ import sys
 
 from . import jsonio
 from .circuit import CircuitError, validate_dag
-from .engine import (EngineError, compile_program, enumerate_histories, load_run_spec,
-                     run_trajectory, sample_batches)
+from .engine import (
+    EngineError,
+    TrajectoryBatch,
+    compile_program,
+    enumerate_histories,
+    load_run_spec,
+    run_trajectory,
+    sample_batches,
+)
 from .individuation import IndividuationError, classify_timeline
 from .linalg import MAX_DIM
 from .measurement import MeasurementError, mean_recall_fidelity, recall_fidelity_bound
@@ -44,11 +51,11 @@ def _output(args):
     return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _run_records(batch, writer: jsonio.RecordWriter, seed: int, store_states: bool) -> list[str]:
+def _run_records(batch: TrajectoryBatch, writer: jsonio.RecordWriter, seed: int,
+                 store_states: bool) -> list[str]:
     """One batch's records as text; each path's outcomes and the states are formatted once."""
     outcomes = [writer.outcomes(items) for items in batch.outcome_items()]
-    states = (jsonio.format_vectors(batch.states[-1], writer.indent, writer.level + 1)
-              if store_states else None)
+    states = writer.vectors(batch.states[-1]) if store_states else None
     return [writer.format((seed, batch.start + r), outcomes[p], prob,
                           (states[r],) if store_states else ())
             for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist()))]
@@ -60,12 +67,11 @@ def cmd_run(args) -> int:
     compiled = compile_program(program, max_dim=args.max_dim)
     batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
                              store_states=args.store_states, compiled=compiled)
-    document = args.format == "json"
     writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if args.store_states else (),
-                                 indent=2 if document else None, level=1 if document else 0)
+                                 indent=2 if args.format == "json" else None)
     texts = (_run_records(batch, writer, args.seed, args.store_states) for batch in batches)
     with _output(args) as out:
-        if document:
+        if args.format == "json":
             writer.write(out.write, (text for batch in texts for text in batch))
             out.write("\n")
         else:
@@ -85,11 +91,10 @@ def cmd_enumerate(args) -> int:
             rows.writerows((";".join(f"{k}={v}" for k, v in key), f"{p:.17g}")
                            for key, p in histories)
         else:
-            writer = jsonio.RecordWriter(indent=2, level=2)
-            out.write('{\n  "histories": ')
+            writer = jsonio.RecordWriter(indent=2, key="histories")
             writer.write(out.write, (writer.format((), writer.outcomes(key), p)
-                                     for key, p in histories))
-            out.write(f',\n  "total_probability": {jsonio.format_float(total)}\n}}\n')
+                                     for key, p in histories), total_probability=total)
+            out.write("\n")
     print(f"{len(histories)} histories, total probability {total:.12f}", file=sys.stderr)
     return 0
 
@@ -111,13 +116,22 @@ def cmd_bench_memory(args) -> int:
         for strategy in args.strategies.split(","):
             for d in args.dims:
                 for m in args.copies:
+                    bound = float(recall_fidelity_bound(m, d))
                     try:
-                        mean, err = mean_recall_fidelity(strategy, m, d, args.trials, seed=args.seed)
-                        cells = f"{args.trials},{mean:.6f},{err:.6f}"
+                        mean, err = mean_recall_fidelity(
+                            strategy, m, d, args.trials, seed=args.seed
+                        )
                     except MeasurementError as exc:
-                        print(f"warning: skipping {strategy} M={m} d={d}: {exc}", file=sys.stderr)
-                        cells = "0,,"
-                    out.write(f"{strategy},{m},{d},{cells},{float(recall_fidelity_bound(m, d)):.6f}\n")
+                        print(
+                            f"warning: skipping {strategy} M={m} d={d}: {exc}",
+                            file=sys.stderr,
+                        )
+                        out.write(f"{strategy},{m},{d},0,,,{bound:.6f}\n")
+                        continue
+                    out.write(
+                        f"{strategy},{m},{d},{args.trials},"
+                        f"{mean:.6f},{err:.6f},{bound:.6f}\n"
+                    )
     return 0
 
 

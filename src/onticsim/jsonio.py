@@ -14,12 +14,18 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 
+def encode_complex(z: complex) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
 def encode_matrix(m) -> list[list[list[float]]]:
-    return np.ascontiguousarray(np.atleast_2d(m), dtype=complex)[..., None].view(np.float64).tolist()
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    return [[encode_complex(z) for z in row] for row in m]
 
 
 def encode_vector(v) -> list[list[float]]:
-    return np.ascontiguousarray(v, dtype=complex).reshape(-1, 1).view(np.float64).tolist()
+    return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
 def _is_number(obj) -> bool:
@@ -89,14 +95,17 @@ def dumps(obj, *, indent: int | None = None, level: int = 0) -> str:
 
 class RecordWriter:
     """Records ``{*head, "outcomes": [[label, outcome], ...], "probability": p,
-    *tail}`` with the bytes of ``dumps(record, indent=indent, level=level)``, each
-    from one ``%`` template over JSON texts (or ints). Each distinct pair's text is
-    made once, in a bounded cache, so memory does not grow with the document."""
+    *tail}`` with the bytes ``dumps`` gives them in the document that ``write``
+    makes: a top-level array, or with ``key`` the first member of a top-level
+    object. Each record comes from one ``%`` template over JSON texts (or ints);
+    each distinct pair's text is made once, in a bounded cache, so memory does
+    not grow with the document."""
 
     PAIR_CACHE = 256
 
-    def __init__(self, head=(), tail=(), *, indent: int | None = None, level: int = 0):
-        self.indent, self.level = indent, level
+    def __init__(self, head=(), tail=(), *, indent: int | None = None, key: str | None = None):
+        self.indent, self.key = indent, key
+        self.level = level = 1 if key is None else 2
         first, pad, end = _breaks(indent, level)
         keys = (*head, "outcomes", "probability", *tail)
         self._template = "{" + first + pad.join(f"{_encode_str(k)}: %s" for k in keys) + end + "}"
@@ -108,17 +117,25 @@ class RecordWriter:
         first, pad, end = self._list
         return f"[{first}{pad.join(map(self._pair, items))}{end}]" if items else "[]"
 
+    def vectors(self, states) -> list[str]:
+        """The text of ``encode_vector(row)`` as a tail value, for each row of ``states``."""
+        return format_vectors(states, self.indent, self.level + 1)
+
     def format(self, head, outcomes: str, probability: float, tail=()) -> str:
         return self._template % (*head, outcomes, format_float(probability), *tail)
 
-    def write(self, write, texts) -> None:
-        """Write the array (one level up) of ``texts``, one ``write`` per text as it comes."""
-        first, pad, end = _breaks(self.indent, self.level - 1)
-        sep = "[" + first
-        for text in texts:
-            write(sep + text)
-            sep = pad
-        write(end + "]" if sep == pad else "[]")
+    def write(self, write, texts, **members) -> None:
+        """Write the document of the record ``texts``, one ``write`` per text as it
+        comes; with ``key``, ``members`` follow the records in the object."""
+        records = _Texts(texts)
+        _emit(records if self.key is None else {self.key: records, **members}, write, self.indent, 0)
+
+
+class _Texts:
+    """An array whose items come as JSON texts, written as they come."""
+
+    def __init__(self, texts):
+        self.texts = texts
 
 
 def _emit(obj, write, indent: int | None, level: int) -> None:
@@ -146,6 +163,13 @@ def _emit(obj, write, indent: int | None, level: int) -> None:
             write(pad if i else "[" + first)
             _emit(v, write, indent, level + 1)
         write(end + "]" if obj else "[]")
+    elif isinstance(obj, _Texts):
+        first, pad, end = _breaks(indent, level)
+        sep = "[" + first
+        for text in obj.texts:
+            write(sep + text)
+            sep = pad
+        write(end + "]" if sep == pad else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -26,7 +26,7 @@ def test_dumps_reads_back_as_the_document(indent):
 
 
 def test_strings_are_encoded_as_json_encodes_them():
-    for text in ["", "plain", "café", "tab\tquote\"back\\slash", " \U0001f600"]:
+    for text in ["", "plain", "café", "tab\tquote\"back\\slash", " \U0001f600"]:
         assert jsonio.dumps(text) == json.dumps(text)
 
 
@@ -47,40 +47,40 @@ RECORDS = [  # (index, outcome pairs, probability)
 ]
 
 
-def _written(records, indent, level, states=False) -> tuple[str, int]:
-    """The writer's text for ``records`` (index, pairs, probability) and its
-    number of ``write`` calls."""
+def _written(records, indent, key, states=False) -> list[str]:
+    """The writer's ``write`` calls for ``records`` (index, pairs, probability)."""
     writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if states else (),
-                                 indent=indent, level=level)
-    texts = jsonio.format_vectors(STATES[[i % 2 for i, _, _ in records]], indent, level + 1)
-    out, calls = io.StringIO(), []
-    writer.write(lambda text: calls.append(out.write(text)), (
+                                 indent=indent, key=key)
+    texts = writer.vectors(STATES[[i % 2 for i, _, _ in records]])
+    calls = []
+    writer.write(calls.append, (
         writer.format((7, i), writer.outcomes(pairs), p, (texts[r],) if states else ())
-        for r, (i, pairs, p) in enumerate(records)))
-    return out.getvalue(), len(calls)
+        for r, (i, pairs, p) in enumerate(records)), total_probability=1.0)
+    return calls
 
 
-def _expected(records, indent, level, states=False) -> str:
+def _expected(records, indent, key, states=False) -> str:
     docs = []
     for i, pairs, p in records:
         doc = {"seed": 7, "index": i, "outcomes": [list(kv) for kv in pairs], "probability": p}
         if states:
             doc["final_state"] = jsonio.encode_vector(STATES[i % 2])
         docs.append(doc)
-    return jsonio.dumps(docs, indent=indent, level=level - 1)
+    return jsonio.dumps(docs if key is None else {key: docs, "total_probability": 1.0},
+                        indent=indent)
 
 
 @pytest.mark.parametrize("indent", [None, 2])
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("key", [None, "histories"])
 @pytest.mark.parametrize("states", [False, True])
 @pytest.mark.parametrize("count", [0, 1, 3])
-def test_record_writer_bytes_equal_dumps(indent, level, states, count):
+def test_record_writer_bytes_equal_dumps(indent, key, states, count):
     """0 records, 1 record, an empty outcome list, and labels that need
-    escaping (a quote, a backslash, non-ASCII) write the bytes of ``dumps``."""
-    text, calls = _written(RECORDS[:count], indent, level, states)
-    assert text == _expected(RECORDS[:count], indent, level, states)
-    assert calls == count + 1  # one per record, then the closing bracket
-    assert json.loads(text) == json.loads(_expected(RECORDS[:count], indent, level, states))
+    escaping (a quote, a backslash, non-ASCII) write the bytes of ``dumps``,
+    each record whole in its own ``write``."""
+    calls = _written(RECORDS[:count], indent, key, states)
+    assert "".join(calls) == _expected(RECORDS[:count], indent, key, states)
+    assert [c.count('"probability"') for c in calls if '"probability"' in c] == [1] * count
 
 
 def test_record_text_is_the_jsonl_line():
@@ -91,7 +91,7 @@ def test_record_text_is_the_jsonl_line():
 
 
 def test_records_are_written_as_they_are_made():
-    writer = jsonio.RecordWriter(indent=2, level=1)
+    writer = jsonio.RecordWriter(indent=2)
     out = io.StringIO()
     seen = []
 
@@ -106,7 +106,7 @@ def test_records_are_written_as_they_are_made():
 
 
 def test_pair_cache_is_bounded():
-    writer = jsonio.RecordWriter(indent=2, level=2)
+    writer = jsonio.RecordWriter(indent=2, key="histories")
     n = 3 * writer.PAIR_CACHE
     for i in range(n):
         items = [("a", str(i % 3)), ("b", "x"), ("c", str(i))]
