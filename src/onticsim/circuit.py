@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import MAX_DIM, tensor_product
-from .quantum import COMPLETENESS_TOL, KrausSet, SignatureError, _gram_spectrum
+from .quantum import COMPLETENESS_TOL, KrausSet, Normalisation, SignatureError, normalisation
 
 INPUT_SOURCE = "@input"
 
@@ -214,10 +214,11 @@ def _node_port_dims(circuit: Circuit, node: TestNode) -> tuple[int, int]:
 def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> ValidationReport:
     """Check wiring, typing, acyclicity, test normalization and closure.
 
-    Never raises; all violations are collected in the report. ``tol`` is
-    the slack allowed on the trace-nonincreasing test normalization; one
-    spectral run per admissible event subset also decides, at the same
-    tolerance, whether the subset is deterministic (``report.deterministic``).
+    All violations are collected in the report. ``tol`` is the slack on
+    the trace-nonincreasing test normalization; one ``normalisation`` run
+    per admissible event subset also decides, at the same tolerance, whether
+    the subset is deterministic (``report.deterministic``). Only a ``tol``
+    that is not finite and >= 0 raises (ValueError, from that run).
     The report also keeps the wiring graph and its topological order.
     """
     report = ValidationReport(node_count=len(circuit.nodes))
@@ -297,21 +298,19 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                     errors.append(f"node {n.label!r}: empty event subset for outcome {key!r}")
                 else:
                     subsets.append((key, idxs))
-        spectra: dict[tuple[int, ...], tuple[float, float]] = {}
+        verdicts: dict[tuple[int, ...], Normalisation] = {}
         for key, idxs in subsets:
-            if idxs not in spectra:
-                ops = [k for i in idxs for k in n.events[i].operators]
-                spectra[idxs] = _gram_spectrum(ops, 1.0 - tol, 1.0 + tol)
-            bottom, top = spectra[idxs]
+            if idxs not in verdicts:
+                verdicts[idxs] = normalisation([k for i in idxs for k in n.events[i].operators], tol)
+            verdict = verdicts[idxs]
             ctx = f" (conditioned on {key!r})" if key else ""
-            if np.isnan(top):
+            if not verdict.finite:
                 errors.append(f"node {n.label!r}{ctx}: sum K^dag K is not finite "
                               "(a non-finite or overflowing operator entry)")
-            elif top > 1.0 + tol:
-                errors.append(
-                    f"node {n.label!r}{ctx} is trace-increasing: sigma_max - 1 = {top - 1.0:.3g}"
-                )
-            elif max(top - 1.0, 1.0 - bottom) <= tol:  # as ``gram_identity_defect`` decides
+            elif verdict.excess is not None:
+                errors.append(f"node {n.label!r}{ctx} is trace-increasing: "
+                              f"sigma_max - 1 = {verdict.excess:.3g}")
+            elif verdict.deterministic:
                 report.deterministic.add((node_index, idxs))
 
     # Conditioning sources.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import TAU_NUM
+from .quantum import normalisation
 
 _TOL = 1e-10
 
@@ -95,7 +96,7 @@ def dephase(rho, basis=None) -> np.ndarray:
         probs = np.real(np.diag(rho)).astype(float)
     else:
         b = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
-        if b.shape != (d, d) or np.linalg.norm(b.conj().T @ b - np.eye(d), ord=2) > 1e-8:
+        if b.shape != (d, d) or not normalisation([b]).deterministic:  # ||b^dag b - I|| <= 1e-8
             raise ValueError("basis is not orthonormal and complete")
         probs = np.real(np.einsum("id,ij,jd->d", b.conj(), rho, b)).astype(float)
     return np.clip(probs, 0.0, None)

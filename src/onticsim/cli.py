@@ -135,21 +135,20 @@ def cmd_bench_memory(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
-    def parse(text: str) -> int:
-        try:
-            if int(text) >= low:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+def _at_least(low, kind=int):
+    """An argparse type: an integer (``kind=float``: a finite number) >= ``low``."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if low <= kind(text) < float("inf"):
+                return kind(text)
+        what = "an integer" if kind is int else "a finite number"
+        raise argparse.ArgumentTypeError(f"expected {what} of at least {low}, got {text!r}")
     return parse
 
 
 def _int_list_at_least(low: int):
     """An argparse type: comma-separated integers, each of at least ``low``."""
-    item = _int_at_least(low)
+    item = _at_least(low)
     return lambda text: [item(x) for x in text.split(",")]
 
 
@@ -165,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a circuit or program file and check each step's DAG")
     p.add_argument("path")
-    p.add_argument("--tolerance", type=float, default=COMPLETENESS_TOL,
+    p.add_argument("--tolerance", type=_at_least(0, float), default=COMPLETENESS_TOL,
                    help="slack on the trace-nonincreasing normalization check")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", parents=[common], help="sample trajectories (JSON Lines)")
     p.add_argument("path")
-    p.add_argument("--trajectories", type=_int_at_least(0), default=1)
+    p.add_argument("--trajectories", type=_at_least(0), default=1)
     p.add_argument("--inputs", type=str, default=None,
                    help="comma-separated classical inputs, one per program step")
     p.add_argument("--store-states", action="store_true")
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated M values")
     p.add_argument("--dims", type=_int_list_at_least(2), default="2",
                    help="comma-separated dimensions")
-    p.add_argument("--trials", type=_int_at_least(1), default=20000)
+    p.add_argument("--trials", type=_at_least(1), default=20000)
     p.set_defaults(func=cmd_bench_memory)
 
     # Each subcommand takes only the options it reads.

@@ -20,33 +20,18 @@ with complex entries written like ``0.5``, ``1j`` or ``0.3-0.2j``.
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec
-from .linalg import MAX_DIM
+from .linalg import GATES, MAX_DIM
 
 
 class DslError(CircuitError):
     def __init__(self, line_no: int, msg: str):
         super().__init__(f"line {line_no}: {msg}")
         self.line_no = line_no
-
-
-_GATES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
-}
-_GATES["CX"] = _GATES["CNOT"]
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -133,7 +118,7 @@ def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event
     head, body = spec.split("(", 1)
     head, body = head.strip(), body[:-1].strip()
     if head == "unitary":
-        mat = _GATES.get(body) if body in _GATES else _parse_matrix(body, line_no)
+        mat = GATES.get(body) if body in GATES else _parse_matrix(body, line_no)
         if mat.shape != (d_out, d_in):
             raise DslError(line_no, f"unitary shape {mat.shape} does not fit ports ({d_out},{d_in})")
         return (Event("0", (mat,)),)

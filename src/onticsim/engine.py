@@ -47,7 +47,7 @@ from .foliation import (
     compile_slice,
     foliate,
 )
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, TAU_NORM
 
 #: Leaf dimension up to which per-slice candidate operators are precompiled.
 FAST_PATH_MAX_DIM = 256
@@ -345,7 +345,7 @@ def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> n
     if omega0.size != total:
         raise EngineError(f"initial state has dim {omega0.size}, program expects {total}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check
-        normalized = abs(np.linalg.norm(omega0) - 1.0) <= 1e-9
+        normalized = abs(np.linalg.norm(omega0) - 1.0) <= TAU_NORM
     if not normalized:
         raise EngineError("initial state is not normalized")
     return omega0.reshape(dims)

@@ -15,13 +15,7 @@ import numpy as np
 from . import jsonio
 from .circuit import Circuit, Condition, Event, System, TestNode, WireSpec, circuit_to_dict
 from .engine import Program, ProgramStep, program_to_dict
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+from .linalg import GATES
 
 
 def _ket(*amps) -> np.ndarray:
@@ -62,7 +56,7 @@ def conditioned_step() -> Circuit:
     systems = {
         lbl: System(lbl, 2) for lbl in ["A", "B", "C", "D", "E", "F", "G", "H", "L", "M", "N", "O"]
     }
-    u_e = _CNOT @ np.kron(_H, np.eye(2))
+    u_e = GATES["CNOT"] @ np.kron(GATES["H"], np.eye(2))
     p0 = np.kron(np.diag([1, 0]).astype(complex), np.eye(2))
     p1 = np.kron(np.diag([0, 1]).astype(complex), np.eye(2))
     bell_effects = tuple(
@@ -83,21 +77,22 @@ def conditioned_step() -> Circuit:
         ),
         TestNode(
             "R", ("D", "E"), ("G", "H"),
-            (Event("0", (_CNOT,)), Event("1", (np.kron(_Z, _X) @ _SWAP,))),
+            (Event("0", (GATES["CNOT"],)),
+             Event("1", (np.kron(GATES["Z"], GATES["X"]) @ GATES["SWAP"],))),
             Condition("E", {"0": (0,), "1": (1,)}),
         ),
         TestNode(
             "V", ("F",), ("L",),
-            (Event("0", (np.outer([1, 0], [1, 0]) @ _H,)),
-             Event("1", (np.outer([0, 1], [0, 1]).astype(complex) @ _H,))),
+            (Event("0", (np.outer([1, 0], [1, 0]) @ GATES["H"],)),
+             Event("1", (np.outer([0, 1], [0, 1]).astype(complex) @ GATES["H"],))),
         ),
         TestNode(
             "A", ("G",), ("M",),
-            (Event("0", (_H,)), Event("1", (np.eye(2, dtype=complex),))),
+            (Event("0", (GATES["H"],)), Event("1", (np.eye(2, dtype=complex),))),
             Condition("@input", {"0": (0,), "1": (1,)}),
         ),
-        TestNode("B", ("H",), ("N",), (Event("0", (_S,)),)),
-        TestNode("C", ("L",), ("O",), (Event("0", (_H,)),)),
+        TestNode("B", ("H",), ("N",), (Event("0", (GATES["S"],)),)),
+        TestNode("C", ("L",), ("O",), (Event("0", (GATES["H"],)),)),
         TestNode(
             "Lambda", ("N", "O"), (), bell_effects,
             Condition("V", {"0": (0, 1, 2, 3), "1": (4, 5, 6, 7)}),
@@ -187,7 +182,7 @@ def merge_split_program() -> Program:
     interact = Circuit(
         "interact",
         dict(q),
-        [TestNode("join", ("Q1", "Q2"), ("Q1", "Q2"), (Event("0", (_CNOT,)),))],
+        [TestNode("join", ("Q1", "Q2"), ("Q1", "Q2"), (Event("0", (GATES["CNOT"],)),))],
         [],
     )
     readout = Circuit(

@@ -38,7 +38,7 @@ from math import factorial, isqrt, prod, sqrt
 
 import numpy as np
 
-from .linalg import TAU_PURE, TAU_RANK, as_shape
+from .linalg import TAU_NORM, TAU_PURE, TAU_RANK, as_shape
 
 MAX_FACTORS = 12  # factorization search is exponential in block size
 
@@ -252,7 +252,7 @@ def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
     if psi.size != prod(dims):
         raise IndividuationError(f"state dim {psi.size} does not match factors {dims}")
     # Written so that a NaN norm fails too.
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= TAU_NORM:
         raise IndividuationError("state must be finite and normalized")
 
     # Certified pairs are read once, on the whole state; every sub-block

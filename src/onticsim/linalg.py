@@ -1,15 +1,17 @@
 """Dense complex linear algebra over finite-dimensional composite systems.
 
 Everything in this module is a pure function over immutable numpy inputs:
-tensor products, partial traces, Schmidt decompositions, contraction checks
-and Bloch coordinates. All other modules build on these primitives and on
-the shared numerical tolerances defined here.
+tensor products, partial traces, Schmidt decompositions, Bloch coordinates
+and ``_gram_spectrum``, the one certified check of sum K^dag K behind every
+contraction, orthonormal-basis and Kraus-normalisation verdict. All other
+modules build on these primitives, the named gates and the shared
+numerical tolerances defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -146,24 +148,138 @@ def schmidt_rank(psi, shape) -> int:
     return int(np.sum(coeffs > TAU_RANK))
 
 
+_DENSE_GRAM_DIM = 256  # above this, spectral checks run matrix-free Lanczos
+_LANCZOS_STEPS = 60
+_LANCZOS_SEED = 7
+_START_FAILURE_PROB = 1e-9  # chance that the random start hides an extreme eigenvector
+
+
+def _apply_gram(ops, v: np.ndarray) -> np.ndarray:
+    # K^dag u computed as conj(K^T conj(u)): transposes are views, so no
+    # large conjugate matrix is ever materialized.
+    return sum(np.conj(k.T @ np.conj(k @ v)) for k in ops)
+
+
+def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
+    """Smallest t >= max(ritz) with prod(t - ritz) >= exp(log_norm), by
+    bisection; the product grows monotonically above the top Ritz value."""
+    lo = float(ritz[-1])
+    hi = lo + float(np.exp(log_norm / len(ritz)))  # prod >= (t - max)^k already
+    with np.errstate(divide="ignore"):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.log(mid - ritz).sum() >= log_norm:
+                hi = mid
+            else:
+                lo = mid
+    return hi
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite G reads as NaN, below
+def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]:
+    """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
+    each resolved until it settles its own side of [lower, upper].
+
+    Up to d = 256 both are exact (dense eigvalsh). Above, G is applied as
+    K^dag (K v) in a Lanczos recurrence with full reorthogonalisation from
+    a seeded uniformly random unit start q1. After k steps with Ritz values
+    theta_j and residual norms beta_j, each side is fixed at its first
+    verdict:
+
+    * out: theta_max > upper (top) or theta_min < lower (bottom). Ritz
+      values lie inside [lambda_min, lambda_max], so this verdict is
+      certain; the Ritz value is the bound.
+    * in: prod_j (upper - theta_j) (top) or prod_j (theta_j - lower)
+      (bottom) is at least prod_j beta_j * sqrt(d/p), with p = 1e-9. The
+      Lanczos vector q_{k+1} is chi(G) q1 / prod_j beta_j, where
+      chi(t) = prod_j (t - theta_j) grows monotonically above theta_max,
+      so an eigenvector u with eigenvalue above upper would give
+      |<u, q1>| < sqrt(p/d), and P(|<u, q1>|^2 < p/d) <= p for a uniform
+      start; likewise below lower. At k = 1 this is
+      theta + beta*sqrt(d/p) <= upper. The bound is the point where the
+      product reaches that level.
+
+    The recurrence stops once both sides are fixed, so with lower = -inf it
+    stops at the top side's verdict. A side that ``_LANCZOS_STEPS`` steps
+    leave open takes the exact value from the dense eigvalsh of the formed G.
+
+    Both bounds are NaN when the recurrence or the formed G meets a value
+    that is not finite: an operator entry that is NaN or infinite, or one
+    such as 1e308 whose square overflows. No verdict holds then, and NaN
+    fails every comparison, so callers test for it.
+    """
+    ops = [np.asarray(k, dtype=complex) for k in operators]
+    if not ops or any(k.ndim != 2 for k in ops) or len({k.shape[1] for k in ops}) != 1:
+        raise ValueError("sum K^dag K needs one or more matrices of one input dimension, "
+                         f"got shapes {sorted({k.shape for k in ops})}")
+    d = ops[0].shape[1]
+    bottom = top = None
+    if d > _DENSE_GRAM_DIM:
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        q = rng.normal(size=d) + 1j * rng.normal(size=d)
+        q /= np.linalg.norm(q)
+        log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
+        basis = np.empty((_LANCZOS_STEPS, d), dtype=complex)
+        alpha: list[float] = []
+        beta: list[float] = []
+        for j in range(_LANCZOS_STEPS):
+            basis[j] = q
+            w = _apply_gram(ops, q)
+            alpha.append(float(np.vdot(q, w).real))
+            done = basis[:j + 1]
+            for _ in range(2):  # full reorthogonalisation, twice for stability
+                w -= done.T @ (done.conj() @ w)
+            b = float(np.linalg.norm(w))
+            if not np.isfinite(alpha[-1] + b):
+                return np.nan, np.nan
+            ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if top is None and ritz[-1] > upper:
+                top = float(ritz[-1])
+            if bottom is None and ritz[0] < lower:
+                bottom = float(ritz[0])
+            with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
+                log_norm += np.log(b)
+                if top is None and np.log(upper - ritz).sum() >= log_norm:
+                    top = _certified_edge(ritz, log_norm)
+                if bottom is None and np.log(ritz - lower).sum() >= log_norm:
+                    bottom = -_certified_edge(-ritz[::-1], log_norm)
+            if top is not None and bottom is not None:
+                return bottom, top
+            beta.append(b)
+            q = w / b
+    gram = sum(k.conj().T @ k for k in ops)
+    if not np.isfinite(gram).all():
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(gram)
+    return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
+
+
 def is_contraction(x, *, tol: float = TAU_NUM) -> tuple[bool, float]:
     """Whether the largest singular value of ``x`` is <= 1 (within tol).
 
-    Also cross-checks the positive-semidefinite ordering I - X^dag X >= 0 via
-    an eigenvalue floor; returns (verdict, sigma_max).
+    Decided as lambda_max(X^dag X) <= (1 + tol)^2 by ``_gram_spectrum``;
+    returns (verdict, sigma_max). sigma_max is exact up to d = 256 and,
+    above, a certified bound on the same side of 1 + tol as the true one.
     """
     x = _as_matrix(x)
-    sigma_max = float(np.linalg.norm(x, ord=2)) if x.size else 0.0
-    ok = sigma_max <= 1.0 + tol
-    if ok and x.size:
-        gram_defect = np.eye(x.shape[1]) - x.conj().T @ x
-        ok = bool(np.linalg.eigvalsh(gram_defect).min() >= -10 * tol)
-    return ok, sigma_max
+    top = _gram_spectrum([x], -np.inf, (1.0 + tol) ** 2)[1] if x.size else 0.0
+    return bool(top <= (1.0 + tol) ** 2), float(np.sqrt(max(top, 0.0)))
 
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+#: Named gates of the DSL and the gallery; X, Y and Z are the Pauli matrices.
+GATES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+}
+GATES["CX"] = GATES["CNOT"]
 
 
 def bloch_coordinates(psi) -> tuple[float, float, float]:
@@ -173,14 +289,14 @@ def bloch_coordinates(psi) -> tuple[float, float, float]:
         raise DimensionError(f"Bloch coordinates need a qubit, got dim {psi.size}")
     if abs(np.linalg.norm(psi) - 1.0) > TAU_NORM:
         raise ValueError("input not normalized")
-    return tuple(float(np.real(np.vdot(psi, p @ psi))) for p in (_PAULI_X, _PAULI_Y, _PAULI_Z))
+    return tuple(float(np.real(np.vdot(psi, p @ psi))) for p in map(GATES.get, "XYZ"))
 
 
 def bloch_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 projectors onto the +/- eigenstates along a Bloch direction."""
     n = np.asarray(direction, dtype=float)
     n = n / np.linalg.norm(n)
-    op = n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z
+    op = n[0] * GATES["X"] + n[1] * GATES["Y"] + n[2] * GATES["Z"]
     eye = np.eye(2, dtype=complex)
     return (eye + op) / 2, (eye - op) / 2
 

@@ -20,7 +20,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .linalg import TAU_SIC, bloch_projectors
+from .linalg import TAU_NORM, TAU_SIC, bloch_projectors
 
 _STRATEGIES = ("optimal_covariant_qubit", "sic_estimate", "random_vn_repeat")
 
@@ -436,7 +436,7 @@ def store_recall_cycle(psi, m: int, strategy: str, rng: np.random.Generator) -> 
     before any draw from ``rng``.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= TAU_NORM:
         raise MeasurementError("input state must be finite and normalized")
     _check_strategy(strategy, psi.size, m)
     if strategy == "optimal_covariant_qubit":

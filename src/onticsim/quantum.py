@@ -5,7 +5,8 @@ deterministic tests.
 Conventions: a transformation from an m-dimensional input to an
 n-dimensional output is a list of n x m Kraus operators, one per outcome,
 trace-nonincreasing overall (sum K^dag K <= I) and deterministic when the
-sum equals the identity. States are transformations from the trivial
+sum equals the identity; ``normalisation`` gives both verdicts from one run
+of ``linalg._gram_spectrum``. States are transformations from the trivial
 (1-dimensional) system, i.e. column operators; effects are rows.
 """
 
@@ -13,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2, prod
+from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import TAU_NUM, as_shape
 
 COMPLETENESS_TOL = 1e-8  # rejection threshold on sigma_max(sum K^dag K) - 1
@@ -76,164 +79,66 @@ class KrausSet:
         return sum(k.conj().T @ k for k in self.operators)
 
     def completeness_defect(self) -> float:
-        """sigma_max distance of sum K^dag K from the identity (see
-        ``gram_identity_defect``)."""
+        """||sum K^dag K - I||_2, see ``gram_identity_defect``."""
         return gram_identity_defect(self.operators)
 
     @property
     def is_deterministic(self) -> bool:
-        return self.completeness_defect() <= COMPLETENESS_TOL
+        return normalisation(self.operators).deterministic
 
-    def validate(self) -> None:
-        """Raise unless trace-nonincreasing: sum K^dag K <= I."""
-        top = gram_top_eigenvalue(self.operators)
-        if np.isnan(top):
+    def validate(self) -> Normalisation:
+        """Raise unless trace-nonincreasing: sum K^dag K <= I. Returns the
+        verdicts of the one spectral run, the deterministic one included."""
+        verdict = normalisation(self.operators)
+        if not verdict.finite:
             raise ValueError("sum K^dag K is not finite")
-        if top > 1.0 + COMPLETENESS_TOL:
-            raise ValueError(
-                f"trace-increasing transformation: sigma_max(sum K^dag K) - 1 = {top - 1.0:.3g}"
-            )
+        if verdict.excess is not None:
+            raise ValueError("trace-increasing transformation: "
+                             f"sigma_max(sum K^dag K) - 1 = {verdict.excess:.3g}")
+        return verdict
 
 
 def unitary_kraus(u, label: str = "0", **dims) -> KrausSet:
     return KrausSet((np.asarray(u, dtype=complex),), (label,), **dims)
 
 
-_DENSE_GRAM_DIM = 256  # above this, spectral checks run matrix-free Lanczos
-_LANCZOS_STEPS = 60
-_LANCZOS_SEED = 7
-_START_FAILURE_PROB = 1e-9  # chance that the random start hides an extreme eigenvector
-
-
-def _apply_gram(ops, v: np.ndarray) -> np.ndarray:
-    # K^dag u computed as conj(K^T conj(u)): transposes are views, so no
-    # large conjugate matrix is ever materialized.
-    return sum(np.conj(k.T @ np.conj(k @ v)) for k in ops)
-
-
-def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
-    """Smallest t >= max(ritz) with prod(t - ritz) >= exp(log_norm), by
-    bisection; the product grows monotonically above the top Ritz value."""
-    lo = float(ritz[-1])
-    hi = lo + float(np.exp(log_norm / len(ritz)))  # prod >= (t - max)^k already
-    with np.errstate(divide="ignore"):
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if np.log(mid - ritz).sum() >= log_norm:
-                hi = mid
-            else:
-                lo = mid
-    return hi
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite G reads as NaN, below
-def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]:
-    """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
-    each resolved until it settles its own side of [lower, upper].
-
-    Up to d = 256 both are exact (dense eigvalsh). Above, G is applied as
-    K^dag (K v) in a Lanczos recurrence with full reorthogonalisation from
-    a seeded uniformly random unit start q1. After k steps with Ritz values
-    theta_j and residual norms beta_j, each side is fixed at its first
-    verdict:
-
-    * out: theta_max > upper (top) or theta_min < lower (bottom). Ritz
-      values lie inside [lambda_min, lambda_max], so this verdict is
-      certain; the Ritz value is the bound.
-    * in: prod_j (upper - theta_j) (top) or prod_j (theta_j - lower)
-      (bottom) is at least prod_j beta_j * sqrt(d/p), with p = 1e-9. The
-      Lanczos vector q_{k+1} is chi(G) q1 / prod_j beta_j, where
-      chi(t) = prod_j (t - theta_j) grows monotonically above theta_max,
-      so an eigenvector u with eigenvalue above upper would give
-      |<u, q1>| < sqrt(p/d), and P(|<u, q1>|^2 < p/d) <= p for a uniform
-      start; likewise below lower. At k = 1 this is
-      theta + beta*sqrt(d/p) <= upper. The bound is the point where the
-      product reaches that level.
-
-    The recurrence stops once both sides are fixed, so with lower = -inf it
-    stops at the top side's verdict. A side that ``_LANCZOS_STEPS`` steps
-    leave open takes the exact value from the dense eigvalsh of the formed G.
-
-    Both bounds are NaN when the recurrence or the formed G meets a value
-    that is not finite: an operator entry that is NaN or infinite, or one
-    such as 1e308 whose square overflows. No verdict holds then, and NaN
-    fails every comparison, so callers test for it.
-    """
-    ops = [np.asarray(k, dtype=complex) for k in operators]
-    d = ops[0].shape[1]
-    bottom = top = None
-    if d > _DENSE_GRAM_DIM:
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        q = rng.normal(size=d) + 1j * rng.normal(size=d)
-        q /= np.linalg.norm(q)
-        log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
-        basis = np.empty((_LANCZOS_STEPS, d), dtype=complex)
-        alpha: list[float] = []
-        beta: list[float] = []
-        for j in range(_LANCZOS_STEPS):
-            basis[j] = q
-            w = _apply_gram(ops, q)
-            alpha.append(float(np.vdot(q, w).real))
-            done = basis[:j + 1]
-            for _ in range(2):  # full reorthogonalisation, twice for stability
-                w -= done.T @ (done.conj() @ w)
-            b = float(np.linalg.norm(w))
-            if not np.isfinite(alpha[-1] + b):
-                return np.nan, np.nan
-            ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if top is None and ritz[-1] > upper:
-                top = float(ritz[-1])
-            if bottom is None and ritz[0] < lower:
-                bottom = float(ritz[0])
-            with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
-                log_norm += np.log(b)
-                if top is None and np.log(upper - ritz).sum() >= log_norm:
-                    top = _certified_edge(ritz, log_norm)
-                if bottom is None and np.log(ritz - lower).sum() >= log_norm:
-                    bottom = -_certified_edge(-ritz[::-1], log_norm)
-            if top is not None and bottom is not None:
-                return bottom, top
-            beta.append(b)
-            q = w / b
-    gram = sum(k.conj().T @ k for k in ops)
-    if not np.isfinite(gram).all():
-        return np.nan, np.nan
-    w = np.linalg.eigvalsh(gram)
-    return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
-
-
 def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL) -> float:
     """Largest eigenvalue of G = sum K^dag K, as far as the trace-nonincreasing
-    verdict ``lambda_max <= 1 + tol`` needs it.
-
-    The result is on the same side of 1 + tol as lambda_max:
-
-    * d <= 256, or when 60 Lanczos steps settle nothing: the exact
-      eigenvalue from a dense eigvalsh of G.
-    * d > 256, rejected: the top Ritz value, a certain lower bound on
-      lambda_max above 1 + tol.
-    * d > 256, accepted: an upper bound on lambda_max, at most 1 + tol. It
-      is the point t >= theta_max where prod_j (t - theta_j) reaches
-      prod_j beta_j * sqrt(d/p) over the Ritz values theta_j and Lanczos
-      residual norms beta_j; after one step, theta + beta*sqrt(d/p). The
-      bound is wrong with probability at most p = 1e-9 over the random
-      Lanczos start (seeded, so verdicts are reproducible).
-
+    verdict ``lambda_max <= 1 + tol`` needs it, on the same side of 1 + tol
+    as lambda_max (``linalg._gram_spectrum``): exact up to d = 256 or when
+    60 Lanczos steps settle nothing; above, a rejection returns the top Ritz
+    value, a certain lower bound, and an acceptance an upper bound that is
+    wrong with probability at most p = 1e-9 over the seeded random start.
     No d x d matrix is formed unless the dense eigvalsh runs.
     """
-    return _gram_spectrum(operators, -np.inf, 1.0 + tol)[1]
+    return linalg._gram_spectrum(operators, -np.inf, 1.0 + tol)[1]
 
 
 def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL) -> float:
-    """Spectral radius of G - I, the distance from determinism, as far as
-    the verdict ``defect <= tol`` needs it.
+    """Spectral radius of G - I, as far as the verdict ``defect <= tol`` needs
+    it: the rules of ``gram_top_eigenvalue`` on both extreme eigenvalues of
+    G, so an acceptance above d = 256 is wrong with probability at most 2p."""
+    return normalisation(operators, tol).defect
 
-    Same rules as ``gram_top_eigenvalue``, applied to both the top and the
-    bottom eigenvalue of G; an acceptance above d = 256 is wrong with
-    probability at most 2p.
-    """
-    bottom, top = _gram_spectrum(operators, 1.0 - tol, 1.0 + tol)
-    return max(top - 1.0, 1.0 - bottom)
+
+class Normalisation(NamedTuple):
+    """Verdicts on a Kraus set from one two-sided spectral run on G."""
+
+    finite: bool           # False when G meets a NaN, infinite or overflowing entry
+    excess: float | None   # sigma_max(G) - 1 of a trace-increasing set, else None
+    deterministic: bool    # defect <= tol
+    defect: float          # ||G - I||_2 as far as that verdict needs it
+
+
+def normalisation(operators, tol: float = COMPLETENESS_TOL) -> Normalisation:
+    """The verdicts on lambda_max(G) <= 1 + tol and ||G - I||_2 <= tol, from
+    one ``_gram_spectrum`` run; ``tol`` must be finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    bottom, top = linalg._gram_spectrum(operators, 1.0 - tol, 1.0 + tol)
+    defect = max(top - 1.0, 1.0 - bottom)
+    return Normalisation(not np.isnan(top), top - 1.0 if top > 1.0 + tol else None,
+                         defect <= tol, defect)
 
 
 def apply_atomic(k: KrausSet, psi) -> tuple[np.ndarray, float]:
@@ -262,7 +167,7 @@ class CpMap:
         return sum(k @ rho @ k.conj().T for k in self.kraus_operators)
 
     def is_trace_preserving(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return gram_identity_defect(self.kraus_operators, tol=tol) <= tol
+        return normalisation(self.kraus_operators, tol).deterministic
 
 
 def epistemic_of(test) -> CpMap:
@@ -310,8 +215,7 @@ def complete_test(k: KrausSet) -> KrausSet:
     into as few outcomes as the output dimension allows. Deterministic
     tests are returned unchanged.
     """
-    k.validate()
-    if k.is_deterministic:
+    if k.validate().deterministic:
         return k
     defect = np.eye(k.in_dim) - k.completeness()
     w, v = np.linalg.eigh((defect + defect.conj().T) / 2)

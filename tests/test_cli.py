@@ -80,6 +80,7 @@ class TestValidate:
         assert "OK" in capsys.readouterr().err
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: invalid circuit:")
+        assert main(["validate", str(circuits_dir / "bell_pair.json"), "--tolerance", "0"]) == 0
 
     def test_malformed_file_exits_one_everywhere(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -324,6 +325,11 @@ def test_bad_initial_state_refused_before_output(fmt, circuits_dir, tmp_path, ca
     ["bench-memory", "--dims", "2,"],
     ["bench-memory", "--copies", "0"],
     ["bench-memory", "--dims", "1"],
+    # A tolerance that is not finite and >= 0 would accept a trace-increasing node.
+    ["validate", "bell_pair.json", "--tolerance", "nan"],
+    ["validate", "bell_pair.json", "--tolerance", "inf"],
+    ["validate", "bell_pair.json", "--tolerance", "-1"],
+    ["validate", "bell_pair.json", "--tolerance", "x"],
     # Each subcommand takes only the options it reads.
     ["enumerate", "bell_pair.json", "--seed", "1"],
     ["bench-memory", "--max-dim", "5"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import DEEP_CHAIN, closed_chain, graph_cases
-from onticsim import engine, gallery, quantum
+from onticsim import engine, gallery, linalg
 from onticsim.circuit import (
     Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec, layout,
 )
@@ -581,14 +581,13 @@ def large_conditioned_program() -> Program:
 class TestNormalisationVerdicts:
     def test_one_spectral_run_per_subset_in_compile_none_in_sampling(self, monkeypatch):
         dims = []
-        spectrum = quantum._gram_spectrum
+        spectrum = linalg._gram_spectrum
 
         def counted(operators, lower, upper):
             dims.append(np.shape(operators[0])[1])
             return spectrum(operators, lower, upper)
 
-        for module in ("onticsim.quantum", "onticsim.circuit"):
-            monkeypatch.setattr(f"{module}._gram_spectrum", counted)
+        monkeypatch.setattr(linalg, "_gram_spectrum", counted)
         prog = large_conditioned_program()
         compiled = compile_program(prog)
         # prep, u and m have one event subset each; c has two, one of which

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +200,72 @@ class TestContraction:
             x = random_complex((4, 4), rng)
             k = x / (np.linalg.norm(x, 2) * (1 + rng.random()))
             assert is_contraction(u @ k)[0]
+
+
+def svd_sigma(x) -> float:
+    """The oracle: the largest singular value from a dense SVD."""
+    return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def cached_unitary(d: int) -> np.ndarray:
+    return haar_unitary(d, np.random.default_rng(d))
+
+
+def assert_same_side(ok, sigma, oracle, d, tol=TAU_NUM):
+    """The verdict of the SVD oracle; sigma is exact up to d = 256 and,
+    above, a bound between the oracle and the threshold 1 + tol."""
+    assert ok == (oracle <= 1 + tol)
+    if d <= 256:
+        assert abs(sigma - oracle) < 1e-12
+    elif ok:
+        assert oracle - 1e-12 <= sigma <= 1 + tol
+    else:
+        assert 1 + tol < sigma <= oracle + 1e-12
+
+
+class TestContractionAgainstSvd:
+    @pytest.mark.parametrize("d", [2, 64, 256, 257, 1024])
+    @pytest.mark.parametrize("scale", [1 - 1e-6, 1 + 1e-6])
+    def test_scaled_unitary(self, d, scale, monkeypatch):
+        x = scale * cached_unitary(d)
+        shapes = []  # of every matrix a dense numpy.linalg routine is given
+        for name in ("eigvalsh", "eigh", "svd", "norm"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _fn=fn, **kw:
+                                shapes.append(np.shape(a)) or _fn(a, *args, **kw))
+        tracemalloc.start()
+        try:
+            ok, sigma = is_contraction(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert ok == (scale < 1)
+        assert_same_side(ok, sigma, svd_sigma(x), d)
+        if d > 256:  # matrix-free: no d x d decomposition, well under one d x d allocation
+            assert all(len(shape) < 2 or max(shape) < d for shape in shapes)
+            assert peak < x.nbytes / 2
+
+    @pytest.mark.parametrize("d", [2, 64, 256])
+    @pytest.mark.parametrize("scale", [1 + 0.5 * TAU_NUM, 1 + 2 * TAU_NUM])
+    def test_tolerance_bounds_sigma_not_its_square(self, d, scale):
+        x = scale * cached_unitary(d)
+        ok, sigma = is_contraction(x)
+        assert ok == (scale < 1 + TAU_NUM)
+        assert_same_side(ok, sigma, svd_sigma(x), d)
+
+    @pytest.mark.parametrize("d", [2, 64, 256, 257, 1024])
+    def test_random_operators(self, d):
+        rng = np.random.default_rng(40 + d)
+        g = random_complex((d, d), rng)
+        top = svd_sigma(g)
+        for target in (0.5, 0.8, 1.25, 2.0):  # the oracle's sigma_max of g * target / top
+            ok, sigma = is_contraction(g * (target / top))
+            assert ok == (target < 1)
+            assert_same_side(ok, sigma, target, d)
+        k = g / (top * (1 + rng.random()))
+        assert is_contraction(cached_unitary(d) @ k)[0]
 
 
 class TestBloch:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from onticsim import quantum
+from onticsim import linalg
+from onticsim.circuit import Circuit, Event, System, TestNode, WireSpec, validate_dag
 from onticsim.linalg import haar_state, haar_unitary
 from onticsim.quantum import (
     COMPLETENESS_TOL,
@@ -17,6 +18,7 @@ from onticsim.quantum import (
     gram_top_eigenvalue,
     holevo_limit,
     is_density_matrix,
+    normalisation,
     unitary_kraus,
 )
 
@@ -278,8 +280,8 @@ def trace_increasing(d, excess=1e-6, seed=0):
 def lanczos_steps(monkeypatch):
     """Records each product with sum K^dag K; the dense paths make none."""
     steps = []
-    apply_gram = quantum._apply_gram
-    monkeypatch.setattr(quantum, "_apply_gram", lambda ops, v: steps.append(1) or apply_gram(ops, v))
+    apply_gram = linalg._apply_gram
+    monkeypatch.setattr(linalg, "_apply_gram", lambda ops, v: steps.append(1) or apply_gram(ops, v))
     return steps
 
 
@@ -359,3 +361,96 @@ class TestGramSpectrum:
             assert abs(gram_top_eigenvalue(ops) - exact[-1]) < 1e-12
             for tol in (1e-9, COMPLETENESS_TOL, 1e-3):
                 assert CpMap(ops).is_trace_preserving(tol) == (defect <= tol)
+
+
+def verdict_circuit(d):
+    """A chain on one d-dimensional wire: one node per verdict."""
+    rng = np.random.default_rng(d)
+    shrink = haar_unitary(d, rng)
+    shrink[:, 0] *= np.sqrt(1 - 1e-6)
+    overflow = haar_unitary(d, rng)
+    overflow[0, 0] = 1e308
+    nodes = {
+        "prep": (np.eye(d, 1, dtype=complex),),
+        "unit": (haar_unitary(d, rng),),
+        "excess": (trace_increasing(d),),
+        "shrink": (shrink,),
+        "split": random_complete_kraus(d, 2, rng).operators,
+        "noisy": ((1 + 1e-9) * haar_unitary(d, rng),),
+        "overflow": (overflow,),
+    }
+    labels = list(nodes)
+    tests = [TestNode(lbl, () if lbl == "prep" else ("R",), ("R",),
+                      tuple(Event(str(j), (k,)) for j, k in enumerate(ops)))
+             for lbl, ops in nodes.items()]
+    wires = [WireSpec(a, 0, b, 0) for a, b in zip(labels, labels[1:])]
+    return Circuit("verdicts", {"R": System("R", d)}, tests, wires), nodes
+
+
+class TestOneVerdict:
+    @pytest.mark.parametrize("d", [256, 257])
+    def test_validate_dag_agrees_with_the_kraus_set(self, d):
+        circuit, nodes = verdict_circuit(d)
+        report = validate_dag(circuit)
+        for i, (label, ops) in enumerate(nodes.items()):
+            errors = [e for e in report.errors if e.startswith(f"node {label!r}")]
+            try:
+                verdict = KrausSet(ops).validate()
+            except ValueError as exc:
+                assert len(errors) == 1
+                if "not finite" in str(exc):
+                    assert "sum K^dag K is not finite" in errors[0]
+                else:
+                    assert errors[0].split(" - 1 = ")[1] == str(exc).split(" - 1 = ")[1]
+            else:
+                assert errors == []
+                assert verdict.deterministic == KrausSet(ops).is_deterministic
+            subset = tuple(range(len(ops)))
+            assert ((i, subset) in report.deterministic) == KrausSet(ops).is_deterministic
+        assert [e.split("'")[1] for e in report.errors] == ["excess", "overflow"]
+        assert report.deterministic == {(0, (0,)), (1, (0,)), (4, (0, 1)), (5, (0,))}
+
+    def test_complete_test_runs_one_spectrum(self, monkeypatch):
+        calls = []
+        spectrum = linalg._gram_spectrum
+        monkeypatch.setattr(linalg, "_gram_spectrum",
+                            lambda ops, lower, upper: calls.append(1) or spectrum(ops, lower, upper))
+        for k in (KrausSet((np.diag([0.6, 0.3]).astype(complex),)), random_complete_kraus(300, 2)):
+            calls.clear()
+            complete_test(k)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 257])
+    @pytest.mark.parametrize("scale,excess,deterministic", [
+        (1 + 1.5e-8, 1.5e-8, False), (1 + 0.5e-8, None, True),
+        (1 - 0.5e-8, None, True), (1 - 1.5e-8, None, False),
+    ])
+    def test_verdicts_at_the_tolerance(self, d, scale, excess, deterministic):
+        k = np.eye(d, dtype=complex)
+        k[0, 0] = np.sqrt(scale)  # G = diag(scale, 1, ..., 1)
+        verdict = normalisation([k])
+        assert verdict.finite and verdict.deterministic == deterministic
+        assert (verdict.excess is None) == (excess is None)
+        assert excess is None or abs(verdict.excess - excess) < 1e-12
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        circuit, _ = verdict_circuit(2)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            normalisation([np.eye(2)], tol)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            validate_dag(circuit, tol=tol)
+        assert normalisation([np.eye(2)], 0.0).deterministic
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CpMap(()).is_trace_preserving(),
+    lambda: epistemic_of([]).is_trace_preserving(),
+    lambda: gram_top_eigenvalue([]),
+    lambda: gram_identity_defect([np.eye(2), np.eye(3)]),
+    lambda: gram_top_eigenvalue([np.eye(300), np.ones((300, 301))]),
+    lambda: CpMap((np.ones(2),)).is_trace_preserving(),
+])
+def test_empty_or_mismatched_operators_are_named(call):
+    with pytest.raises(ValueError, match="needs one or more matrices of one input dimension"):
+        call()
