@@ -98,7 +98,8 @@ def dephase(rho, basis=None) -> np.ndarray:
         b = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
         if b.shape != (d, d) or not normalisation([b]).deterministic:  # ||b^dag b - I|| <= 1e-8
             raise ValueError("basis is not orthonormal and complete")
-        probs = np.real(np.einsum("id,ij,jd->d", b.conj(), rho, b)).astype(float)
+        # <b_d|rho|b_d> for every column d: one matrix product, then a column sum.
+        probs = np.real((b.conj() * (rho @ b)).sum(axis=0)).astype(float)
     return np.clip(probs, 0.0, None)
 
 

@@ -296,8 +296,9 @@ def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.nd
 
 # --- trajectories --------------------------------------------------------------
 
-#: Trajectories sampled together by one call of the batch kernel. The size
-#: bounds memory; it never changes the output.
+#: Trajectories sampled together by one call of the batch kernel, and
+#: histories enumerated together as one chunk. The size bounds memory; it
+#: never changes the output.
 BATCH_SIZE = 1024
 
 @dataclass
@@ -452,14 +453,14 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                 weights = np.einsum("ij,ij->i", amps.conj(), amps).real.reshape(m, k)
                 amps = amps.reshape(m, k, -1)
             else:
-                # BLAS may round a column differently as the matrix widens, so
-                # each row is contracted alone, exactly as a batch of one.
-                results = [[_apply_slice(row, order[1:], lay, plan.node_indices, c)
-                            for row in state[rows]] for c in cands]
-                out_order, out_shape = [_BATCH, *results[0][0][1]], results[0][0][0].shape
-                weights = np.array([[float(np.real(np.vdot(t, t))) for t, _ in r] for r in results]
+                # The kernel contracts each row of the stack alone, as a state of
+                # its own, so a row's bits do not depend on the batch.
+                results = [_apply_slice(state[rows], order, lay, plan.node_indices, c)
+                           for c in cands]
+                out_order, out_shape = results[0][1], results[0][0].shape[1:]
+                weights = np.array([[float(np.real(np.vdot(t, t))) for t in r] for r, _ in results]
                                    ).reshape(k, m).T
-                amps = np.stack([np.stack([t.reshape(-1) for t, _ in r]) for r in results], axis=1)
+                amps = np.stack([r.reshape(m, -1) for r, _ in results], axis=1)
             idx = _pick_branches(weights, u)
             _check_slice_total(branches, weights)
             pos = np.arange(m)
@@ -679,6 +680,67 @@ def run_trajectories(
 
 # --- exhaustive enumeration -----------------------------------------------------
 
+def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], ev: np.ndarray,
+                   keys: list[tuple], classical_input: str, name: str):
+    """The children of a chunk of histories at node ``i``, parent-major.
+
+    ``x`` stacks the chunk's states on a leading batch axis, ``ev`` holds
+    each row's event index per node of the step (-1 before it runs) and
+    ``keys`` each row's history key. A row's children are its admissible
+    events in the order its condition lists them; a choice joins the key
+    only where the row has more than one. Each event is applied to all of
+    its rows by one stacked ``_apply_slice`` call.
+    """
+    node = lay.circuit.nodes[i]
+    m = len(x)
+    if node.condition is None or node.condition.source == INPUT_SOURCE:
+        col = np.zeros(m, dtype=np.intp)
+        tables = {0: admissible_events(node, {}, classical_input)}
+    else:
+        source = lay.circuit.node(node.condition.source)
+        col = ev[:, lay.circuit.node_index(source.label)]
+        tables = {u: admissible_events(node, {source.label: source.events[u].outcome} if u >= 0
+                                       else {}, classical_input)
+                  for u in np.unique(col).tolist()}
+    # source event -> (rows, their admissible events)
+    groups = {u: (np.arange(m) if len(tables) == 1 else np.flatnonzero(col == u), admissible)
+              for u, admissible in tables.items()}
+    counts = np.empty(m, dtype=np.intp)
+    for rows, admissible in groups.values():
+        counts[rows] = len(admissible)
+    start = np.cumsum(counts) - counts
+    # event -> (rows that admit it, their children's positions)
+    targets: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for rows, admissible in groups.values():
+        for j, e in enumerate(admissible):
+            targets.setdefault(e, []).append((rows, start[rows] + j))
+    child_ev = np.repeat(ev, counts, axis=0)
+    out = None
+    for e, parts in targets.items():
+        rows, dest = (np.concatenate(part) for part in zip(*parts))
+        if len(parts) > 1:  # rows in order, so that all m of them are x itself
+            by_row = np.argsort(rows)
+            rows, dest = rows[by_row], dest[by_row]
+        y, out_order = _apply_slice(x if len(rows) == m else x[rows], order, lay, [i],
+                                    {node.label: node.events[e].outcome})
+        child_ev[dest, i] = e
+        if len(child_ev) == m and len(rows) == m:  # one event for every row: no copy
+            out = y
+            break
+        if out is None:
+            out = np.empty((len(child_ev), *y.shape[1:]), dtype=y.dtype)
+        out[dest] = y
+    items = {u: [((name, node.events[e].outcome),) for e in admissible]
+             for u, admissible in tables.items()}
+    if all(len(choices) == 1 for choices in items.values()):
+        child_keys = keys
+    else:
+        child_keys = []
+        for key, u in zip(keys, col.tolist()):
+            child_keys += [key + item for item in items[u]] if len(items[u]) > 1 else [key]
+    return out, list(out_order), child_ev, child_keys
+
+
 def enumerate_histories(
     program: Program | Circuit,
     omega0=None,
@@ -692,49 +754,52 @@ def enumerate_histories(
     The history tree has one level per node, in each step's foliation run
     order; a node's children are its admissible events. History keys are
     ``Trajectory.outcome_items`` of the free choices. Raises
-    HistoryCapExceeded when the combinatorial count passes ``cap``.
+    HistoryCapExceeded when the count passes ``cap``.
+
+    The tree is walked level by level over chunks of at most
+    ``BATCH_SIZE`` histories, depth first over chunks. A chunk's states
+    are stacked on a leading ``_BATCH`` axis, so one stacked
+    ``_apply_slice`` call applies an event to every row that admits it,
+    and each row's bits are those of a walk one history at a time. The
+    children of a chunk keep their parents' order, so histories come out
+    depth first, and memory is bounded by ``BATCH_SIZE`` and the depth of
+    the tree, not by the number of histories.
     """
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
     inputs = _padded_inputs(inputs, len(compiled))
     runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
+    prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
 
-    def children(t: int, k: int, state: np.ndarray, order: list[int], chosen: dict, frees: tuple):
-        """The nodes below (step t, k nodes applied) of the history tree, in
-        order; past a step's last node, the next step's start."""
+    def start_of(t: int, x: np.ndarray, keys: list[tuple]):
         lay = compiled[t].layout
-        if k == len(runs[t]):
-            state = _reorder(state, order, list(lay.output_wires))
-            if t + 1 < len(compiled):
-                nxt = compiled[t + 1]
-                state, order = _apply_bind(state, nxt.bind), list(nxt.layout.input_wires)
-                frees += ({},)
-            yield t + 1, 0, state, order, {}, frees
-            return
-        node = lay.circuit.nodes[runs[t][k]]
-        admissible = admissible_events(node, chosen, inputs[t])
-        for e in admissible:
-            event = {node.label: node.events[e].outcome}
-            out, out_order = _apply_slice(state, order, lay, [runs[t][k]], event)
-            free = {**frees[-1], **event} if len(admissible) > 1 else frees[-1]
-            yield t, k + 1, out, out_order, {**chosen, **event}, frees[:-1] + (free,)
+        ev = np.full((len(x), len(lay.circuit.nodes)), -1, dtype=np.intp)
+        return t, 0, x, [_BATCH, *lay.input_wires], ev, keys
 
-    # Depth first with one iterator per level, so a deep circuit needs no
-    # deep recursion and only the current path's states are alive.
     results: list[tuple[tuple[tuple[str, str], ...], float]] = []
-    state0 = _initial_tensor(program, compiled, omega0)
-    stack = [iter([(0, 0, state0, list(compiled[0].layout.input_wires), {}, ({},))])]
+    # Chunks still to walk, the next one last: (step, nodes of the step
+    # applied, stacked states, wire order, event indices, history keys).
+    stack = [start_of(0, _initial_tensor(program, compiled, omega0)[None], [()])]
     while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
+        t, k, x, order, ev, keys = stack.pop()
+        lay = compiled[t].layout
+        if k < len(runs[t]):
+            i = runs[t][k]
+            x, order, ev, keys = _node_children(lay, i, x, order, ev, keys, inputs[t],
+                                                prefixes[t] + lay.circuit.nodes[i].label)
+            for a in reversed(range(0, len(x), BATCH_SIZE)):
+                b = a + BATCH_SIZE
+                stack.append((t, k + 1, x[a:b], order, ev[a:b], keys[a:b]))
             continue
-        t, _, state, _, _, frees = item
-        if t < len(compiled):
-            stack.append(children(*item))
+        x = _reorder(x, order, [_BATCH, *lay.output_wires])
+        if t + 1 < len(compiled):
+            stack.append(start_of(t + 1, _apply_bind(x, compiled[t + 1].bind), keys))
             continue
-        results.append((tuple(_outcome_items(frees)), float(np.real(np.vdot(state, state)))))
+        # np.vdot ravels each row in C order, as the reshape does.
+        vdot = np.vdot
+        results += [(key, float(vdot(row, row).real))
+                    for key, row in zip(keys, x.reshape(len(x), -1))]
         if len(results) > cap:
             raise HistoryCapExceeded(f"more than {cap} histories")
     return results

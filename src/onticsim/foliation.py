@@ -8,9 +8,11 @@ Kraus operator into a tensor with one axis per wire, node by node in
 topological order, while wires the slice does not touch ride along as
 untouched axes. Each (node index, incoming wire order) pair is planned
 once, on the ``CircuitLayout``: the transpose that puts the node's input
-axes first, d_in, the output shape and the next order. The kernel then
+axes first, d_in, the output shape, the next order and whether the order
+stacks states on a leading batch axis. The kernel then
 does what ``np.tensordot`` does, on the same operands, so its bits are
-``tensordot``'s. The trajectory engine runs it on state tensors. Operator
+``tensordot``'s. The trajectory engine runs it on stacks of state tensors,
+each row contracted as a state of its own. Operator
 compilation runs it in one pass over a range of slices, on the identity
 basis of the range's first leaf, then transposes the result into the last
 leaf's wire order: over one slice this is ``compile_slice``'s operator,
@@ -249,13 +251,27 @@ def resolve_assignment(
 # --- compilation -------------------------------------------------------------
 
 #: The batch axis of a batch of state tensors, named in their wire order as
-#: if it were a wire.
+#: if it were a wire. It leads the order, and the kernel treats it as a
+#: stack axis.
 _BATCH = -1
+
+#: The basis axis of ``_compose``'s identity basis, named likewise. It
+#: ends the order, and the kernel contracts it as more columns.
+_COLUMNS = -2
 
 
 def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
                  node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, tuple]:
-    """Apply one slice's events to a state tensor indexed by wire order."""
+    """Apply one slice's events to a state tensor indexed by wire order.
+
+    ``_compose``'s ``_COLUMNS`` axis is more columns of one contraction. A
+    leading ``_BATCH`` axis is a stack axis: each row is contracted as a
+    state of its own, by one ``np.matmul`` over the stack, and the axis
+    stays first. matmul makes one BLAS call per row on the operands
+    ``np.dot`` gets for that row alone, so every row's bits are those of a
+    lone state. With one input dimension they are not, and such stacks are
+    contracted row by row.
+    """
     order = tuple(order)
     for i in node_indices:
         node = lay.circuit.nodes[i]
@@ -263,18 +279,26 @@ def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
         plan = lay.plans.get((i, order))
         if plan is None:  # a function of its key alone: racing threads store equal plans
             in_wires, out_wires = lay.node_in_wires[i], lay.node_out_wires[i]
-            rest = [a for a, w in enumerate(order) if w not in in_wires]
-            nxt = (*out_wires, *(order[a] for a in rest))
+            lead = [0] if order[:1] == (_BATCH,) else []
+            rest = [a for a, w in enumerate(order) if w not in in_wires][len(lead):]
+            nxt = (*order[:len(lead)], *out_wires, *(order[a] for a in rest))
             op_shape = tuple(lay.wires[w].dim for w in (*out_wires, *in_wires))
-            shape = tuple(-1 if w == _BATCH else lay.wires[w].dim for w in nxt)
-            plan = lay.plans[i, order] = ([order.index(w) for w in in_wires] + rest, op_shape,
-                                          prod(op_shape[len(out_wires):]), shape, nxt)
-        axes, op_shape, d_in, shape, order = plan
+            shape = tuple(-1 if w < 0 else lay.wires[w].dim for w in nxt)
+            plan = lay.plans[i, order] = (lead + [order.index(w) for w in in_wires] + rest,
+                                          op_shape, prod(op_shape[len(out_wires):]), shape, nxt,
+                                          bool(lead))
+        axes, op_shape, d_in, shape, order, stacked = plan
         # np.tensordot(op.reshape(op_shape), state, (input axes, their positions))
         # is this transpose, reshape and np.dot of the same operands, the operator
         # through the same two reshapes (they set its strides, hence the BLAS call).
-        state = np.dot(op.reshape(op_shape).reshape(-1, d_in),
-                       state.transpose(axes).reshape(d_in, -1)).reshape(shape)
+        op = op.reshape(op_shape).reshape(-1, d_in)
+        if not stacked:
+            state = np.dot(op, state.transpose(axes).reshape(d_in, -1)).reshape(shape)
+        elif d_in > 1:
+            state = np.matmul(op, state.transpose(axes).reshape(len(state), d_in, -1)).reshape(shape)
+        else:
+            rows = state.transpose(axes).reshape(len(state), d_in, -1)
+            state = np.stack([np.dot(op, row) for row in rows]).reshape(shape)
     return state, order
 
 
@@ -289,7 +313,7 @@ def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
              max_dim: int) -> np.ndarray:
     """Operator of slices ``first .. stop - 1``: leaf ``first`` -> leaf ``stop``.
 
-    The kernel runs node by node on leaf ``first``'s identity basis, batch
+    The kernel runs node by node on leaf ``first``'s identity basis, basis
     axis last, so column j is the slices applied to the j-th basis vector.
     """
     lay = fol.layout
@@ -298,7 +322,7 @@ def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
     if d_in > max_dim:
         raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
     state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
-    order = [*fol.leaves[first], _BATCH]
+    order = [*fol.leaves[first], _COLUMNS]
     for s in range(first, stop):
         if s > first and prod(fol.leaf_dims(s)) > max_dim:
             raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
@@ -313,7 +337,7 @@ def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
             state, order = _apply_slice(state, order, lay, [i], {node.label: event.outcome})
             if state.size > max_dim * max_dim:
                 raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
-    return _reorder(state, order, [*fol.leaves[stop], _BATCH]).reshape(-1, d_in)
+    return _reorder(state, order, [*fol.leaves[stop], _COLUMNS]).reshape(-1, d_in)
 
 
 def compile_slice(fol: Foliation, slice_index: int, outcomes: dict[str, str] | None = None, *,

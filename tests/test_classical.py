@@ -127,6 +127,18 @@ class TestQuantumClassicalConversion:
         expected = [np.real(np.vdot(b, rho @ b)) for b in basis]
         assert np.allclose(got, expected, atol=1e-12)
 
+    def test_dephase_in_haar_bases_matches_einsum_oracle(self):
+        """One matrix product, against the three-operand einsum it replaced."""
+        rng = np.random.default_rng(64)
+        for d in range(2, 65):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = x @ x.conj().T
+            rho = rho / np.trace(rho)
+            u = haar_unitary(d, rng)
+            want = np.real(np.einsum("id,ij,jd->d", u.conj(), rho, u))
+            got = dephase(rho, list(u.T))
+            assert np.abs(got - np.clip(want, 0.0, None)).max() <= 1e-12, d
+
     def test_dephase_rejects_bad_basis(self):
         with pytest.raises(ValueError):
             dephase(np.eye(2) / 2, [np.array([1, 0]), np.array([1, 0])])

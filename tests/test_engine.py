@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -276,6 +277,27 @@ class TestEnumerate:
         assert abs(law[("1", "0")] - 0.5) < 1e-12
         assert law.get(("0", "1"), 0.0) < 1e-12 and law.get(("1", "1"), 0.0) < 1e-12
 
+    def test_event_admitted_through_different_source_outcomes(self):
+        """``n``'s event 1 is admissible after either outcome of ``s``, whose
+        outcomes alternate along a chunk: each row must still reach its own
+        child."""
+        rng = np.random.default_rng(5)
+
+        def instrument(label, weight, condition=None):
+            return TestNode(label, ("Q",), ("Q",), (
+                Event("0", (np.sqrt(weight) * haar_unitary(2, rng),)),
+                Event("1", (np.sqrt(1 - weight) * haar_unitary(2, rng),)),
+            ), condition)
+
+        nodes = [instrument("f", 0.2), instrument("s", 0.35),
+                 instrument("n", 0.6, Condition("s", {"0": (1,), "1": (1, 0)}))]
+        wires = [WireSpec("f", 0, "s", 0), WireSpec("s", 0, "n", 0)]
+        prog = Program.single(Circuit("overlap", {"Q": System("Q", 2)}, nodes, wires))
+        psi0 = haar_state(2, rng)
+        law = enumerate_histories(prog, psi0)
+        assert [len(key) for key, _ in law] == [2, 3, 3] * 2
+        assert law == slice_walk_histories(prog, psi0)
+
     def test_cap_exceeded(self):
         prog = Program(
             "many", [ProgramStep(vn_measure_circuit(f"m{t}")) for t in range(3)]
@@ -465,6 +487,80 @@ class TestNodeWalk:
         for walk in (enumerate_histories, slice_walk_histories):
             with pytest.raises(HistoryCapExceeded, match=f"more than {len(law) - 1} histories"):
                 walk(prog, omega0=psi0, cap=len(law) - 1)
+
+
+def law_bits(law):
+    """A law with each probability as its exact float bits."""
+    return [(key, p.hex()) for key, p in law]
+
+
+def register_program(measurements: int, qubits: int = 9) -> Program:
+    """A Haar state on ``qubits`` qubits, then ``measurements`` two-outcome
+    tests on its qubits in turn, each with outcomes of equal weight that
+    leave the register as it was: 2 ** measurements histories, each
+    carrying a 2 ** qubits state to its end."""
+    psi = haar_state(2 ** qubits, np.random.default_rng(qubits)).reshape(-1, 1)
+    nodes = [TestNode("prep", (), ("q",) * qubits, (Event("0", (psi,)),))]
+    half = np.sqrt(0.5) * np.eye(2)
+    wires, last = [], [("prep", q) for q in range(qubits)]
+    for j in range(measurements):
+        nodes.append(TestNode(f"m{j}", ("q",), ("q",), (Event("0", (half,)), Event("1", (half,)))))
+        wires.append(WireSpec(*last[j % qubits], f"m{j}", 0))
+        last[j % qubits] = (f"m{j}", 0)
+    return Program.single(Circuit("register", {"q": System("q", 2)}, nodes, wires))
+
+
+def working_memory(monkeypatch, size: int, measurements: int) -> int:
+    """Bytes ``enumerate_histories`` held at its peak beyond the law it
+    returns, with chunks of ``size`` histories."""
+    monkeypatch.setattr(engine, "BATCH_SIZE", size)
+    prog = register_program(measurements)
+    tracemalloc.start()
+    try:
+        law = enumerate_histories(prog)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(law) == 2 ** measurements
+    assert abs(sum(p for _, p in law) - 1) < 1e-9
+    return peak - kept
+
+
+class TestChunks:
+    """Enumeration walks chunks of at most ``BATCH_SIZE`` histories. The
+    size changes no key, no order and no bit; it bounds memory."""
+
+    @pytest.fixture(scope="class")
+    def laws(self):
+        """Each walk case and its law at the default size, which
+        ``TestNodeWalk`` holds to the slice walk."""
+        cases = walk_cases()
+        return cases, [law_bits(enumerate_histories(*case)) for case in cases]
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_size_changes_no_bit(self, laws, size, monkeypatch):
+        monkeypatch.setattr(engine, "BATCH_SIZE", size)
+        for case, want in zip(*laws):
+            assert law_bits(enumerate_histories(*case)) == want, case[0].name
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_deep_chain(self, size, monkeypatch):
+        c = closed_chain(DEEP_CHAIN)
+        want = law_bits(slice_walk_histories(c))
+        monkeypatch.setattr(engine, "BATCH_SIZE", size)
+        assert law_bits(enumerate_histories(c)) == want
+
+    def test_memory_is_bounded_by_the_chunk_size(self, monkeypatch):
+        """2048 histories of 8 KiB states: a walk holding them all would
+        need 16 MiB. The peak grows with the chunk size and barely with
+        the number of histories."""
+        state_bytes = 2 ** 9 * 16
+        small = working_memory(monkeypatch, 8, 9)
+        many = working_memory(monkeypatch, 8, 11)
+        wide = working_memory(monkeypatch, 32, 11)
+        assert many < 2 ** 11 * state_bytes / 4
+        assert many < 1.5 * small
+        assert wide > 2 * many
 
 
 class TestEnginePreconditions:

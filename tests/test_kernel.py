@@ -1,20 +1,26 @@
 """The slice kernel against a ``tensordot`` oracle: ``_apply_slice`` as it
 stood before contraction plans. The planned kernel hands ``np.dot`` the
-operands ``tensordot`` forms, so every operator, law and sampled state must
-be equal bit for bit, not just close."""
+operands ``tensordot`` forms, and contracts each row of a stack as a state
+of its own, so every operator, law and sampled state must be equal bit for
+bit, not just close."""
 
 import numpy as np
 import pytest
 
 from _helpers import any_assignment, graph_cases
+from test_engine import slice_walk_histories
 from onticsim import engine, foliation
 from onticsim.circuit import Circuit, Event, TestNode, layout
 from onticsim.engine import enumerate_histories, run_trajectories
-from onticsim.foliation import compile_slice, foliate, resolve_assignment
+from onticsim.foliation import _BATCH, compile_slice, foliate, resolve_assignment
 
 
 def oracle_apply_slice(state, order, lay, node_indices, events):
-    """Apply one slice's events to a state tensor indexed by wire order."""
+    """Apply one slice's events to a state tensor indexed by wire order; a
+    leading ``_BATCH`` axis stacks states that are contracted one by one."""
+    if list(order[:1]) == [_BATCH]:
+        rows = [oracle_apply_slice(row, order[1:], lay, node_indices, events) for row in state]
+        return np.stack([row for row, _ in rows]), [_BATCH, *rows[0][1]]
     for i in node_indices:
         node = lay.circuit.nodes[i]
         op = node.events[node.event_index(events[node.label])].operators[0]
@@ -77,10 +83,22 @@ def test_slice_operators_equal_the_oracle(cases):
     assert planned > 0
 
 
-def test_laws_equal_the_oracle(cases):
+def test_laws_equal_the_oracle(cases, monkeypatch):
+    """The stacked enumeration against the slice walk, one history at a
+    time, with the oracle in place of the kernel."""
+    kernel, stacked = engine._apply_slice, []
+
+    def counted(state, order, *args):
+        stacked.append(list(order[:1]) == [_BATCH])
+        return kernel(state, order, *args)
+
+    monkeypatch.setattr(engine, "_apply_slice", counted)
     for c in cases[::6]:
         omega0 = initial_state(c)
-        assert enumerate_histories(c, omega0) == with_oracle(enumerate_histories, c, omega0), c.name
+        calls = len(stacked)
+        law = enumerate_histories(c, omega0)
+        assert len(stacked) > calls and all(stacked[calls:]), c.name
+        assert law == with_oracle(slice_walk_histories, c, omega0), c.name
 
 
 def test_tensor_path_equals_the_oracle(cases, monkeypatch):
@@ -104,11 +122,23 @@ def test_plans_are_keyed_by_node_and_incoming_order():
     fol = foliate(lay, "asap")
     compile_slice(fol, 0, any_assignment(lay))
     assert lay.plans
-    for (i, order), (axes, op_shape, d_in, shape, next_order) in lay.plans.items():
+    # A stack of states on a leading batch axis.
+    resolved = resolve_assignment(lay, any_assignment(lay))
+    events = {n.label: n.events[resolved[n.label]].outcome for n in lay.circuit.nodes}
+    x = np.ones((3, *fol.leaf_dims(0)), dtype=complex)
+    foliation._apply_slice(x, [_BATCH, *fol.leaves[0]], lay, fol.slices[0], events)
+    stacked = 0
+    for (i, order), (axes, op_shape, d_in, shape, next_order, is_stack) in lay.plans.items():
         assert isinstance(order, tuple) and isinstance(next_order, tuple)
         assert sorted(axes) == list(range(len(order)))
-        assert next_order[:len(lay.node_out_wires[i])] == tuple(lay.node_out_wires[i])
+        lead = int(order[:1] == (_BATCH,))  # the batch axis stays first
+        assert is_stack == bool(lead)
+        stacked += lead
+        assert axes[:lead] == [0] * lead and next_order[:lead] == order[:lead]
+        out_wires = tuple(lay.node_out_wires[i])
+        assert next_order[lead:lead + len(out_wires)] == out_wires
         assert d_in == int(np.prod([lay.wires[w].dim for w in lay.node_in_wires[i]]))
+    assert 0 < stacked < len(lay.plans)
     # A second compile reads the plans it filled and adds none.
     filled = dict(lay.plans)
     compile_slice(fol, 0, any_assignment(lay))
