@@ -160,10 +160,12 @@ class ValidationReport:
     deterministic: set[tuple[int, tuple[int, ...]]] = field(default_factory=set)
     # The graph ``layout`` builds on, complete only when the report is ok:
     # (node, output port) -> (node, input port) per wire, each node's DAG
-    # parents with conditioning sources included, and the topological
-    # order, None when validation stopped early or found a cycle.
+    # parents with conditioning sources included, each node's conditioning
+    # source node (None for ``@input`` and for no condition), and the
+    # topological order, None when validation stopped early or found a cycle.
     wiring: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
     predecessors: list[set[int]] = field(default_factory=list)
+    sources: list[int | None] = field(default_factory=list)
     topo_order: list[int] | None = None
 
     @property
@@ -189,6 +191,7 @@ class CircuitLayout:
     output_wires: list[int]
     topo_order: list[int]
     predecessors: list[set[int]]   # DAG parents, conditioning included
+    sources: list[int | None]      # conditioning source node; None: ``@input`` or no condition
     deterministic: frozenset[tuple[int, tuple[int, ...]]]  # from ``validate_dag``
     # (node index, incoming wire order) -> contraction plan; see foliation._apply_slice
     plans: dict = field(default_factory=dict, repr=False, compare=False)
@@ -314,7 +317,8 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                 report.deterministic.add((node_index, idxs))
 
     # Conditioning sources.
-    for n in circuit.nodes:
+    report.sources = [None] * len(circuit.nodes)
+    for i, n in enumerate(circuit.nodes):
         if n.condition is None or n.condition.source == INPUT_SOURCE:
             continue
         if n.condition.source not in index:
@@ -326,7 +330,8 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
             errors.append(
                 f"node {n.label!r}: condition map misses source outcomes {missing}"
             )
-        preds[index[n.label]].add(index[n.condition.source])
+        report.sources[i] = index[n.condition.source]
+        preds[i].add(report.sources[i])
 
     # Acyclicity over wires + conditioning edges.
     report.topo_order = _topo_sort(preds)
@@ -409,6 +414,7 @@ def layout(circuit: Circuit) -> CircuitLayout:
         output_wires=output_wires,
         topo_order=report.topo_order,
         predecessors=report.predecessors,
+        sources=report.sources,
         deterministic=frozenset(report.deterministic),
     )
 

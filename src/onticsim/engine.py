@@ -27,8 +27,6 @@ from .circuit import (
     Circuit,
     CircuitError,
     CircuitLayout,
-    INPUT_SOURCE,
-    TestNode,
     _decode_circuit,
     _integer,
     _json_object,
@@ -41,10 +39,10 @@ from .foliation import (
     Foliation,
     _BATCH,
     _apply_slice,
+    _compose,
     _reorder,
     admissible_events,
     compile_history,
-    compile_slice,
     foliate,
 )
 from .linalg import MAX_DIM, TAU_NORM
@@ -158,7 +156,7 @@ class _SlicePlan:
     fast: bool
     # Nodes whose condition reads from outside the slice (or @input), in
     # run order: their admissible event subsets make up the context key.
-    key_nodes: tuple[TestNode, ...]
+    key_nodes: tuple[int, ...]
     # context key -> _Branches, filled on first use
     branches: dict = field(default_factory=dict)
 
@@ -169,8 +167,8 @@ class _Branches:
     them. Every field is a function of the context key alone, so threads
     that race to fill one store equal values."""
 
-    cands: list[dict[str, str]]        # node label -> outcome, every node of the slice
-    frees: list[dict[str, str]]        # the free choices of each candidate
+    cands: list[dict[int, int]]        # node index -> event index, every node of the slice
+    frees: list[dict[str, str]]        # the free choices of each candidate, label -> outcome
     deterministic: bool                # every admissible subset sums to the identity
     stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
 
@@ -224,13 +222,8 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
                 prod(fol.leaf_dims(s)) <= FAST_PATH_MAX_DIM
                 and prod(fol.leaf_dims(s + 1)) <= FAST_PATH_MAX_DIM
             )
-            nodes = [lay.circuit.nodes[i] for i in members]
-            labels = {n.label for n in nodes}
-            key_nodes = tuple(
-                n for n in nodes
-                if n.condition is not None
-                and (n.condition.source == INPUT_SOURCE or n.condition.source not in labels)
-            )
+            key_nodes = tuple(i for i in members if lay.circuit.nodes[i].condition is not None
+                              and lay.sources[i] not in members)
             plans.append(_SlicePlan(members, fol.leaf_dims(s + 1), fast, key_nodes))
         compiled.append(CompiledStep(lay, fol, plans, bind))
         prev_out = lay.output_dims
@@ -252,31 +245,33 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
 
 # --- slice candidates ---------------------------------------------------------
 
-def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[str, str],
+def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[int, int],
                       classical_input: str) -> _Branches:
     """All joint outcome choices of a slice, honoring conditioning, the free
     choices of each, and whether the slice is deterministic.
 
-    Each candidate maps node label -> outcome label for every node of the
-    slice (including forced singletons, which are not free choices). Nodes
+    ``chosen`` maps the node index of each node fired before the slice to
+    its event index. Each candidate maps node index -> event index for every
+    node of the slice (including forced singletons, which are not free
+    choices); its free choices map node label -> outcome label. Nodes
     grow in topological order, so a source inside the slice is already in
     the partial candidate. The slice is deterministic when every admissible
     event subset met on the way is one that validation recorded as summing
     to the identity.
     """
-    candidates: list[dict[str, str]] = [{}]
+    candidates: list[dict[int, int]] = [{}]
     frees: list[dict[str, str]] = [{}]
     deterministic = True
     for i in plan.node_indices:
         node = lay.circuit.nodes[i]
         grown, grown_frees = [], []
         for cand, free in zip(candidates, frees):
-            admissible = admissible_events(node, ChainMap(cand, chosen), classical_input)
+            admissible = admissible_events(lay, i, ChainMap(cand, chosen), classical_input)
             deterministic = deterministic and (i, admissible) in lay.deterministic
             for idx in admissible:
-                outcome = node.events[idx].outcome
-                grown.append({**cand, node.label: outcome})
-                grown_frees.append({**free, node.label: outcome} if len(admissible) > 1 else free)
+                grown.append({**cand, i: idx})
+                grown_frees.append({**free, node.label: node.events[idx].outcome}
+                                   if len(admissible) > 1 else free)
         candidates, frees = grown, grown_frees
     return _Branches(candidates, frees, deterministic)
 
@@ -285,11 +280,7 @@ def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.nd
     """The fast path's slice operators of each candidate, stacked to
     broadcast over a batch."""
     if branches.stacked is None:
-        mats = []
-        for cand in branches.cands:
-            resolved = {lbl: step.layout.circuit.node(lbl).event_index(out)
-                        for lbl, out in cand.items()}
-            mats.append(compile_slice(step.foliation, s, resolved=resolved))
+        mats = [_compose(step.foliation, s, s + 1, cand, MAX_DIM) for cand in branches.cands]
         branches.stacked = np.stack(mats)[None] if mats else np.zeros((1, 0, 1, 1), dtype=complex)
     return branches.stacked
 
@@ -428,10 +419,11 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     state = state.reshape((n, *lay.input_dims))
     order = [_BATCH, *lay.input_wires]
     path = np.zeros(n, dtype=np.intp)
-    paths: list[tuple[dict[str, str], dict[str, str]]] = [({}, {})]  # (chosen, free)
+    # (node index -> event index, free outcomes) per path
+    paths: list[tuple[dict[int, int], dict[str, str]]] = [({}, {})]
     weight = np.ones(n)
     for s, plan in enumerate(step.slices):
-        new_paths: list[tuple[dict[str, str], dict[str, str]]] = []
+        new_paths: list[tuple[dict[int, int], dict[str, str]]] = []
         new_path = np.empty(n, dtype=np.intp)
         out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
         if plan.fast:
@@ -440,7 +432,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
         for p, rows in _groups(path, len(paths)):
             chosen, free = paths[p]
-            key = tuple([admissible_events(node, chosen, classical_input) for node in plan.key_nodes])
+            key = tuple([admissible_events(lay, i, chosen, classical_input) for i in plan.key_nodes])
             branches = plan.branches.get(key)
             if branches is None:
                 branches = plan.branches[key] = _slice_candidates(plan, lay, chosen, classical_input)
@@ -565,11 +557,18 @@ def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list
                            states if store_states else [state])
 
 
-def _padded_inputs(inputs, steps: int) -> list[str]:
+def _padded_inputs(inputs, compiled: list[CompiledStep]) -> list[str]:
+    """One classical input per step, missing ones "0". Surplus inputs, and
+    an input that an ``@input``-conditioned node has no entry for, raise."""
     inputs = list(inputs) if inputs else []
-    if len(inputs) > steps:
-        raise EngineError(f"got {len(inputs)} classical inputs for a {steps}-step program")
-    return inputs + ["0"] * (steps - len(inputs))
+    if len(inputs) > len(compiled):
+        raise EngineError(f"got {len(inputs)} classical inputs for a {len(compiled)}-step program")
+    inputs += ["0"] * (len(compiled) - len(inputs))
+    for step, classical_input in zip(compiled, inputs):
+        for i, source in enumerate(step.layout.sources):
+            if source is None:  # @input or no condition: the lookup reads no fired event
+                admissible_events(step.layout, i, {}, classical_input)
+    return inputs
 
 
 def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
@@ -579,10 +578,11 @@ def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
 
     Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so
     every trajectory equals ``run_trajectory(..., index=i)`` bit for bit,
-    whatever batch it falls in. Surplus inputs and a bad initial state raise
-    here, before any batch.
+    whatever batch it falls in. Surplus inputs, an input that an
+    ``@input``-conditioned node has no entry for, and a bad initial state
+    raise here, before any batch.
     """
-    inputs = _padded_inputs(inputs, len(compiled))
+    inputs = _padded_inputs(inputs, compiled)
     state0 = _initial_tensor(program, compiled, omega0)
     slices = sum(len(step.slices) for step in compiled)
     return (_sample_batch(compiled, state0, inputs,
@@ -637,7 +637,7 @@ def run_trajectory(
         program = Program.single(program)
     if compiled is None:
         compiled = compile_program(program, max_dim=max_dim)
-    inputs = _padded_inputs(inputs, len(compiled))
+    inputs = _padded_inputs(inputs, compiled)
     # One stream's uniforms come cheaper from the Generator than from the
     # vectorised cipher, whose set-up cost only pays off over many rows.
     uniforms = trajectory_rng(seed, index).random(sum(len(s.slices) for s in compiled))[None]
@@ -668,7 +668,7 @@ def run_trajectories(
         program = Program.single(program)
     if compiled is None:
         compiled = compile_program(program, max_dim=max_dim)
-    padded = _padded_inputs(inputs, len(compiled))
+    padded = _padded_inputs(inputs, compiled)
     return [
         traj
         for batch in sample_batches(program, count, seed, omega0=omega0, inputs=padded,
@@ -693,14 +693,13 @@ def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], 
     """
     node = lay.circuit.nodes[i]
     m = len(x)
-    if node.condition is None or node.condition.source == INPUT_SOURCE:
+    source = lay.sources[i]
+    if source is None:
         col = np.zeros(m, dtype=np.intp)
-        tables = {0: admissible_events(node, {}, classical_input)}
+        tables = {0: admissible_events(lay, i, {}, classical_input)}
     else:
-        source = lay.circuit.node(node.condition.source)
-        col = ev[:, lay.circuit.node_index(source.label)]
-        tables = {u: admissible_events(node, {source.label: source.events[u].outcome} if u >= 0
-                                       else {}, classical_input)
+        col = ev[:, source]
+        tables = {u: admissible_events(lay, i, {source: u}, classical_input)
                   for u in np.unique(col).tolist()}
     # source event -> (rows, their admissible events)
     groups = {u: (np.arange(m) if len(tables) == 1 else np.flatnonzero(col == u), admissible)
@@ -721,8 +720,7 @@ def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], 
         if len(parts) > 1:  # rows in order, so that all m of them are x itself
             by_row = np.argsort(rows)
             rows, dest = rows[by_row], dest[by_row]
-        y, out_order = _apply_slice(x if len(rows) == m else x[rows], order, lay, [i],
-                                    {node.label: node.events[e].outcome})
+        y, out_order = _apply_slice(x if len(rows) == m else x[rows], order, lay, [i], {i: e})
         child_ev[dest, i] = e
         if len(child_ev) == m and len(rows) == m:  # one event for every row: no copy
             out = y
@@ -768,7 +766,7 @@ def enumerate_histories(
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program, max_dim=max_dim)
-    inputs = _padded_inputs(inputs, len(compiled))
+    inputs = _padded_inputs(inputs, compiled)
     runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
     prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
 

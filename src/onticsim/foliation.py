@@ -44,8 +44,7 @@ from math import prod
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitLayout, CircuitError, INPUT_SOURCE, TestNode, _topo_sort,
-                      layout as circuit_layout)
+from .circuit import Circuit, CircuitLayout, CircuitError, _topo_sort, layout as circuit_layout
 from .linalg import MAX_DIM, is_contraction
 
 
@@ -182,34 +181,32 @@ def _random_slices(lay: CircuitLayout, rng: np.random.Generator) -> list[list[in
 
 # --- outcome resolution ------------------------------------------------------
 
-def admissible_events(node: TestNode, known: Mapping[str, str],
+def admissible_events(lay: CircuitLayout, i: int, ev: Mapping[int, int],
                       classical_input: str) -> tuple[int, ...]:
-    """Admissible event indices of ``node``, reading its condition from the
-    step's classical input (``@input``) or from ``known`` outcomes (node
-    label -> outcome label)."""
+    """Admissible event indices of node ``i``: every event when it has no
+    condition, else the condition's entry for its source's outcome. That
+    outcome is the step's classical input for ``@input``, else the event
+    that the source node fired, ``ev[source]`` (``ev`` maps node index ->
+    event index; sources run first). Raises FoliationError for an outcome
+    the condition has no entry for."""
+    node = lay.circuit.nodes[i]
     if node.condition is None:
         return tuple(range(len(node.events)))
-    if node.condition.source == INPUT_SOURCE:
-        source_outcome = classical_input
-    else:
-        source_outcome = known.get(node.condition.source)
-    if source_outcome is None:
-        raise MissingOutcomeError(
-            f"node {node.label!r} is conditioned on {node.condition.source!r} "
-            "but that outcome is not available"
-        )
+    source = lay.sources[i]
+    outcome = (classical_input if source is None
+               else lay.circuit.nodes[source].events[ev[source]].outcome)
     try:
-        return node.condition.outcome_map[source_outcome]
+        return node.condition.outcome_map[outcome]
     except KeyError:
         raise FoliationError(
-            f"node {node.label!r}: no conditioning entry for source outcome {source_outcome!r}"
+            f"node {node.label!r}: no conditioning entry for source outcome {outcome!r}"
         ) from None
 
 
 def resolve_assignment(
     lay: CircuitLayout, outcomes: dict[str, str] | None, classical_input: str = "0"
-) -> dict[str, int]:
-    """Complete an outcome assignment into one event index per node.
+) -> dict[int, int]:
+    """Complete an outcome assignment (label -> outcome) into an event index per node index.
 
     Nodes whose admissible subset is a singleton resolve automatically;
     every genuine choice must be present in ``outcomes``. Raises
@@ -221,11 +218,10 @@ def resolve_assignment(
     for label in outcomes:
         if label not in labels:
             raise FoliationError(f"no node {label!r}")
-    resolved: dict[str, int] = {}
-    chosen_label: dict[str, str] = {}
+    resolved: dict[int, int] = {}
     for i in lay.topo_order:
         node = lay.circuit.nodes[i]
-        admissible = admissible_events(node, chosen_label, classical_input)
+        admissible = admissible_events(lay, i, resolved, classical_input)
         if node.label in outcomes:
             try:
                 idx = node.event_index(outcomes[node.label])
@@ -243,8 +239,7 @@ def resolve_assignment(
                 f"node {node.label!r} needs an outcome (choices: "
                 f"{[node.events[j].outcome for j in admissible]})"
             )
-        resolved[node.label] = idx
-        chosen_label[node.label] = node.events[idx].outcome
+        resolved[i] = idx
     return resolved
 
 
@@ -261,8 +256,9 @@ _COLUMNS = -2
 
 
 def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
-                 node_indices: list[int], events: dict[str, str]) -> tuple[np.ndarray, tuple]:
-    """Apply one slice's events to a state tensor indexed by wire order.
+                 node_indices: list[int], events: Mapping[int, int]) -> tuple[np.ndarray, tuple]:
+    """Apply one slice's events to a state tensor indexed by wire order:
+    node ``i`` fires its event ``events[i]`` (an event index).
 
     ``_compose``'s ``_COLUMNS`` axis is more columns of one contraction. A
     leading ``_BATCH`` axis is a stack axis: each row is contracted as a
@@ -274,8 +270,7 @@ def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
     """
     order = tuple(order)
     for i in node_indices:
-        node = lay.circuit.nodes[i]
-        op = node.events[node.event_index(events[node.label])].operators[0]
+        op = lay.circuit.nodes[i].events[events[i]].operators[0]
         plan = lay.plans.get((i, order))
         if plan is None:  # a function of its key alone: racing threads store equal plans
             in_wires, out_wires = lay.node_in_wires[i], lay.node_out_wires[i]
@@ -309,9 +304,10 @@ def _reorder(state: np.ndarray, order: Sequence[int], target: Sequence[int]) -> 
     return state.transpose(axes)
 
 
-def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
+def _compose(fol: Foliation, first: int, stop: int, resolved: Mapping[int, int],
              max_dim: int) -> np.ndarray:
-    """Operator of slices ``first .. stop - 1``: leaf ``first`` -> leaf ``stop``.
+    """Operator of slices ``first .. stop - 1``: leaf ``first`` -> leaf ``stop``,
+    node ``i`` firing its event ``resolved[i]`` (an event index).
 
     The kernel runs node by node on leaf ``first``'s identity basis, basis
     axis last, so column j is the slices applied to the j-th basis vector.
@@ -328,24 +324,23 @@ def _compose(fol: Foliation, first: int, stop: int, resolved: dict[str, int],
             raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
         for i in fol.slices[s]:
             node = lay.circuit.nodes[i]
-            event = node.events[resolved[node.label]]
+            event = node.events[resolved[i]]
             if not event.is_atomic:
                 raise FoliationError(
                     f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
                     "operator compilation needs single-Kraus events"
                 )
-            state, order = _apply_slice(state, order, lay, [i], {node.label: event.outcome})
+            state, order = _apply_slice(state, order, lay, [i], resolved)
             if state.size > max_dim * max_dim:
                 raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
     return _reorder(state, order, [*fol.leaves[stop], _COLUMNS]).reshape(-1, d_in)
 
 
 def compile_slice(fol: Foliation, slice_index: int, outcomes: dict[str, str] | None = None, *,
-                  classical_input: str = "0", resolved: dict[str, int] | None = None,
-                  max_dim: int = MAX_DIM) -> np.ndarray:
-    """Operator of one slice, leaf ``slice_index`` -> ``slice_index + 1``: the pass over it alone."""
-    if resolved is None:
-        resolved = resolve_assignment(fol.layout, outcomes, classical_input)
+                  classical_input: str = "0", max_dim: int = MAX_DIM) -> np.ndarray:
+    """Operator of one slice, leaf ``slice_index`` -> ``slice_index + 1``: the
+    pass over it alone, for the outcomes that ``resolve_assignment`` completes."""
+    resolved = resolve_assignment(fol.layout, outcomes, classical_input)
     return _compose(fol, slice_index, slice_index + 1, resolved, max_dim)
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from onticsim import gallery
-from onticsim.circuit import Circuit, CircuitLayout, Event, System, TestNode, WireSpec
-from onticsim.foliation import admissible_events
+from onticsim.circuit import (INPUT_SOURCE, Circuit, CircuitLayout, Condition, Event, System,
+                              TestNode, WireSpec)
+from onticsim.foliation import FoliationError, MissingOutcomeError, admissible_events
 from onticsim.linalg import haar_unitary
 from onticsim.random_circuits import random_circuit
 
@@ -14,14 +17,39 @@ from onticsim.random_circuits import random_circuit
 def any_assignment(lay: CircuitLayout, classical_input: str = "0") -> dict[str, str]:
     """First admissible outcome for every free-choice node, topologically."""
     chosen: dict[str, str] = {}
-    labels: dict[str, str] = {}
+    fired: dict[int, int] = {}
     for i in lay.topo_order:
         node = lay.circuit.nodes[i]
-        idxs = admissible_events(node, labels, classical_input)
-        labels[node.label] = node.events[idxs[0]].outcome
+        idxs = admissible_events(lay, i, fired, classical_input)
+        fired[i] = idxs[0]
         if len(idxs) > 1:
             chosen[node.label] = node.events[idxs[0]].outcome
     return chosen
+
+
+def label_admissible_events(node: TestNode, known: Mapping[str, str],
+                            classical_input: str) -> tuple[int, ...]:
+    """The condition lookup keyed by labels, as it stood before the source's
+    event index was read: admissible event indices of ``node``, reading its
+    condition from the step's classical input (``@input``) or from ``known``
+    outcomes (node label -> outcome label)."""
+    if node.condition is None:
+        return tuple(range(len(node.events)))
+    if node.condition.source == INPUT_SOURCE:
+        source_outcome = classical_input
+    else:
+        source_outcome = known.get(node.condition.source)
+    if source_outcome is None:
+        raise MissingOutcomeError(
+            f"node {node.label!r} is conditioned on {node.condition.source!r} "
+            "but that outcome is not available"
+        )
+    try:
+        return node.condition.outcome_map[source_outcome]
+    except KeyError:
+        raise FoliationError(
+            f"node {node.label!r}: no conditioning entry for source outcome {source_outcome!r}"
+        ) from None
 
 
 #: A chain length deeper than the interpreter's default recursion limit of
@@ -44,10 +72,27 @@ def closed_chain(gates: int, seed: int = 0) -> Circuit:
     return Circuit("chain", systems, nodes, wires, closed=True)
 
 
+def overlap_variant(c: Circuit) -> Circuit | None:
+    """``c`` with its first node that is conditioned on another node
+    admitting, under the source's last outcome, the events of its first
+    outcome in reverse order, so that one event is admitted under two
+    source outcomes; None if no node is conditioned on another node."""
+    for k, n in enumerate(c.nodes):
+        if n.condition is not None and n.condition.source != INPUT_SOURCE:
+            first, *_, last = n.condition.outcome_map
+            outcome_map = {**n.condition.outcome_map, last: n.condition.outcome_map[first][::-1]}
+            node = TestNode(n.label, n.inputs, n.outputs, n.events,
+                            Condition(n.condition.source, outcome_map))
+            return Circuit(f"{c.name}-overlap", c.systems, [*c.nodes[:k], node, *c.nodes[k + 1:]],
+                           c.wires, c.closed)
+    return None
+
+
 def graph_cases(count: int = 300, seed: int = 2012) -> list[Circuit]:
     """Every gallery circuit, ``count`` random circuits with conditioning,
-    and each random circuit again with its node list shuffled, so that node
-    order and topological order differ."""
+    each random circuit again with its node list shuffled, so that node
+    order and topological order differ, and then the overlap variants
+    (``overlap_variant``) of the first 20 random cases that have one."""
     programs = (gallery.conditioned_step_program(), gallery.merge_split_program())
     cases = [gallery.conditioned_step(), gallery.conditioned_step_closed(), gallery.bell_pair(),
              gallery.bloch_axes(), *(step.circuit for p in programs for step in p.steps)]
@@ -56,4 +101,5 @@ def graph_cases(count: int = 300, seed: int = 2012) -> list[Circuit]:
         c = random_circuit(rng)
         shuffled = [c.nodes[i] for i in rng.permutation(len(c.nodes))]
         cases += [c, Circuit(c.name, c.systems, shuffled, c.wires, c.closed)]
-    return cases
+    variants = [v for v in map(overlap_variant, cases[len(cases) - 2 * count:]) if v is not None]
+    return cases + variants[:20]

@@ -387,6 +387,25 @@ def test_surplus_inputs_refused(argv, given, circuits_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--trajectories", "5"],
+    ["run", "--trajectories", "5", "--format", "json"],
+    ["run", "--trajectories", "0"],
+    ["enumerate"],
+    ["enumerate", "--format", "csv"],
+])
+def test_unmapped_input_refused_before_output(argv, circuits_dir, tmp_path, capsys):
+    """Node A reads @input, and its condition has no entry for 7."""
+    command, *options = argv
+    args = [command, str(circuits_dir / "conditioned_step_program.json"), "--inputs", "7", *options]
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert main(args + extra) == 1
+        assert capsys.readouterr() == (
+            "", "error: node 'A': no conditioning entry for source outcome '7'\n")
+    assert not out.exists()
+
+
 class TestRun:
     def test_replay_is_byte_identical(self, circuits_dir, tmp_path):
         args = [

@@ -404,7 +404,7 @@ def slice_walk_histories(program, omega0=None, inputs=None, cap=engine.DEFAULT_H
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program)
-    inputs = engine._padded_inputs(inputs, len(compiled))
+    inputs = engine._padded_inputs(inputs, compiled)
     prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
 
     def children(t, s, state, order, chosen, key):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import DEEP_CHAIN, any_assignment, closed_chain, graph_cases
+from _helpers import DEEP_CHAIN, any_assignment, closed_chain, graph_cases, label_admissible_events
 from onticsim import engine, foliation, gallery
 from onticsim.circuit import (
     INPUT_SOURCE,
@@ -19,6 +19,7 @@ from onticsim.circuit import (
 from onticsim.foliation import (
     FoliationError,
     MissingOutcomeError,
+    admissible_events,
     compile_history,
     compile_slice,
     foliate,
@@ -271,6 +272,47 @@ class TestRunOrder:
             assert fols[2].slices == asap.slices
 
 
+def _lookup(fn, *args):
+    """``fn(*args)``, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except FoliationError as exc:
+        return type(exc), str(exc)
+
+
+class TestConditionLookup:
+    """``admissible_events`` reads the event index a source fired; the
+    label-keyed lookup it replaced is the oracle."""
+
+    def test_sources_equal_the_label_lookup(self):
+        for c in graph_cases():
+            lay = layout(c)
+            assert lay.sources == [_cond_source(lay, i) for i in range(len(c.nodes))], c.name
+
+    def test_equals_the_label_lookup(self):
+        overlaps = unmapped = 0
+        for c in graph_cases():
+            lay = layout(c)
+            for i, node in enumerate(c.nodes):
+                source = lay.sources[i]
+                fired = [None] if source is None else range(len(c.nodes[source].events))
+                admitted = []
+                for u in fired:
+                    ev, known = {}, {}
+                    if u is not None:
+                        ev, known = {source: u}, {c.nodes[source].label: c.nodes[source].events[u].outcome}
+                    for classical_input in ("0", "1", "7"):
+                        got = _lookup(admissible_events, lay, i, ev, classical_input)
+                        want = _lookup(label_admissible_events, node, known, classical_input)
+                        assert got == want, (c.name, node.label, u, classical_input)
+                        unmapped += isinstance(got[0], type)
+                    if u is not None:
+                        admitted += got
+                overlaps += len(admitted) > len(set(admitted))
+        assert overlaps >= 20  # one event admitted under two source outcomes
+        assert unmapped > 0  # an @input node without an entry for "7"
+
+
 class TestDeepChain:
     @pytest.fixture(scope="class")
     def lay(self):
@@ -324,8 +366,7 @@ class TestCompileSlice:
         c = gallery.conditioned_step()
         fol = foliate(c, "asap")
         outcomes = {"alpha": "0", "E": "1", "V": "0", "Lambda": "0:0"}
-        resolved = resolve_assignment(fol.layout, outcomes)
-        op = compile_slice(fol, 1, resolved=resolved)
+        op = compile_slice(fol, 1, outcomes)
         r1 = c.node("R").events[1].operators[0]
         v0 = c.node("V").events[0].operators[0]
         assert np.allclose(op, np.kron(r1, v0), atol=1e-12)
@@ -334,8 +375,7 @@ class TestCompileSlice:
         c = gallery.conditioned_step()
         fol = foliate(c, "asap")
         outcomes = {"alpha": "0", "E": "0", "V": "1", "Lambda": "1:2"}
-        resolved = resolve_assignment(fol.layout, outcomes)
-        op = compile_slice(fol, 3, resolved=resolved)
+        op = compile_slice(fol, 3, outcomes)
         bra = c.node("Lambda").events[6].operators[0]
         # Cut order is (N, O, M), so the readout acts first and M rides along.
         assert np.allclose(op, np.kron(bra, np.eye(2)), atol=1e-12)
@@ -346,11 +386,11 @@ class TestCompileSlice:
             c = random_circuit(rng, n_nodes=(4, 6))
             lay = layout(c)
             fol = foliate(lay, "asap")
-            resolved = resolve_assignment(lay, any_assignment(lay))
+            outcomes = any_assignment(lay)
             psi = haar_state(int(np.prod(fol.leaf_dims(0))) if fol.leaves[0] else 1, rng)
             vec = psi
             for s in range(len(fol.slices)):
-                vec = compile_slice(fol, s, resolved=resolved) @ vec
+                vec = compile_slice(fol, s, outcomes) @ vec
             full = compile_history(fol, any_assignment(lay)).operator @ psi
             assert np.allclose(vec, full, atol=1e-10)
 
@@ -502,8 +542,8 @@ def _micro_levels(lay, members: list[int]) -> list[list[int]]:
     return levels
 
 
-def kron_compile_slice(fol, slice_index: int, resolved: dict[str, int],
-                       max_dim: int = MAX_DIM) -> np.ndarray:
+def kron_compile_slice(fol, slice_index: int, resolved, max_dim: int = MAX_DIM) -> np.ndarray:
+    """Node ``i`` fires its event ``resolved[i]``."""
     lay = fol.layout
     dims_of = {w.index: w.dim for w in lay.wires}
     order = list(fol.leaves[slice_index])
@@ -517,8 +557,7 @@ def kron_compile_slice(fol, slice_index: int, resolved: dict[str, int],
         for i in level:
             consumed += lay.node_in_wires[i]
             produced += lay.node_out_wires[i]
-            node = lay.circuit.nodes[i]
-            ops.append(node.events[resolved[node.label]].operators[0])
+            ops.append(lay.circuit.nodes[i].events[resolved[i]].operators[0])
         passthrough = [w for w in order if w not in consumed]
         arrangement = consumed + passthrough
         axes = [order.index(w) for w in arrangement]
@@ -541,8 +580,9 @@ def kron_compile_slice(fol, slice_index: int, resolved: dict[str, int],
 
 
 def _fast_path_operators(step, classical_input):
-    """(slice, resolved event indices, stacked operator) for every candidate
-    of every fast slice in every context reachable under ``classical_input``."""
+    """(slice, candidate, stacked operator) for every candidate of every fast
+    slice in every context reachable under ``classical_input``; a candidate
+    maps node index -> event index."""
     lay = step.layout
     found = []
 
@@ -554,8 +594,7 @@ def _fast_path_operators(step, classical_input):
         stacked = engine._stacked_operators(step, s, branches) if plan.fast else None
         for c, cand in enumerate(branches.cands):
             if stacked is not None:
-                resolved = {lbl: lay.circuit.node(lbl).event_index(out) for lbl, out in cand.items()}
-                found.append((s, resolved, stacked[0, c]))
+                found.append((s, cand, stacked[0, c]))
             visit(s + 1, {**chosen, **cand})
 
     visit(0, {})
@@ -572,13 +611,14 @@ class TestKronOracle:
         multi_level = 0
         for _ in range(30):
             lay = layout(random_circuit(rng, n_nodes=(4, 7)))
-            resolved = resolve_assignment(lay, any_assignment(lay))
+            outcomes = any_assignment(lay)
+            resolved = resolve_assignment(lay, outcomes)
             fols = [foliate(lay, "asap"), foliate(lay, "alap")]
             fols += [foliate(lay, "random", rng=rng) for _ in range(4)]
             for fol in fols:
                 for s in range(len(fol.slices)):
                     multi_level += len(_micro_levels(lay, fol.slices[s])) > 1
-                    got = compile_slice(fol, s, resolved=resolved)
+                    got = compile_slice(fol, s, outcomes)
                     want = kron_compile_slice(fol, s, resolved)
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() < 1e-12
@@ -626,10 +666,9 @@ def product_compile_history(fol, outcomes, classical_input="0", max_dim=MAX_DIM)
     """The history operator as the product of the slice operators, the
     rightmost acting first: how ``compile_history`` composed slices before
     it ran one pass over all of them."""
-    resolved = resolve_assignment(fol.layout, outcomes, classical_input)
     op = np.eye(prod(fol.leaf_dims(0)), dtype=complex)
     for s in range(len(fol.slices)):
-        op = compile_slice(fol, s, resolved=resolved, max_dim=max_dim) @ op
+        op = compile_slice(fol, s, outcomes, classical_input=classical_input, max_dim=max_dim) @ op
     return op
 
 

@@ -22,8 +22,7 @@ def oracle_apply_slice(state, order, lay, node_indices, events):
         rows = [oracle_apply_slice(row, order[1:], lay, node_indices, events) for row in state]
         return np.stack([row for row, _ in rows]), [_BATCH, *rows[0][1]]
     for i in node_indices:
-        node = lay.circuit.nodes[i]
-        op = node.events[node.event_index(events[node.label])].operators[0]
+        op = lay.circuit.nodes[i].events[events[i]].operators[0]
         in_wires = lay.node_in_wires[i]
         out_wires = lay.node_out_wires[i]
         out_dims = tuple(lay.wires[w].dim for w in out_wires)
@@ -73,11 +72,11 @@ def test_slice_operators_equal_the_oracle(cases):
         lay = layout(c)
         fols = [foliate(lay, "asap"), foliate(lay, "alap")]
         fols += [foliate(lay, "random", rng=np.random.default_rng(seed)) for seed in range(4)]
-        resolved = resolve_assignment(lay, any_assignment(lay))
+        outcomes = any_assignment(lay)
         for fol in fols:
             for s in range(len(fol.slices)):
-                got = compile_slice(fol, s, resolved=resolved)
-                want = with_oracle(compile_slice, fol, s, resolved=resolved)
+                got = compile_slice(fol, s, outcomes)
+                want = with_oracle(compile_slice, fol, s, outcomes)
                 assert np.array_equal(got, want), (c.name, fol.strategy, s)
         planned += len(lay.plans)
     assert planned > 0
@@ -123,8 +122,7 @@ def test_plans_are_keyed_by_node_and_incoming_order():
     compile_slice(fol, 0, any_assignment(lay))
     assert lay.plans
     # A stack of states on a leading batch axis.
-    resolved = resolve_assignment(lay, any_assignment(lay))
-    events = {n.label: n.events[resolved[n.label]].outcome for n in lay.circuit.nodes}
+    events = resolve_assignment(lay, any_assignment(lay))
     x = np.ones((3, *fol.leaf_dims(0)), dtype=complex)
     foliation._apply_slice(x, [_BATCH, *fol.leaves[0]], lay, fol.slices[0], events)
     stacked = 0

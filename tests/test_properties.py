@@ -244,12 +244,12 @@ def random_circuits(draw):
 
 def _random_outcomes(lay, rng) -> dict[str, str]:
     """One admissible outcome per node, drawn in topological order."""
-    labels: dict[str, str] = {}
+    fired: dict[int, int] = {}
     for i in lay.topo_order:
-        node = lay.circuit.nodes[i]
-        idxs = admissible_events(node, labels, "0")
-        labels[node.label] = node.events[idxs[int(rng.integers(len(idxs)))]].outcome
-    return labels
+        idxs = admissible_events(lay, i, fired, "0")
+        fired[i] = idxs[int(rng.integers(len(idxs)))]
+    return {lay.circuit.nodes[i].label: lay.circuit.nodes[i].events[e].outcome
+            for i, e in fired.items()}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
