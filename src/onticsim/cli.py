@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import itertools
 import sys
 
 from . import jsonio
@@ -20,8 +22,9 @@ from .circuit import CircuitError, validate_dag
 from .engine import (
     EngineError,
     TrajectoryBatch,
+    _history_chunks,
+    _history_labels,
     compile_program,
-    enumerate_histories,
     load_run_spec,
     run_trajectory,
     sample_batches,
@@ -55,10 +58,10 @@ def _run_records(batch: TrajectoryBatch, writer: jsonio.RecordWriter, seed: int,
                  store_states: bool) -> list[str]:
     """One batch's records as text; each path's outcomes and the states are formatted once."""
     outcomes = [writer.outcomes(items) for items in batch.outcome_items()]
-    states = writer.vectors(batch.states[-1]) if store_states else None
-    return [writer.format((seed, batch.start + r), outcomes[p], prob,
-                          (states[r],) if store_states else ())
-            for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist()))]
+    n = len(batch.path)
+    return writer.format([outcomes[p] for p in batch.path.tolist()], batch.probability,
+                         head=([seed] * n, range(batch.start, batch.start + n)),
+                         tail=(writer.vectors(batch.states[-1]),) if store_states else ())
 
 
 def cmd_run(args) -> int:
@@ -72,7 +75,7 @@ def cmd_run(args) -> int:
     texts = (_run_records(batch, writer, args.seed, args.store_states) for batch in batches)
     with _output(args) as out:
         if args.format == "json":
-            writer.write(out.write, (text for batch in texts for text in batch))
+            writer.write(out.write, texts)
             out.write("\n")
         else:
             out.writelines("\n".join(batch) + "\n" for batch in texts)
@@ -82,20 +85,34 @@ def cmd_run(args) -> int:
 def cmd_enumerate(args) -> int:
     program = load_run_spec(args.path)
     inputs = args.inputs.split(",") if args.inputs else None
-    histories = enumerate_histories(program, inputs=inputs, max_dim=args.max_dim)
-    total = sum(p for _, p in histories)
+    # Every check, the history cap's included, comes before the output is opened.
+    walk, chunks = _history_chunks(program, inputs=inputs, max_dim=args.max_dim)
+    count, total = 0, 0.0
+
+    def records(item, join):
+        """Each chunk's outcomes texts and probabilities, counted and summed
+        left to right in record order (``sum`` compensates from Python 3.12)."""
+        nonlocal count, total
+        labels = _history_labels(walk, item, join)
+        for ev, free, p in chunks:
+            probs = p.tolist()
+            count += len(probs)
+            for q in probs:
+                total += q
+            yield labels(ev, free), probs
+
     with _output(args) as out:
         if args.format == "csv":
             rows = csv.writer(out, lineterminator="\n")
             rows.writerow(["outcomes", "probability"])
-            rows.writerows((";".join(f"{k}={v}" for k, v in key), f"{p:.17g}")
-                           for key, p in histories)
+            for fields, probs in records("=".join, lambda k: functools.partial(map, ";".join)):
+                rows.writerows(zip(fields, map("%.17g".__mod__, probs)))
         else:
             writer = jsonio.RecordWriter(indent=2, key="histories")
-            writer.write(out.write, (writer.format((), writer.outcomes(key), p)
-                                     for key, p in histories), total_probability=total)
+            batches = itertools.starmap(writer.format, records(writer.pair, writer.joiner))
+            writer.write(out.write, batches, total_probability=lambda: total)
             out.write("\n")
-    print(f"{len(histories)} histories, total probability {total:.12f}", file=sys.stderr)
+    print(f"{count} histories, total probability {total:.12f}", file=sys.stderr)
     return 0
 
 

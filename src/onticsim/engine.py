@@ -15,6 +15,7 @@ history operator applied to the initial state.
 from __future__ import annotations
 
 from collections import ChainMap
+import functools
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
@@ -403,6 +404,13 @@ def _pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.add.reduce(cum[:, :-1] <= u[:, None] * cum[:, -1:], axis=1)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a stack, ``np.vdot(row, row).real``
+    bit for bit (both read a row in C order), from one stacked product."""
+    rows = x.reshape(len(x), 1, -1)
+    return np.matmul(rows.conj(), rows.transpose(0, 2, 1)).real.reshape(len(x))
+
+
 def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                    uniforms: np.ndarray):
     """The batch kernel: sample every slice of one circuit step for a batch.
@@ -442,16 +450,18 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             if plan.fast:
                 amps = np.matmul(_stacked_operators(step, s, branches), x_all[rows])
                 amps = amps.reshape(m * k, -1)
-                weights = np.einsum("ij,ij->i", amps.conj(), amps).real.reshape(m, k)
-                amps = amps.reshape(m, k, -1)
+                weights = np.empty(m * k)
+                for a in range(0, m * k, 256):  # a conjugated copy of 256 rows at a time, same bits
+                    block = amps[a:a + 256]
+                    weights[a:a + 256] = np.einsum("ij,ij->i", block.conj(), block).real
+                weights, amps = weights.reshape(m, k), amps.reshape(m, k, -1)
             else:
                 # The kernel contracts each row of the stack alone, as a state of
                 # its own, so a row's bits do not depend on the batch.
                 results = [_apply_slice(state[rows], order, lay, plan.node_indices, c)
                            for c in cands]
                 out_order, out_shape = results[0][1], results[0][0].shape[1:]
-                weights = np.array([[float(np.real(np.vdot(t, t))) for t in r] for r, _ in results]
-                                   ).reshape(k, m).T
+                weights = np.stack([_norms(r) for r, _ in results], axis=1)
                 amps = np.stack([r.reshape(m, -1) for r, _ in results], axis=1)
             idx = _pick_branches(weights, u)
             _check_slice_total(branches, weights)
@@ -680,40 +690,64 @@ def run_trajectories(
 
 # --- exhaustive enumeration -----------------------------------------------------
 
+def _admissible_table(lay: CircuitLayout, i: int, source_events,
+                      classical_input: str) -> dict[int, tuple[int, ...]]:
+    """Node ``i``'s admissible events under each of ``source_events``, the
+    events its source node may have fired; one entry, 0, without a source."""
+    source = lay.sources[i]
+    return {u: admissible_events(lay, i, {source: u}, classical_input)
+            for u in (source_events if source is not None else [0])}
+
+
+def _history_count(compiled: list[CompiledStep], inputs: list[str]) -> int:
+    """The number of histories, from the condition tables alone: a step's
+    are counted up its forest of conditioning edges, and steps multiply."""
+    total = 1
+    for step, classical_input in zip(compiled, inputs):
+        lay = step.layout
+        # ways[i][e]: how the nodes hanging on node i can fire once i fired e;
+        # the last entry is the step root's
+        ways = [[1] * len(node.events) for node in lay.circuit.nodes] + [[1]]
+        for i in reversed(lay.topo_order):
+            source = -1 if lay.sources[i] is None else lay.sources[i]
+            for u, admissible in _admissible_table(lay, i, range(len(ways[source])),
+                                                   classical_input).items():
+                ways[source][u] *= sum(ways[i][e] for e in admissible)
+        total *= ways[-1][0]
+    return total
+
+
 def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], ev: np.ndarray,
-                   keys: list[tuple], classical_input: str, name: str):
+                   free: np.ndarray, column: dict[int, int], classical_input: str):
     """The children of a chunk of histories at node ``i``, parent-major.
 
-    ``x`` stacks the chunk's states on a leading batch axis, ``ev`` holds
-    each row's event index per node of the step (-1 before it runs) and
-    ``keys`` each row's history key. A row's children are its admissible
-    events in the order its condition lists them; a choice joins the key
-    only where the row has more than one. Each event is applied to all of
-    its rows by one stacked ``_apply_slice`` call.
+    ``x`` stacks the chunk's states on a leading batch axis; ``ev`` and
+    ``free`` are the chunk's event indices and free mask (see
+    ``_history_chunks``), and ``column`` maps the step's nodes to their
+    columns. A row's children are its admissible events in the order its
+    condition lists them. Each event is applied to all of its rows by one
+    stacked ``_apply_slice`` call.
     """
-    node = lay.circuit.nodes[i]
     m = len(x)
     source = lay.sources[i]
-    if source is None:
-        col = np.zeros(m, dtype=np.intp)
-        tables = {0: admissible_events(lay, i, {}, classical_input)}
-    else:
-        col = ev[:, source]
-        tables = {u: admissible_events(lay, i, {source: u}, classical_input)
-                  for u in np.unique(col).tolist()}
-    # source event -> (rows, their admissible events)
-    groups = {u: (np.arange(m) if len(tables) == 1 else np.flatnonzero(col == u), admissible)
-              for u, admissible in tables.items()}
+    col = None if source is None else ev[:, column[source]]
+    tables = _admissible_table(lay, i, [] if col is None else np.unique(col).tolist(),
+                               classical_input)
+    # (rows, their admissible events) per source event
+    groups = [(np.arange(m) if len(tables) == 1 else np.flatnonzero(col == u), admissible)
+              for u, admissible in tables.items()]
     counts = np.empty(m, dtype=np.intp)
-    for rows, admissible in groups.values():
+    for rows, admissible in groups:
         counts[rows] = len(admissible)
     start = np.cumsum(counts) - counts
     # event -> (rows that admit it, their children's positions)
     targets: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for rows, admissible in groups.values():
+    for rows, admissible in groups:
         for j, e in enumerate(admissible):
             targets.setdefault(e, []).append((rows, start[rows] + j))
     child_ev = np.repeat(ev, counts, axis=0)
+    child_free = np.repeat(free, counts, axis=0)
+    child_free[:, column[i]] = np.repeat(counts > 1, counts)
     out = None
     for e, parts in targets.items():
         rows, dest = (np.concatenate(part) for part in zip(*parts))
@@ -721,22 +755,102 @@ def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], 
             by_row = np.argsort(rows)
             rows, dest = rows[by_row], dest[by_row]
         y, out_order = _apply_slice(x if len(rows) == m else x[rows], order, lay, [i], {i: e})
-        child_ev[dest, i] = e
+        child_ev[dest, column[i]] = e
         if len(child_ev) == m and len(rows) == m:  # one event for every row: no copy
             out = y
             break
         if out is None:
             out = np.empty((len(child_ev), *y.shape[1:]), dtype=y.dtype)
         out[dest] = y
-    items = {u: [((name, node.events[e].outcome),) for e in admissible]
-             for u, admissible in tables.items()}
-    if all(len(choices) == 1 for choices in items.values()):
-        child_keys = keys
-    else:
-        child_keys = []
-        for key, u in zip(keys, col.tolist()):
-            child_keys += [key + item for item in items[u]] if len(items[u]) > 1 else [key]
-    return out, list(out_order), child_ev, child_keys
+    return out, list(out_order), child_ev, child_free
+
+
+def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] | None = None, *,
+                    cap: int = DEFAULT_HISTORY_CAP, max_dim: int = MAX_DIM):
+    """``enumerate_histories`` as arrays: ``(walk, chunks)``. Every check,
+    HistoryCapExceeded's included, is made first; the histories are counted
+    from the condition tables, with no linear algebra.
+
+    The tree has one level, and one column, per node in each step's
+    foliation run order; ``walk`` holds each column's history label and
+    outcome labels. It is walked level by level over chunks of at most
+    ``BATCH_SIZE`` histories, depth first over chunks, so memory is bounded
+    by ``BATCH_SIZE`` and the depth of the tree. A chunk's states are
+    stacked on a leading ``_BATCH`` axis: one stacked ``_apply_slice`` call
+    applies an event to every row that admits it, with the bits of a walk
+    one history at a time. ``chunks`` yields, in history order and pieces
+    of at most 256 rows, the event indices per column (-1 before a node
+    runs), the free mask (more than one admissible event) and probabilities.
+    """
+    if isinstance(program, Circuit):
+        program = Program.single(program)
+    compiled = compile_program(program, max_dim=max_dim)
+    inputs = _padded_inputs(inputs, compiled)
+    state0 = _initial_tensor(program, compiled, omega0)
+    if _history_count(compiled, inputs) > cap:
+        raise HistoryCapExceeded(f"more than {cap} histories")
+    runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
+    columns, walk = [], []
+    for t, step in enumerate(compiled):
+        columns.append({i: len(walk) + k for k, i in enumerate(runs[t])})
+        walk += [(f"{t}:{n.label}" if len(compiled) > 1 else n.label, [e.outcome for e in n.events])
+                 for n in map(step.layout.circuit.nodes.__getitem__, runs[t])]
+    kind = np.min_scalar_type(-max((len(o) for _, o in walk), default=1))  # holds -1 and every event
+
+    def chunks():
+        # Chunks still to walk, the next one last: (step, nodes of the step
+        # applied, wire order, stacked states, event indices, free mask).
+        stack = [(0, 0, [_BATCH, *compiled[0].layout.input_wires], state0[None],
+                  np.full((1, len(walk)), -1, dtype=kind), np.zeros((1, len(walk)), dtype=bool))]
+        while stack:
+            t, k, order, x, ev, free = stack.pop()
+            lay = compiled[t].layout
+            if k < len(runs[t]):
+                x, order, ev, free = _node_children(lay, runs[t][k], x, order, ev, free,
+                                                    columns[t], inputs[t])
+                split = len(x) > BATCH_SIZE  # then pieces are copies: none keeps the others alive
+                for a in reversed(range(0, len(x), BATCH_SIZE)):
+                    rows = slice(a, a + BATCH_SIZE)
+                    stack.append((t, k + 1, order, *(v[rows].copy() if split else v[rows]
+                                                     for v in (x, ev, free))))
+                continue
+            x = _reorder(x, order, [_BATCH, *lay.output_wires])
+            if t + 1 < len(compiled):
+                nxt = compiled[t + 1]
+                stack.append((t + 1, 0, [_BATCH, *nxt.layout.input_wires], _apply_bind(x, nxt.bind),
+                              ev, free))
+                continue
+            p = _norms(x)
+            for a in range(0, len(p), 256):  # small pieces keep a consumer's texts small
+                yield ev[a:a + 256], free[a:a + 256], p[a:a + 256]
+
+    return walk, chunks()
+
+
+def _history_labels(walk, item, join):
+    """A function of a chunk's (event indices, free mask) giving its rows'
+    labels: ``join(k)`` maps the tuples of k items of rows' free choices, in
+    walk order, to their labels. An item, ``item((label, outcome))``, is
+    made once per (column, event). Rows are grouped by an integer code of
+    their packed free mask."""
+    table = functools.cache(lambda c: np.fromiter(
+        (item((walk[c][0], outcome)) for outcome in walk[c][1]), dtype=object))
+
+    def labels(ev: np.ndarray, free: np.ndarray) -> list:
+        cols = np.flatnonzero(free.any(axis=0))
+        code, first = np.zeros(len(ev), dtype=np.int64), [0]
+        for byte in np.packbits(free[:, cols], axis=1).T:  # compacted byte by byte: no overflow
+            _, first, code = np.unique(code * 256 + byte, return_index=True, return_inverse=True)
+        out, order = [], []
+        for g, rows in _groups(code, len(first)):
+            parts = [table(c)[ev[rows, c]].tolist() for c in cols[free[first[g], cols]].tolist()]
+            out += join(len(parts))(zip(*parts) if parts else [()] * len(ev[rows]))
+            order.append(rows)
+        if len(order) > 1:  # back to row order
+            out = list(map(out.__getitem__, np.argsort(np.concatenate(order)).tolist()))
+        return out
+
+    return labels
 
 
 def enumerate_histories(
@@ -747,57 +861,14 @@ def enumerate_histories(
     cap: int = DEFAULT_HISTORY_CAP,
     max_dim: int = MAX_DIM,
 ) -> list[tuple[tuple[tuple[str, str], ...], float]]:
-    """All outcome histories with their exact probabilities ||Omega w0||^2.
+    """All outcome histories with their exact probabilities ||Omega w0||^2,
+    depth first (see ``_history_chunks``).
 
-    The history tree has one level per node, in each step's foliation run
-    order; a node's children are its admissible events. History keys are
-    ``Trajectory.outcome_items`` of the free choices. Raises
-    HistoryCapExceeded when the count passes ``cap``.
-
-    The tree is walked level by level over chunks of at most
-    ``BATCH_SIZE`` histories, depth first over chunks. A chunk's states
-    are stacked on a leading ``_BATCH`` axis, so one stacked
-    ``_apply_slice`` call applies an event to every row that admits it,
-    and each row's bits are those of a walk one history at a time. The
-    children of a chunk keep their parents' order, so histories come out
-    depth first, and memory is bounded by ``BATCH_SIZE`` and the depth of
-    the tree, not by the number of histories.
+    A node's children in the history tree are its admissible events. History
+    keys are ``Trajectory.outcome_items`` of the free choices, made at the
+    leaves. Raises HistoryCapExceeded when the count passes ``cap``, before
+    any linear algebra.
     """
-    if isinstance(program, Circuit):
-        program = Program.single(program)
-    compiled = compile_program(program, max_dim=max_dim)
-    inputs = _padded_inputs(inputs, compiled)
-    runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
-    prefixes = [f"{t}:" if len(compiled) > 1 else "" for t in range(len(compiled))]
-
-    def start_of(t: int, x: np.ndarray, keys: list[tuple]):
-        lay = compiled[t].layout
-        ev = np.full((len(x), len(lay.circuit.nodes)), -1, dtype=np.intp)
-        return t, 0, x, [_BATCH, *lay.input_wires], ev, keys
-
-    results: list[tuple[tuple[tuple[str, str], ...], float]] = []
-    # Chunks still to walk, the next one last: (step, nodes of the step
-    # applied, stacked states, wire order, event indices, history keys).
-    stack = [start_of(0, _initial_tensor(program, compiled, omega0)[None], [()])]
-    while stack:
-        t, k, x, order, ev, keys = stack.pop()
-        lay = compiled[t].layout
-        if k < len(runs[t]):
-            i = runs[t][k]
-            x, order, ev, keys = _node_children(lay, i, x, order, ev, keys, inputs[t],
-                                                prefixes[t] + lay.circuit.nodes[i].label)
-            for a in reversed(range(0, len(x), BATCH_SIZE)):
-                b = a + BATCH_SIZE
-                stack.append((t, k + 1, x[a:b], order, ev[a:b], keys[a:b]))
-            continue
-        x = _reorder(x, order, [_BATCH, *lay.output_wires])
-        if t + 1 < len(compiled):
-            stack.append(start_of(t + 1, _apply_bind(x, compiled[t + 1].bind), keys))
-            continue
-        # np.vdot ravels each row in C order, as the reshape does.
-        vdot = np.vdot
-        results += [(key, float(vdot(row, row).real))
-                    for key, row in zip(keys, x.reshape(len(x), -1))]
-        if len(results) > cap:
-            raise HistoryCapExceeded(f"more than {cap} histories")
-    return results
+    walk, chunks = _history_chunks(program, omega0, inputs, cap=cap, max_dim=max_dim)
+    keys = _history_labels(walk, tuple, lambda k: list)
+    return [history for ev, free, p in chunks for history in zip(keys(ev, free), p.tolist())]

@@ -80,9 +80,6 @@ class MindPartition:
     purities: tuple[float, ...]
     timestamp: int = 0
 
-    def as_sets(self) -> list[set[int]]:
-        return [set(b) for b in self.blocks]
-
     def block_lists(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 

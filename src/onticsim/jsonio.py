@@ -1,8 +1,8 @@
 """Shared JSON encoding: complex scalars as [re, im] pairs, matrices as
 row-major nested arrays, and deterministic float formatting (17 significant
 digits) so equal data always yields equal bytes. ``dumps`` serializes any
-document; ``RecordWriter`` and ``format_vectors`` make the same bytes for the
-CLI's outcome records and for batches of state vectors, from cached templates.
+document; ``RecordWriter`` and ``format_vectors`` make the same bytes for
+batches of the CLI's outcome records and of state vectors, from templates.
 """
 
 from __future__ import annotations
@@ -69,14 +69,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _integral(x: np.ndarray) -> np.ndarray:
+    """Where ``format_float`` writes an entry of ``x`` as ``%.1f``: the
+    integral ones below 1e16. Raises for a non-finite entry."""
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite float in JSON output")
+    return (x == np.trunc(x)) & (np.abs(x) < 1e16)
+
+
 def format_vectors(states, indent: int | None = None, level: int = 0) -> list[str]:
     """``dumps(encode_vector(row), indent=indent, level=level)`` for each row
     of an (n, d) complex array: one ``%`` template per pattern of entries
     that ``format_float`` writes as integers."""
     parts = np.ascontiguousarray(states, dtype=complex).view(np.float64)
-    if not np.isfinite(parts).all():
-        raise ValueError("non-finite float in JSON output")
-    integral = (parts == np.trunc(parts)) & (np.abs(parts) < 1e16)
+    integral = _integral(parts)
     _, kinds, which = np.unique(np.packbits(integral, axis=1), axis=0, return_index=True,
                                 return_inverse=True)
     first, pad, end = _breaks(indent, level)
@@ -97,9 +103,9 @@ class RecordWriter:
     """Records ``{*head, "outcomes": [[label, outcome], ...], "probability": p,
     *tail}`` with the bytes ``dumps`` gives them in the document that ``write``
     makes: a top-level array, or with ``key`` the first member of a top-level
-    object. Each record comes from one ``%`` template over JSON texts (or ints);
-    each distinct pair's text is made once, in a bounded cache, so memory does
-    not grow with the document."""
+    object. ``format`` makes a batch of records, each from one ``%`` template
+    over JSON texts (or ints). Each distinct pair's text is made once, in a
+    bounded cache, so memory does not grow with the document."""
 
     PAIR_CACHE = 256
 
@@ -108,34 +114,50 @@ class RecordWriter:
         self.level = level = 1 if key is None else 2
         first, pad, end = _breaks(indent, level)
         keys = (*head, "outcomes", "probability", *tail)
-        self._template = "{" + first + pad.join(f"{_encode_str(k)}: %s" for k in keys) + end + "}"
+        template = "{" + first + pad.join(f"{_encode_str(k)}: %s" for k in keys) + end + "}"
+        # by whether the probability is integral
+        self._templates = tuple(template.replace('"probability": %s', f'"probability": {spec}')
+                                for spec in ("%.17g", "%.1f"))
         self._list = _breaks(indent, level + 1)
-        self._pair = functools.lru_cache(self.PAIR_CACHE)(
+        self.pair = functools.lru_cache(self.PAIR_CACHE)(  # the text of a (label, outcome) pair
             lambda kv: dumps(list(kv), indent=indent, level=level + 2))
 
     def outcomes(self, items) -> str:
         first, pad, end = self._list
-        return f"[{first}{pad.join(map(self._pair, items))}{end}]" if items else "[]"
+        return f"[{first}{pad.join(map(self.pair, items))}{end}]" if items else "[]"
+
+    def joiner(self, k: int):
+        """The outcomes texts of rows of ``k`` pair texts each."""
+        first, pad, end = self._list
+        wrap = f"[{first}%s{end}]" if k else "[]%s"  # the empty list has no breaks
+        return lambda rows: map(wrap.__mod__, map(pad.join, rows))
 
     def vectors(self, states) -> list[str]:
         """The text of ``encode_vector(row)`` as a tail value, for each row of ``states``."""
         return format_vectors(states, self.indent, self.level + 1)
 
-    def format(self, head, outcomes: str, probability: float, tail=()) -> str:
-        return self._template % (*head, outcomes, format_float(probability), *tail)
+    def format(self, outcomes, probabilities, head=(), tail=()) -> list[str]:
+        """The texts of a batch of records, one per ``outcomes`` text and
+        probability, with the values of each ``head`` and ``tail`` column. A
+        probability is written as ``format_float`` writes it, checked once."""
+        p = np.asarray(probabilities, dtype=np.float64)
+        templates = self._templates
+        return [templates[i] % row
+                for i, row in zip(_integral(p).tolist(), zip(*head, outcomes, p.tolist(), *tail))]
 
-    def write(self, write, texts, **members) -> None:
-        """Write the document of the record ``texts``, one ``write`` per text as it
-        comes; with ``key``, ``members`` follow the records in the object."""
-        records = _Texts(texts)
+    def write(self, write, batches, **members) -> None:
+        """Write the document of the record texts in ``batches``, one ``write``
+        per batch as it comes; with ``key``, ``members`` (a function: its
+        value once the records are written) follow the records in the object."""
+        records = _Texts(batches)
         _emit(records if self.key is None else {self.key: records, **members}, write, self.indent, 0)
 
 
 class _Texts:
-    """An array whose items come as JSON texts, written as they come."""
+    """An array whose items come as batches of JSON texts, written as they come."""
 
-    def __init__(self, texts):
-        self.texts = texts
+    def __init__(self, batches):
+        self.batches = batches
 
 
 def _emit(obj, write, indent: int | None, level: int) -> None:
@@ -166,10 +188,13 @@ def _emit(obj, write, indent: int | None, level: int) -> None:
     elif isinstance(obj, _Texts):
         first, pad, end = _breaks(indent, level)
         sep = "[" + first
-        for text in obj.texts:
-            write(sep + text)
+        for batch in filter(None, obj.batches):
+            write(sep)
+            write(pad.join(batch))
             sep = pad
         write(end + "]" if sep == pad else "[]")
+    elif callable(obj):  # a value made when its turn to be written comes
+        _emit(obj(), write, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -72,6 +72,21 @@ def closed_chain(gates: int, seed: int = 0) -> Circuit:
     return Circuit("chain", systems, nodes, wires, closed=True)
 
 
+def reprepare_chain(k: int) -> Circuit:
+    """A qubit prepared in |+>, ``k`` two-outcome measure-and-reprepare
+    nodes (|+><0| and |+><1|), then a measurement of <+|: 2 ** k histories,
+    each of probability 2 ** -k."""
+    plus = np.full((2, 1), np.sqrt(0.5))
+    systems = {"q": System("q", 2)}
+    nodes = [TestNode("prep", (), ("q",), (Event("0", (plus,)),))]
+    nodes += [TestNode(f"m{j}", ("q",), ("q",), tuple(Event(str(b), (plus @ np.eye(2)[b:b + 1],))
+                                                      for b in range(2)))
+              for j in range(k)]
+    nodes.append(TestNode("end", ("q",), (), (Event("0", (plus.T,)),)))
+    wires = [WireSpec(a.label, 0, b.label, 0) for a, b in zip(nodes, nodes[1:])]
+    return Circuit("reprepare", systems, nodes, wires, closed=True)
+
+
 def overlap_variant(c: Circuit) -> Circuit | None:
     """``c`` with its first node that is conditioned on another node
     admitting, under the source's last outcome, the events of its first

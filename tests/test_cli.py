@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import DEEP_CHAIN, closed_chain
+from _helpers import DEEP_CHAIN, closed_chain, reprepare_chain
 from onticsim import cli, gallery
 from onticsim.circuit import serialize_circuit
 from onticsim.cli import main
-from onticsim.engine import enumerate_histories
+from onticsim.engine import DEFAULT_HISTORY_CAP, HistoryCapExceeded, enumerate_histories
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
@@ -551,6 +551,26 @@ class TestEnumerate:
         assert abs(doc["total_probability"] - 1) < 1e-9
         assert len(doc["histories"]) == 32
 
+    @pytest.mark.parametrize("name", ["conditioned_step_closed.json", "conditioned_step_program.json",
+                                      "merge_split.json"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_total_probability_is_a_left_to_right_fold(self, circuits_dir, capsys, name, fmt):
+        """The total is the written probabilities added one by one in
+        record order, in the document and in the summary line."""
+        assert main(["enumerate", str(circuits_dir / name), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            probabilities = [h["probability"] for h in doc["histories"]]
+        else:
+            probabilities = [float(p) for _, p in list(csv.reader(io.StringIO(captured.out)))[1:]]
+        total = 0.0
+        for p in probabilities:
+            total += p
+        if fmt == "json":
+            assert doc["total_probability"] == total
+        assert captured.err == f"{len(probabilities)} histories, total probability {total:.12f}\n"
+
     def test_csv_format(self, circuits_dir, capsys):
         assert main([
             "enumerate", str(circuits_dir / "bell_pair.json"), "--format", "csv",
@@ -664,17 +684,33 @@ class TestStreaming:
         doc = json.loads((tmp_path / "runs.json").read_text())
         assert [rec["index"] for rec in doc] == list(range(20000))
 
-    def test_enumerate_document_streams(self, circuits_dir, tmp_path, monkeypatch):
-        def law(n):  # built before tracing starts: only writing it is measured
-            return [((("a", str(i % 3)), ("b", str(i))), 1.0 / n) for i in range(n)]
-
-        argv = ["enumerate", str(circuits_dir / "bell_pair.json"), "--out", str(tmp_path / "law.json")]
+    def test_enumerate_document_streams(self, tmp_path):
+        """The real enumerator on chains of 2 ** 13 and 2 ** 16 histories:
+        the law is written chunk by chunk, never held whole."""
+        out = tmp_path / "law.json"
         peaks = []
-        for n in (1000, 20000):
-            histories = law(n)
-            monkeypatch.setattr(cli, "enumerate_histories", lambda *a, **k: histories)
-            peaks.append(self._peak(argv))
-        assert peaks[1] < 1.5 * peaks[0], peaks
-        doc = json.loads((tmp_path / "law.json").read_text())
-        assert len(doc["histories"]) == 20000
-        assert doc["histories"][7] == {"outcomes": [["a", "1"], ["b", "7"]], "probability": 1 / 20000}
+        for k in (2, 13, 16):  # the first use imports and fills caches
+            path = tmp_path / f"chain-{k}.json"
+            path.write_text(serialize_circuit(reprepare_chain(k)))
+            peaks.append(self._peak(["enumerate", str(path), "--out", str(out)]))
+        assert peaks[2] < 1.5 * peaks[1], peaks[1:]
+        doc = json.loads(out.read_text())
+        assert len(doc["histories"]) == 2 ** 16
+        assert doc["histories"][7]["outcomes"] == [[f"m{j}", "0"] for j in range(13)] + [
+            [f"m{j}", "1"] for j in range(13, 16)]
+        assert doc["histories"][7]["probability"] == pytest.approx(2.0 ** -16, rel=1e-12)
+
+    def test_over_cap_enumerate_writes_nothing(self, tmp_path, capsys):
+        """The cap is checked before the output is opened, at the count
+        ``enumerate_histories`` raises at: ``cap`` histories pass and
+        ``cap + 1`` raise."""
+        law = enumerate_histories(reprepare_chain(3), cap=8)
+        assert len(law) == 8
+        with pytest.raises(HistoryCapExceeded, match="^more than 7 histories$"):
+            enumerate_histories(reprepare_chain(3), cap=7)
+        path, out = tmp_path / "chain.json", tmp_path / "law.json"
+        path.write_text(serialize_circuit(reprepare_chain(18)))
+        assert 2 ** 18 > DEFAULT_HISTORY_CAP
+        assert main(["enumerate", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: more than {DEFAULT_HISTORY_CAP} histories\n"
+        assert not out.exists()

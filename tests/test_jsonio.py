@@ -53,9 +53,10 @@ def _written(records, indent, key, states=False) -> list[str]:
                                  indent=indent, key=key)
     texts = writer.vectors(STATES[[i % 2 for i, _, _ in records]])
     calls = []
-    writer.write(calls.append, (
-        writer.format((7, i), writer.outcomes(pairs), p, (texts[r],) if states else ())
-        for r, (i, pairs, p) in enumerate(records)), total_probability=1.0)
+    texts = writer.format(
+        [writer.outcomes(pairs) for _, pairs, _ in records], [p for _, _, p in records],
+        head=([7] * len(records), [i for i, _, _ in records]), tail=(texts,) if states else ())
+    writer.write(calls.append, ([text] for text in texts), total_probability=1.0)
     return calls
 
 
@@ -87,7 +88,7 @@ def test_record_text_is_the_jsonl_line():
     writer = jsonio.RecordWriter(("seed", "index"))
     for i, pairs, p in RECORDS:
         record = {"seed": 7, "index": i, "outcomes": pairs, "probability": p}
-        assert writer.format((7, i), writer.outcomes(pairs), p) == jsonio.dumps(record)
+        assert writer.format([writer.outcomes(pairs)], [p], head=([7], [i])) == [jsonio.dumps(record)]
 
 
 def test_records_are_written_as_they_are_made():
@@ -98,11 +99,28 @@ def test_records_are_written_as_they_are_made():
     def records():
         for i in range(3):
             seen.append(out.getvalue())  # what was written before record i is made
-            yield writer.format((), writer.outcomes([("n", str(i))]), 0.5)
+            yield writer.format([writer.outcomes([("n", str(i))])], [0.5])
 
     writer.write(out.write, records())
     assert seen[0] == "" and seen[1].endswith("0.5\n  }") and seen[2].count('"n"') == 2
     assert json.loads(out.getvalue())[2] == {"outcomes": [["n", "2"]], "probability": 0.5}
+
+
+def test_batch_probabilities_are_written_as_format_float_writes_them():
+    """One batch mixes integral and non-integral probabilities; each record
+    picks its own number format."""
+    probabilities = EDGES + [0.1, -2.5, 1 / 3]
+    writer = jsonio.RecordWriter(indent=2, key="histories")
+    texts = writer.format(["[]"] * len(probabilities), probabilities)
+    assert texts == [jsonio.dumps({"outcomes": [], "probability": p}, indent=2, level=2)
+                     for p in probabilities]
+
+
+def test_joiner_makes_the_outcomes_text_from_pair_texts():
+    writer = jsonio.RecordWriter(indent=2, key="histories")
+    for items in ([], [("a", "0")], [("a\"b", "é"), ("☃", "x\\y"), ("c", "1")]):
+        rows = [tuple(map(writer.pair, items))] * 2
+        assert list(writer.joiner(len(items))(rows)) == [writer.outcomes(items)] * 2
 
 
 def test_pair_cache_is_bounded():
@@ -111,14 +129,14 @@ def test_pair_cache_is_bounded():
     for i in range(n):
         items = [("a", str(i % 3)), ("b", "x"), ("c", str(i))]
         text = writer.outcomes(items)
-    assert writer._pair.cache_info().currsize <= writer.PAIR_CACHE
+    assert writer.pair.cache_info().currsize <= writer.PAIR_CACHE
     assert text == jsonio.dumps([list(kv) for kv in items], indent=2, level=3)
 
 
 def test_non_finite_probability_is_rejected():
     writer = jsonio.RecordWriter()
     with pytest.raises(ValueError, match="^non-finite float in JSON output$"):
-        writer.format((), "[]", float("nan"))
+        writer.format(["[]", "[]"], [0.5, float("nan")])
 
 
 # --- format_vectors ----------------------------------------------------------------
