@@ -37,6 +37,18 @@ from .quantum import COMPLETENESS_TOL
 DEFAULT_SEED = 20120712  # fixed so runs are reproducible by default
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so that ``writerow`` of a
+    csv.writer over it returns the row's CSV line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_CSV_LINE = csv.writer(_Echo(), lineterminator="\n")
+
+
 def cmd_validate(args) -> int:
     try:
         program = load_run_spec(args.path)
@@ -105,8 +117,22 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":
             rows = csv.writer(out, lineterminator="\n")
             rows.writerow(["outcomes", "probability"])
-            for fields, probs in records("=".join, lambda k: functools.partial(map, ";".join)):
-                rows.writerows(zip(fields, map("%.17g".__mod__, probs)))
+            # Quoting is decided once per (column, event) item: csv quotes a
+            # field for the characters in it, so a field joined by ";" from
+            # items it writes unquoted is written unquoted too.
+            plain = True
+
+            def item(pair):
+                nonlocal plain
+                text = "=".join(pair)
+                plain = plain and _CSV_LINE.writerow([text]) == text + "\n"
+                return text
+
+            for fields, probs in records(item, lambda k: functools.partial(map, ";".join)):
+                if plain:
+                    out.writelines(map("%s,%.17g\n".__mod__, zip(fields, probs)))
+                else:
+                    rows.writerows(zip(fields, map("%.17g".__mod__, probs)))
         else:
             writer = jsonio.RecordWriter(indent=2, key="histories")
             batches = itertools.starmap(writer.format, records(writer.pair, writer.joiner))

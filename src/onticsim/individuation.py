@@ -16,18 +16,23 @@ has 1 - P <= 2 (m - 1) TAU_RANK^2, so a defect above that bound plus a
 rounding allowance certifies the bipartition entangled and its SVD is
 skipped.
 
-Before any scan, a block of more than two systems is read through its
-two-site marginals. A cut the SVD rule calls rank one leaves the state
-within trace norm 2 eps of a product, eps = sqrt(m - 1) TAU_RANK, and
-partial trace is contractive in trace norm, so every pair i, j across that
-cut has ||rho_ij - rho_i (x) rho_j||_1 <= 6 eps. A pair whose deviation is
-above that bound plus a rounding allowance is therefore a certified edge:
-no cut between its two systems splits. When the certified edges connect the
-block it is irreducible and no bipartition is scanned; otherwise the scan
-skips every bipartition that cuts an edge, and sub-blocks keep the edges of
-the block they came from. The SVD still decides every case the bounds
-cannot settle, so the partitions, split vectors and purities are those of
-the SVD-only scan.
+A block is also read through its two-site marginals, one row of pairs at
+a time, its anchor's (first system's) row first. A cut the SVD rule calls
+rank one leaves the state within trace norm 2 eps of a product,
+eps = sqrt(m - 1) TAU_RANK, and partial trace is contractive in trace
+norm, so every pair i, j across that cut has
+||rho_ij - rho_i (x) rho_j||_1 <= 6 eps. A pair whose deviation is above
+that bound plus a rounding allowance is therefore a certified edge: no cut
+between its two systems splits. Every cut before C | rest in canonical
+order, C the anchor and its certified neighbours, separates an edge, so
+that cut is tried first. When it splits, C is irreducible and the rest, a
+new block, reads its own anchor's row on its own vector. Otherwise the
+other rows are read: when the edges connect the block it is irreducible,
+and else the scan skips every bipartition that cuts an edge, sub-blocks
+keeping the edges of the block they came from. A state whose blocks split
+off one by one thus reads one row per block, not every cross pair. The SVD
+still decides every case the bounds cannot settle, so the partitions,
+split vectors and purities are those of the SVD-only scan.
 """
 
 from __future__ import annotations
@@ -87,31 +92,54 @@ class MindPartition:
 def _try_split(tensor: np.ndarray, local_n: int, groups: tuple[int, ...] | None = None):
     """First rank-one bipartition of a block, anchored on its first factor.
 
-    Returns (left axes, right axes, left state, right state) or None when
-    the block is irreducible. Every bipartition is tried once, smallest
-    anchored side first, so the scan order is canonical. ``groups`` labels
-    each axis with its component in the graph of certified pairs (see
-    ``_pair_groups``): one label for every axis proves the block
-    irreducible, and a bipartition that separates two axes of one component
-    is skipped.
+    Returns (left axes, right axes, left state, right state, labels) or None
+    when the block is irreducible; ``labels`` are the axis labels the split
+    was found under, None for an axis not yet read. Every bipartition is
+    tried at most once, in canonical order (see ``_cuts``).
     """
-    if groups is not None and len(set(groups)) == 1:
-        return None
-    for size in range(1, local_n):
-        for extra in combinations(range(1, local_n), size - 1):
-            left_axes = (0,) + extra
-            right_axes = tuple(i for i in range(local_n) if i not in left_axes)
-            if groups is not None and not {groups[i] for i in left_axes}.isdisjoint(
-                    groups[i] for i in right_axes):
-                continue
-            d_left = prod(tensor.shape[i] for i in left_axes)
-            mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
-            if _certainly_entangled(mat):
-                continue
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-            if np.sum(s > TAU_RANK) == 1:
-                return left_axes, right_axes, u[:, 0], vh[0, :]
+    for left_axes, labels in _cuts(tensor, groups):
+        right_axes = tuple(i for i in range(local_n) if i not in left_axes)
+        d_left = prod(tensor.shape[i] for i in left_axes)
+        mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
+        if _certainly_entangled(mat):
+            continue
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        if np.sum(s > TAU_RANK) == 1:
+            return left_axes, right_axes, u[:, 0], vh[0, :], labels
     return None
+
+
+def _cuts(tensor: np.ndarray, groups: tuple[int, ...] | None):
+    """The anchored sides of a block's bipartitions in canonical order,
+    smallest first, each with the axis labels it was chosen under.
+
+    ``groups`` labels each axis with its component in the graph of
+    certified pairs: one label for every axis proves the block irreducible,
+    and a bipartition that separates two axes of one component is skipped.
+    A block without labels reads its anchor's row first: C, the anchor and
+    its certified neighbours, is the first side in canonical order that
+    separates no certified pair, so the cut C | rest comes first. When it
+    splits, C is irreducible by those edges (labelled as one component) and
+    the rest is left unread, to read its own anchor's row on its own
+    vector. Otherwise the other rows are read and the scan goes on without
+    C.
+    """
+    n = tensor.ndim
+    first = None
+    if groups is None:
+        first = _anchor_side(tensor)
+        if len(first) == n:
+            return
+        yield first, tuple(0 if i in first else None for i in range(n))
+        groups = _pair_groups(tensor, first)
+    if len(set(groups)) == 1:
+        return
+    for size in range(1, n):
+        for extra in combinations(range(1, n), size - 1):
+            left = (0,) + extra
+            if left != first and {groups[i] for i in left}.isdisjoint(
+                    groups[i] for i in range(n) if i not in left):
+                yield left, groups
 
 
 def _pair_threshold(size: int, n: int) -> float:
@@ -130,6 +158,9 @@ def _pair_threshold(size: int, n: int) -> float:
     rho_i (x) rho_j within 4 eps of sigma_i (x) sigma_j. Hence the
     deviation is at most 6 eps. Every cut of the block has m <= isqrt(size),
     so one threshold serves all of its cuts, and those of its sub-blocks.
+    The bound holds for any unit vector of ``size`` amplitudes and ``n``
+    systems, so a sub-block that reads its own pairs, on its own vector,
+    uses the threshold of its own size and count.
     A NaN deviation exceeds no threshold and certifies nothing.
 
     The rounding allowance, to first order in u = 2^-53, doubled:
@@ -161,23 +192,33 @@ def _pair_threshold(size: int, n: int) -> float:
     return 6 * sqrt(m - 1) * TAU_RANK + 2 * rounding
 
 
-def _pair_groups(tensor: np.ndarray) -> tuple[int, ...]:
-    """Component label of each axis in the graph of certified pairs.
+def _anchor_side(tensor: np.ndarray) -> tuple[int, ...]:
+    """The anchor (axis 0) and every axis that a certified pair joins to it."""
+    dims = tensor.shape
+    js = [j for j in range(1, tensor.ndim) if dims[0] * dims[j] <= _PAIR_DIM_CAP]
+    threshold = _pair_threshold(tensor.size, tensor.ndim)
+    return (0,) + tuple(j for j, deviation in zip(js, _pair_deviations(tensor, 0, js))
+                        if deviation > threshold)
 
-    Pairs are read row by row (i, j > i), and only while i and j are not
-    already joined, so a state whose first row connects it costs n - 1
-    marginals. The components do not depend on which pairs were skipped.
+
+def _pair_groups(tensor: np.ndarray, anchor_side: tuple[int, ...]) -> tuple[int, ...]:
+    """Component label of each axis in the graph of certified pairs, given
+    the anchor's row as ``_anchor_side``.
+
+    The other rows are read in order (i, j > i), and only while i and j are
+    not already joined. The components do not depend on which pairs were
+    skipped.
     """
     n, dims = tensor.ndim, tensor.shape
     threshold = _pair_threshold(tensor.size, n)
-    parent = list(range(n))
+    parent = [0 if a in anchor_side else a for a in range(n)]
 
     def find(a: int) -> int:
         while parent[a] != a:
             a = parent[a]
         return a
 
-    for i in range(n - 1):
+    for i in range(1, n - 1):
         js = [j for j in range(i + 1, n)
               if find(j) != find(i) and dims[i] * dims[j] <= _PAIR_DIM_CAP]
         for j, deviation in zip(js, _pair_deviations(tensor, i, js)):
@@ -252,25 +293,23 @@ def finest_factorization(psi, shape, *, timestamp: int = 0) -> MindPartition:
     if not abs(np.linalg.norm(psi) - 1.0) <= TAU_NORM:
         raise IndividuationError("state must be finite and normalized")
 
-    # Certified pairs are read once, on the whole state; every sub-block
-    # keeps the labels of its systems (see _pair_threshold).
-    groups = _pair_groups(psi.reshape(dims)) if n > 2 else None
+    # Each block carries the labels of its certified components, or None
+    # while its pairs are unread (see _cuts).
     final_blocks: list[tuple[int, ...]] = []
-    queue: list[tuple[tuple[int, ...], np.ndarray]] = [(tuple(range(n)), psi)] if n else []
+    queue = [(tuple(range(n)), psi, None)] if n else []
     while queue:
-        block, vec = queue.pop(0)
+        block, vec, groups = queue.pop(0)
         if len(block) == 1:
             final_blocks.append(block)
             continue
-        tensor = vec.reshape(tuple(dims[i] for i in block))
-        split = _try_split(tensor, len(block),
-                           None if groups is None else tuple(groups[i] for i in block))
+        split = _try_split(vec.reshape(tuple(dims[i] for i in block)), len(block), groups)
         if split is None:
             final_blocks.append(block)
-        else:
-            left_axes, right_axes, left, right = split
-            queue.insert(0, (tuple(block[i] for i in right_axes), right))
-            queue.insert(0, (tuple(block[i] for i in left_axes), left))
+            continue
+        left_axes, right_axes, left, right, labels = split
+        for axes, part in ((right_axes, right), (left_axes, left)):
+            sub = tuple(labels[i] for i in axes) if labels else (None,)
+            queue.insert(0, (tuple(block[i] for i in axes), part, None if None in sub else sub))
 
     blocks = tuple(sorted(final_blocks, key=lambda b: b[0]))
     psi_t = psi.reshape(dims if dims else (1,))
@@ -293,8 +332,14 @@ def _marginal_purity(psi_t: np.ndarray, n: int, block: tuple[int, ...]) -> float
 def marginal_purity(psi, shape, block) -> float:
     """Tr(rho_block^2) for the reduced state of a block of factors."""
     dims = as_shape(shape).factor_dims
-    psi_t = np.asarray(psi, dtype=complex).reshape(dims)
-    return _marginal_purity(psi_t, len(dims), tuple(block))
+    block = tuple(block)
+    if len(set(block)) != len(block) or not all(i in range(len(dims)) for i in block):
+        raise IndividuationError(f"block {block} must name distinct factors 0..{len(dims) - 1}")
+    psi = np.asarray(psi, dtype=complex)
+    if psi.size != prod(dims):
+        raise IndividuationError(f"state dim {psi.size} does not match factors {dims}")
+    psi_t = psi.reshape(dims)
+    return _marginal_purity(psi_t, len(dims), block)
 
 
 def classify_timeline(trajectory, shapes=None) -> list[MindPartition]:

@@ -593,6 +593,26 @@ class TestEnumerate:
             ["outcomes", "probability"], *([f"a,b={o}", f"{p:.17g}"] for ((_, o),), p in law)
         ]
 
+    def test_csv_bytes_match_csv_writer(self, tmp_path, capsys):
+        doc = json.loads(serialize_circuit(reprepare_chain(3)))
+        names = {"m0": "a,b", "m1": 'say "hi"', "m2": "two\nlines"}
+        for node in doc["nodes"]:
+            node["label"] = names.get(node["label"], node["label"])
+        for wire in doc["wires"]:
+            for end in (wire["from"], wire["to"]):
+                end[0] = names.get(end[0], end[0])
+        path = tmp_path / "quotes.json"
+        path.write_text(json.dumps(doc))
+        assert main(["enumerate", str(path), "--format", "csv"]) == 0
+        want = io.StringIO()
+        rows = csv.writer(want, lineterminator="\n")
+        rows.writerow(["outcomes", "probability"])
+        law = enumerate_histories(reprepare_chain(3))
+        rows.writerows((";".join(f"{names[label]}={o}" for label, o in key), f"{p:.17g}")
+                       for key, p in law)
+        assert capsys.readouterr().out == want.getvalue()
+        assert '"a,b=0;say ""hi""=0;two\nlines=0",' in want.getvalue()
+
     def test_deep_chain(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(serialize_circuit(closed_chain(DEEP_CHAIN)))

@@ -41,6 +41,15 @@ class TestPurity:
         product = np.kron([1, 0], [1, 1]) / np.sqrt(2)
         assert abs(marginal_purity(product, (2, 2), [1]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("block", [(0, 0), (3,), (-1,), (1, 2, 1)])
+    def test_marginal_purity_rejects_a_bad_block(self, block):
+        with pytest.raises(IndividuationError, match=rf"block \({block[0]}"):
+            marginal_purity(np.kron(BELL, [1, 0]), (2, 2, 2), block)
+
+    def test_marginal_purity_rejects_a_state_of_the_wrong_size(self):
+        with pytest.raises(IndividuationError, match="state dim 4 does not match"):
+            marginal_purity(BELL, (2, 2, 2), (0,))
+
 
 class TestFinestFactorization:
     def test_full_product_state(self):
@@ -170,7 +179,7 @@ def test_brickwork_partition_is_pinned(cuts):
 def svd_try_split(tensor, local_n, groups=None):
     """Oracle scan: one full SVD per anchored bipartition, rank read off the
     singular values, with no purity prefilter and no pair certificate
-    (``groups`` is ignored)."""
+    (``groups`` is ignored, and no sub-block gets labels)."""
     for size in range(1, local_n):
         for extra in combinations(range(1, local_n), size - 1):
             left_axes = (0,) + extra
@@ -179,7 +188,7 @@ def svd_try_split(tensor, local_n, groups=None):
             mat = tensor.transpose(left_axes + right_axes).reshape(d_left, -1)
             u, s, vh = np.linalg.svd(mat, full_matrices=False)
             if np.sum(s > TAU_RANK) == 1:
-                return left_axes, right_axes, u[:, 0], vh[0, :]
+                return left_axes, right_axes, u[:, 0], vh[0, :], None
     return None
 
 
@@ -386,14 +395,17 @@ class TestPairCertificate:
 
     def test_weakly_correlated_chain_is_certified(self, monkeypatch):
         # Neighbouring pairs deviate by about 2e-6, four times the twelve-qubit
-        # bound of 4.8e-7: certified, so the block needs no scan.
+        # bound of 4.8e-7: certified. The anchor's row joins only its two
+        # chain neighbours, so the cut of those three comes first; its Schmidt
+        # weights of 1e-12 are below the purity allowance, so one SVD decides
+        # it, and the other rows connect the chain without a further scan.
         psi = weak_chain_state(12, 1e-6, 5)
         expected = TestPrefilterAgainstSvdScan.oracle(psi, (2,) * 12, monkeypatch)
         grams = self.count_scan_grams(monkeypatch)
         svds = TestPrefilterFires.count_scan_svds(monkeypatch)
         assert finest_factorization(psi, (2,) * 12) == expected
         assert expected.blocks == (tuple(range(12)),)
-        assert (grams, svds) == ([], [])
+        assert (grams, len(svds)) == ([(8, 512)], 1)
 
     def test_reducible_state_scans_only_unions_of_components(self, monkeypatch):
         # Six entangled pairs: each of the five splits tries the next pair
@@ -405,6 +417,76 @@ class TestPairCertificate:
         assert [len(b) for b in part.blocks] == [2] * 6
         assert grams == [(4, 4 ** k) for k in range(5, 0, -1)]
         assert len(svds) == 5
+
+    # Pairs read, by the amplitude count of the vector they are read on. A
+    # block reads its anchor's row first; a rank-one split off that row leaves
+    # the rest to read its own anchor's row on its own, smaller vector.
+    @pytest.mark.parametrize("psi, reads", [
+        (brickwork_state(12, 1, 0, periodic=True),
+         {4096: 11, 1024: 9, 256: 7, 64: 5, 16: 3, 4: 1}),
+        (brickwork_state(12, 4, 2024, cuts=(4, 9)), {4096: 11, 128: 6, 8: 2}),
+        (brickwork_state(12, 4, 3, periodic=True), {4096: 11}),
+    ])
+    def test_pairs_read_per_block(self, psi, reads, monkeypatch):
+        counts = {}
+        pair_deviations = individuation._pair_deviations
+
+        def counting(tensor, i, js):
+            counts[tensor.size] = counts.get(tensor.size, 0) + len(js)
+            return pair_deviations(tensor, i, js)
+
+        monkeypatch.setattr(individuation, "_pair_deviations", counting)
+        finest_factorization(psi, (2,) * 12)
+        assert counts == reads
+
+
+def chain_beside_bell(seed):
+    """weak_chain_state(6, 1e-6, seed) (x) a Bell pair, axes shuffled with a
+    chain qubit kept first: the anchor's cut separates neighbours of the
+    chain, so it is not rank one. Returns (psi, dims, blocks)."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(7)])
+    psi = np.kron(weak_chain_state(6, 1e-6, seed), BELL).reshape((2,) * 8).transpose(perm)
+    blocks = tuple(tuple(np.flatnonzero(side).tolist()) for side in (perm < 6, perm >= 6))
+    return psi.reshape(-1), (2,) * 8, blocks
+
+
+def ghz_beside_a_wide_pair(seed):
+    """A Haar state of a 9- and an 8-level system (axes 0 and 4), whose pair
+    is too large to read, beside a three-qubit GHZ state (axes 1-3): the
+    anchor certifies no neighbour and is entangled with axis 4, so its cut
+    is not rank one. Returns (psi, dims, blocks)."""
+    psi = np.kron(haar_state(72, np.random.default_rng(seed)), ghz((2, 2, 2)))
+    psi = psi.reshape(9, 8, 2, 2, 2).transpose(0, 2, 3, 4, 1)
+    return psi.reshape(-1), (9, 2, 2, 2, 8), ((0, 4), (1, 2, 3))
+
+
+class TestAnchorCutFallback:
+    """A reducible block whose anchor cut is not rank one reads its other
+    rows and scans on: the SVD-only result, and no bipartition tried twice."""
+
+    @pytest.mark.parametrize("make", [chain_beside_bell, ghz_beside_a_wide_pair])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_svd_scan_and_tries_each_cut_once(self, make, seed, monkeypatch):
+        psi, dims, blocks = make(seed)
+        expected = TestPrefilterAgainstSvdScan.oracle(psi, dims, monkeypatch)
+        tried = []
+        try_split, certainly_entangled = individuation._try_split, individuation._certainly_entangled
+
+        def recording_split(*args):
+            tried.append([])
+            return try_split(*args)
+
+        def recording_gram(mat):
+            tried[-1].append(sys._getframe(1).f_locals["left_axes"])
+            return certainly_entangled(mat)
+
+        monkeypatch.setattr(individuation, "_try_split", recording_split)
+        monkeypatch.setattr(individuation, "_certainly_entangled", recording_gram)
+        part = finest_factorization(psi, dims)
+        assert part == expected
+        assert part.blocks == blocks
+        assert len(tried[0]) > 1  # the anchor cut did not split
+        assert all(len(set(cuts)) == len(cuts) for cuts in tried)
 
 
 class TestTimeline:
