@@ -58,7 +58,6 @@ from .engine import (
     load_run_spec,
     run_trajectories,
     run_trajectory,
-    sample_step,
     trajectory_rng,
 )
 from .measurement import (

@@ -447,34 +447,34 @@ def connected_components(circuit: Circuit) -> list[set[str]]:
     return sorted(groups.values(), key=lambda g: min(index[x] for x in g))
 
 
+def _pairwise(t1: KrausSet, t2: KrausSet, product, sep: str) -> tuple[tuple, tuple]:
+    """Every ``product(k1, k2)`` of the two sets' Kraus operators, with its
+    label: an atomic side's label drops out, otherwise ``l1 + sep + l2``;
+    when two labels clash, every label is prefixed with its position."""
+    ops, labels = [], []
+    for k1, l1 in zip(t1.operators, t1.outcome_labels):
+        for k2, l2 in zip(t2.operators, t2.outcome_labels):
+            ops.append(product(k1, k2))
+            labels.append(l1 if t2.is_atomic else (l2 if t1.is_atomic else f"{l1}{sep}{l2}"))
+    if len(set(labels)) != len(labels):
+        labels = [f"{i}:{l}" for i, l in enumerate(labels)]
+    return tuple(ops), tuple(labels)
+
+
 def compose_sequential(t1: KrausSet, t2: KrausSet) -> KrausSet:
     """First t1, then t2; Kraus operators are all products K2 K1."""
     if t1.out_dim != t2.in_dim:
         raise SignatureError(
             f"cannot compose: first outputs dim {t1.out_dim}, second expects {t2.in_dim}"
         )
-    ops, labels = [], []
-    for k1, l1 in zip(t1.operators, t1.outcome_labels):
-        for k2, l2 in zip(t2.operators, t2.outcome_labels):
-            ops.append(k2 @ k1)
-            labels.append(l1 if t2.is_atomic else (l2 if t1.is_atomic else f"{l1}>{l2}"))
-    if len(set(labels)) != len(labels):
-        labels = [f"{i}:{l}" for i, l in enumerate(labels)]
-    return KrausSet(tuple(ops), tuple(labels), in_dims=t1.in_dims, out_dims=t2.out_dims)
+    ops, labels = _pairwise(t1, t2, lambda k1, k2: k2 @ k1, ">")
+    return KrausSet(ops, labels, in_dims=t1.in_dims, out_dims=t2.out_dims)
 
 
 def compose_parallel(t1: KrausSet, t2: KrausSet, *, max_dim: int = MAX_DIM) -> KrausSet:
     """Tensor composition; Kraus operators are all pairwise products k1 (x) k2."""
-    ops, labels = [], []
-    for k1, l1 in zip(t1.operators, t1.outcome_labels):
-        for k2, l2 in zip(t2.operators, t2.outcome_labels):
-            ops.append(tensor_product(k1, k2, max_dim=max_dim))
-            labels.append(l1 if t2.is_atomic else (l2 if t1.is_atomic else f"{l1},{l2}"))
-    if len(set(labels)) != len(labels):
-        labels = [f"{i}:{l}" for i, l in enumerate(labels)]
-    return KrausSet(
-        tuple(ops), tuple(labels), in_dims=t1.in_dims + t2.in_dims, out_dims=t1.out_dims + t2.out_dims
-    )
+    ops, labels = _pairwise(t1, t2, lambda k1, k2: tensor_product(k1, k2, max_dim=max_dim), ",")
+    return KrausSet(ops, labels, in_dims=t1.in_dims + t2.in_dims, out_dims=t1.out_dims + t2.out_dims)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
     program = load_run_spec(args.path)
     inputs = args.inputs.split(",") if args.inputs else None
     compiled = compile_program(program, max_dim=args.max_dim)
-    batches = sample_batches(program, args.trajectories, args.seed, inputs=inputs,
+    batches = sample_batches(program, range(args.trajectories), args.seed, inputs=inputs,
                              store_states=args.store_states, compiled=compiled)
     writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if args.store_states else (),
                                  indent=2 if args.format == "json" else None)

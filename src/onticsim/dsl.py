@@ -101,18 +101,28 @@ def _check_entries(entries: int, spec: str, line_no: int) -> None:
                                 f"more than the cap of {MAX_DIM ** 2}")
 
 
+def measure_events(d: int) -> tuple[Event, ...]:
+    """The ``measure`` spec: the computational von Neumann test, wire kept."""
+    return tuple(Event(str(j), (_unit(d, d, j, j),)) for j in range(d))
+
+
+def effect_events(d: int) -> tuple[Event, ...]:
+    """The ``effect`` spec: the computational effect test, wire consumed."""
+    return tuple(Event(str(j), (_unit(1, d, 0, j),)) for j in range(d))
+
+
 def _parse_events(spec: str, d_in: int, d_out: int, line_no: int) -> tuple[Event, ...]:
     spec = spec.strip()
     if spec == "measure":
         if d_in != d_out:
             raise DslError(line_no, "measure needs matching input/output dimensions")
         _check_entries(d_in ** 3, spec, line_no)
-        return tuple(Event(str(j), (_unit(d_in, d_in, j, j),)) for j in range(d_in))
+        return measure_events(d_in)
     if spec == "effect":
         if d_out != 1:
             raise DslError(line_no, "effect nodes must have no output ports")
         _check_entries(d_in ** 2, spec, line_no)
-        return tuple(Event(str(j), (_unit(1, d_in, 0, j),)) for j in range(d_in))
+        return effect_events(d_in)
     if "(" not in spec or not spec.endswith(")"):
         raise DslError(line_no, f"unrecognized event spec {spec!r}")
     head, body = spec.split("(", 1)

@@ -43,7 +43,6 @@ from .foliation import (
     _compose,
     _reorder,
     admissible_events,
-    compile_history,
     foliate,
 )
 from .linalg import MAX_DIM, TAU_NORM
@@ -106,7 +105,7 @@ def program_from_dict(doc: dict, *, base_dir: Path | None = None) -> Program:
             else:
                 raise CircuitError("program step needs 'circuit' or 'circuit_file'")
             bind = ([(_integer(a, "bind position"), _integer(b, "bind position"))
-                     for a, b in sd["bind"]] if sd.get("bind") else None)
+                     for a, b in sd["bind"]] if sd.get("bind") is not None else None)
             steps.append(ProgramStep(circ, bind))
         if not steps:
             raise CircuitError("malformed program document: no steps")
@@ -127,7 +126,7 @@ def program_to_dict(program: Program) -> dict:
         doc["initial_state"] = jsonio.encode_vector(program.initial_state)
     for step in program.steps:
         sd: dict = {"circuit": circuit_to_dict(step.circuit)}
-        if step.bind:
+        if step.bind is not None:
             sd["bind"] = [list(p) for p in step.bind]
         doc["steps"].append(sd)
     return doc
@@ -204,6 +203,9 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
                     )
         in_dims = lay.input_dims
         if prev_out is None:
+            if step.bind is not None:
+                raise EngineError(f"step {t}: the first step takes no bind map; its inputs "
+                                  "are the initial state")
             bind = [(i, i) for i in range(len(in_dims))]
         else:
             bind = _bind_pairs(step.bind, len(prev_out), len(in_dims), t)
@@ -299,7 +301,6 @@ class TrajectoryStep:
     outcomes: dict[str, str]          # free choices only (admissible sets > 1)
     weight: float                     # ||O w||^2 conditional on the past
     state: np.ndarray | None = None   # normalized post-step state, output-wire order
-    operator: np.ndarray | None = None
 
 
 def _outcome_items(step_outcomes) -> list[tuple[str, str]]:
@@ -503,19 +504,6 @@ def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]]) -> np.ndarray:
     return state.transpose([*range(lead), *axes])
 
 
-def sample_step(step: CompiledStep, omega: np.ndarray, classical_input: str,
-                rng: np.random.Generator) -> tuple[dict[str, str], np.ndarray, float]:
-    """Sample one circuit step: (free outcomes, normalized next state, weight).
-
-    ``omega`` is a flat normalized vector on the step's input wires in
-    canonical order; the result state is on the output wires likewise.
-    Each slice consumes one ``rng.random()``.
-    """
-    uniforms = rng.random(len(step.slices))[None]
-    path, frees, state, weight = _sample_slices(step, omega.reshape(1, -1), classical_input, uniforms)
-    return dict(frees[path[0]]), state[0], float(weight[0])
-
-
 @dataclass
 class TrajectoryBatch:
     """Trajectories ``start .. start + n - 1`` of one seeded run, as arrays.
@@ -581,47 +569,51 @@ def _padded_inputs(inputs, compiled: list[CompiledStep]) -> list[str]:
     return inputs
 
 
-def sample_batches(program: Program, count: int, seed: int = 0, *, omega0=None,
+def sample_batches(program: Program, indices: range, seed: int = 0, *, omega0=None,
                    inputs: list[str] | None = None, store_states: bool = False,
                    compiled: list[CompiledStep]) -> Iterator[TrajectoryBatch]:
-    """Trajectories 0 .. count - 1 in batches of at most ``BATCH_SIZE``.
+    """Trajectories ``indices``, a range of step 1, in batches of at most
+    ``BATCH_SIZE``: the one path from a program to sampled trajectories.
 
-    Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so
-    every trajectory equals ``run_trajectory(..., index=i)`` bit for bit,
-    whatever batch it falls in. Surplus inputs, an input that an
-    ``@input``-conditioned node has no entry for, and a bad initial state
-    raise here, before any batch.
+    Trajectory i draws its uniforms from ``trajectory_rng(seed, i)``, so it
+    is the same bit for bit whatever batch or range holds it. Surplus
+    inputs, an input that an ``@input``-conditioned node has no entry for,
+    and a bad initial state raise here, before any batch.
     """
+    if indices.step != 1 or indices.start < 0 or indices.stop > 2 ** 64:  # a stream key is a uint64
+        raise EngineError(f"trajectory indices must be a range of step 1 in 0 .. 2**64, "
+                          f"got {indices}")
     inputs = _padded_inputs(inputs, compiled)
     state0 = _initial_tensor(program, compiled, omega0)
     slices = sum(len(step.slices) for step in compiled)
     return (_sample_batch(compiled, state0, inputs,
-                          _trajectory_uniforms(seed, start, min(BATCH_SIZE, count - start), slices),
+                          _trajectory_uniforms(seed, start, min(BATCH_SIZE, indices.stop - start),
+                                               slices),
                           start, store_states)
-            for start in range(0, count, BATCH_SIZE))
+            for start in indices[::BATCH_SIZE])
 
 
-def _trajectories(batch: TrajectoryBatch, compiled: list[CompiledStep], inputs: list[str],
-                  seed: int, store_states: bool, store_operators: bool,
-                  max_dim: int) -> list[Trajectory]:
+def _run(program: Program | Circuit, indices: range, seed: int, omega0, inputs: list[str] | None,
+         store_states: bool, compiled: list[CompiledStep] | None, max_dim: int) -> list[Trajectory]:
+    """Trajectories ``indices``, sampled by ``sample_batches``, as ``Trajectory`` objects."""
+    if isinstance(program, Circuit):
+        program = Program.single(program)
+    if compiled is None:
+        compiled = compile_program(program, max_dim=max_dim)
+    inputs = _padded_inputs(inputs, compiled)
     dims = [step.layout.output_dims for step in compiled]
-    weights = [w.tolist() for w in batch.weights]
     result = []
-    for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
-        steps = []
-        for t, step in enumerate(compiled):
-            rec = TrajectoryStep(inputs[t], dict(batch.outcomes[p][t]), weights[t][r])
-            if store_states:
-                rec.state = batch.states[t][r].copy()
-            if store_operators:
-                rec.operator = compile_history(
-                    step.foliation, dict(rec.outcomes), classical_input=inputs[t], max_dim=max_dim
-                ).operator
-            steps.append(rec)
-        # With stored states the last step's copy is the final state; a row
-        # view would keep the whole batch array alive.
-        final = steps[-1].state if store_states else batch.states[-1][r]
-        result.append(Trajectory(seed, batch.start + r, steps, prob, final, list(dims)))
+    for batch in sample_batches(program, indices, seed, omega0=omega0, inputs=inputs,
+                                store_states=store_states, compiled=compiled):
+        weights = [w.tolist() for w in batch.weights]
+        for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
+            steps = [TrajectoryStep(inputs[t], dict(outcomes), weights[t][r],
+                                    batch.states[t][r].copy() if store_states else None)
+                     for t, outcomes in enumerate(batch.outcomes[p])]
+            # With stored states the last step's copy is the final state; a row
+            # view would keep the whole batch array alive.
+            final = steps[-1].state if store_states else batch.states[-1][r]
+            result.append(Trajectory(seed, batch.start + r, steps, prob, final, list(dims)))
     return result
 
 
@@ -633,27 +625,17 @@ def run_trajectory(
     *,
     index: int = 0,
     store_states: bool = False,
-    store_operators: bool = False,
     compiled: list[CompiledStep] | None = None,
     max_dim: int = MAX_DIM,
 ) -> Trajectory:
-    """Sample one full outcome history through a program.
+    """Sample trajectory ``index``: one full outcome history through a program.
 
     Identical (program, seed, index) always reproduce the same trajectory.
     The product of step weights equals the squared norm of the compiled
     history operator applied to the initial state.
     """
-    if isinstance(program, Circuit):
-        program = Program.single(program)
-    if compiled is None:
-        compiled = compile_program(program, max_dim=max_dim)
-    inputs = _padded_inputs(inputs, compiled)
-    # One stream's uniforms come cheaper from the Generator than from the
-    # vectorised cipher, whose set-up cost only pays off over many rows.
-    uniforms = trajectory_rng(seed, index).random(sum(len(s.slices) for s in compiled))[None]
-    batch = _sample_batch(compiled, _initial_tensor(program, compiled, omega0), inputs, uniforms,
-                          index, store_states)
-    return _trajectories(batch, compiled, inputs, seed, store_states, store_operators, max_dim)[0]
+    return _run(program, range(index, index + 1), seed, omega0, inputs, store_states,
+                compiled, max_dim)[0]
 
 
 def run_trajectories(
@@ -664,7 +646,6 @@ def run_trajectories(
     omega0=None,
     inputs: list[str] | None = None,
     store_states: bool = False,
-    store_operators: bool = False,
     compiled: list[CompiledStep] | None = None,
     max_dim: int = MAX_DIM,
 ) -> list[Trajectory]:
@@ -674,18 +655,7 @@ def run_trajectories(
     index=i)`` field by field and bit for bit; trajectories are sampled
     ``BATCH_SIZE`` at a time, and the batch size never changes a result.
     """
-    if isinstance(program, Circuit):
-        program = Program.single(program)
-    if compiled is None:
-        compiled = compile_program(program, max_dim=max_dim)
-    padded = _padded_inputs(inputs, compiled)
-    return [
-        traj
-        for batch in sample_batches(program, count, seed, omega0=omega0, inputs=padded,
-                                    store_states=store_states, compiled=compiled)
-        for traj in _trajectories(batch, compiled, padded, seed, store_states,
-                                  store_operators, max_dim)
-    ]
+    return _run(program, range(count), seed, omega0, inputs, store_states, compiled, max_dim)
 
 
 # --- exhaustive enumeration -----------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .circuit import Circuit, Condition, Event, System, TestNode, WireSpec, circuit_to_dict
+from .dsl import effect_events, measure_events
 from .engine import Program, ProgramStep, program_to_dict
 from .linalg import GATES
 
@@ -25,15 +26,6 @@ def _ket(*amps) -> np.ndarray:
 
 def _bra(v) -> np.ndarray:
     return np.asarray(v, dtype=complex).conj().reshape(1, -1)
-
-
-def _basis_effects(d: int) -> tuple[Event, ...]:
-    return tuple(Event(str(j), (np.eye(d, dtype=complex)[j].reshape(1, -1),)) for j in range(d))
-
-
-def _vn_events(d: int) -> tuple[Event, ...]:
-    eye = np.eye(d, dtype=complex)
-    return tuple(Event(str(j), (np.outer(eye[j], eye[j]),)) for j in range(d))
 
 
 _BELL = [
@@ -61,11 +53,9 @@ def conditioned_step() -> Circuit:
     p1 = np.kron(np.diag([0, 1]).astype(complex), np.eye(2))
     bell_effects = tuple(
         Event(f"0:{j}", (_bra(_BELL[j]),)) for j in range(4)
-    ) + tuple(
-        Event(f"1:{j}", (np.eye(4, dtype=complex)[j].reshape(1, -1),)) for j in range(4)
-    )
+    ) + tuple(Event(f"1:{e.outcome}", e.operators) for e in effect_events(4))
     nodes = [
-        TestNode("alpha", ("A",), (), _basis_effects(2)),
+        TestNode("alpha", ("A",), (), effect_events(2)),
         TestNode(
             "psi", (), ("D",),
             (Event("0", (_ket(1, 1),)), Event("1", (_ket(1, -1),))),
@@ -118,7 +108,7 @@ def conditioned_step_closed() -> Circuit:
     nodes = [
         TestNode("source", (), ("A", "B", "C"), (Event("0", (ghz,)),)),
         *base.nodes,
-        TestNode("readout", ("M",), (), _basis_effects(2)),
+        TestNode("readout", ("M",), (), effect_events(2)),
     ]
     wires = [
         WireSpec("source", 0, "alpha", 0),
@@ -142,8 +132,8 @@ def bell_pair() -> Circuit:
     systems = {"A1": System("A1", 2), "A2": System("A2", 2)}
     nodes = [
         TestNode("pair", (), ("A1", "A2"), (Event("0", (_ket(1, 0, 0, 1),)),)),
-        TestNode("left", ("A1",), (), _basis_effects(2)),
-        TestNode("right", ("A2",), (), _basis_effects(2)),
+        TestNode("left", ("A1",), (), effect_events(2)),
+        TestNode("right", ("A2",), (), effect_events(2)),
     ]
     wires = [WireSpec("pair", 0, "left", 0), WireSpec("pair", 1, "right", 0)]
     return Circuit("bell-pair", systems, nodes, wires, closed=True)
@@ -189,8 +179,8 @@ def merge_split_program() -> Program:
         "readout",
         dict(q),
         [
-            TestNode("m1", ("Q1",), ("Q1",), _vn_events(2)),
-            TestNode("m2", ("Q2",), ("Q2",), _vn_events(2)),
+            TestNode("m1", ("Q1",), ("Q1",), measure_events(2)),
+            TestNode("m2", ("Q2",), ("Q2",), measure_events(2)),
         ],
         [],
     )

@@ -333,7 +333,10 @@ def marginal_purity(psi, shape, block) -> float:
     """Tr(rho_block^2) for the reduced state of a block of factors."""
     dims = as_shape(shape).factor_dims
     block = tuple(block)
-    if len(set(block)) != len(block) or not all(i in range(len(dims)) for i in block):
+    # A bool is an int, and 1.0 is in range(3): neither names a factor.
+    named = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and i in range(len(dims))
+                for i in block)
+    if not named or len(set(block)) != len(block):
         raise IndividuationError(f"block {block} must name distinct factors 0..{len(dims) - 1}")
     psi = np.asarray(psi, dtype=complex)
     if psi.size != prod(dims):

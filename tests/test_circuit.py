@@ -477,6 +477,17 @@ class TestCompose:
             direct = sum(k @ rho @ k.conj().T for k in composed.operators)
             assert np.allclose(step, direct, atol=1e-11)
 
+    def test_labels_join_and_clash(self):
+        eye = np.eye(2, dtype=complex)
+        a, b = KrausSet((eye, eye), ("a", "a>b")), KrausSet((eye, eye), ("b>c", "c"))
+        u = unitary_kraus(eye)
+        assert compose_sequential(u, a).outcome_labels == ("a", "a>b")
+        assert compose_parallel(a, u).outcome_labels == ("a", "a>b")
+        assert compose_parallel(a, b).outcome_labels == ("a,b>c", "a,c", "a>b,b>c", "a>b,c")
+        # "a>b" then "c" and "a" then "b>c" clash, so every label takes its position.
+        assert compose_sequential(a, b).outcome_labels == (
+            "0:a>b>c", "1:a>c", "2:a>b>b>c", "3:a>b>c")
+
     def test_sequential_signature_mismatch(self):
         with pytest.raises(SignatureError):
             compose_sequential(unitary_kraus(np.eye(2)), unitary_kraus(np.eye(3)))

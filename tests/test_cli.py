@@ -126,13 +126,28 @@ class TestValidate:
 
     def test_bind_is_checked_by_run(self, circuits_dir, tmp_path, capsys):
         doc = json.loads((circuits_dir / "merge_split.json").read_text())
-        doc["steps"][1]["bind"] = [[0, 0], [1, 0]]
-        path = tmp_path / "bad_bind.json"
+        for bind in ([[0, 0], [1, 0]], []):  # an empty map is not an omitted one
+            doc["steps"][1]["bind"] = bind
+            path = tmp_path / "bad_bind.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["run", str(path)]) == 1
+            assert capsys.readouterr().err == "error: step 1: bind must be a bijection between boundary wires\n"
+
+    @pytest.mark.parametrize("bind", [[[5, 7]], []])
+    def test_bind_on_the_first_step_is_refused_by_run(self, bind, circuits_dir, tmp_path, capsys):
+        doc = json.loads((circuits_dir / "merge_split.json").read_text())
+        doc["steps"][0]["bind"] = bind
+        path = tmp_path / "first_bind.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 0
-        capsys.readouterr()
+        out = tmp_path / "out.jsonl"
+        assert main(["run", str(path), "--out", str(out)]) == 1
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err == "error: step 1: bind must be a bijection between boundary wires\n"
+        assert capsys.readouterr() == ("", (
+            "error: step 0: the first step takes no bind map; its inputs are the initial state\n"
+        ) * 2)
+        assert not out.exists()
 
 
 def _malformed(case: str, circuits_dir: Path) -> dict:

@@ -22,7 +22,6 @@ from onticsim.engine import (
     enumerate_histories,
     run_trajectories,
     run_trajectory,
-    sample_step,
     trajectory_rng,
 )
 from onticsim.foliation import compile_history, foliate
@@ -65,12 +64,10 @@ def rand3_program():
 class TestSampleStep:
     def test_z_measurement_of_zero_is_deterministic(self):
         prog = Program.single(vn_measure_circuit())
-        compiled = compile_program(prog)
-        rng = trajectory_rng(0, 0)
-        outcomes, state, weight = sample_step(compiled[0], np.array([1, 0], dtype=complex), "0", rng)
-        assert outcomes == {"m": "0"}
-        assert abs(weight - 1) < 1e-12
-        assert np.allclose(state, [1, 0])
+        step = run_trajectory(prog, np.array([1, 0], dtype=complex), store_states=True).steps[0]
+        assert step.outcomes == {"m": "0"}
+        assert abs(step.weight - 1) < 1e-12
+        assert np.allclose(step.state, [1, 0])
 
     def test_born_rule_frequencies(self):
         prog = Program.single(vn_measure_circuit())
@@ -181,15 +178,6 @@ class TestRunTrajectory:
         for step, dims in zip(traj.steps, traj.state_dims):
             assert abs(np.linalg.norm(step.state) - 1) < 1e-9
             assert step.state.size == int(np.prod(dims))
-
-    def test_stored_step_operator_reproduces_weight(self):
-        prog = gallery.conditioned_step_program()
-        for i in range(10):
-            traj = run_trajectory(prog, seed=15, index=i, store_operators=True)
-            op = traj.steps[0].operator
-            assert op is not None
-            expected = float(np.linalg.norm(op @ prog.initial_state) ** 2)
-            assert abs(traj.steps[0].weight - expected) < 1e-10
 
     def test_open_input_needs_initial_state(self):
         prog = Program.single(vn_measure_circuit())
@@ -571,7 +559,7 @@ class TestEnginePreconditions:
             lambda: enumerate_histories(prog, psi0, ["0", "1", "0", "1"]),
             lambda: run_trajectory(prog, psi0, ["0", "1", "0", "1"]),
             lambda: run_trajectories(prog, 3, omega0=psi0, inputs=["0", "1", "0", "1"]),
-            lambda: engine.sample_batches(prog, 3, omega0=psi0, inputs=["0", "1", "0", "1"],
+            lambda: engine.sample_batches(prog, range(3), omega0=psi0, inputs=["0", "1", "0", "1"],
                                           compiled=compile_program(prog)),
         ):
             with pytest.raises(EngineError, match=message):
@@ -749,6 +737,48 @@ class TestBatchKernel:
             solo = run_trajectory(prog, omega0, inputs, seed=19, index=i, store_states=True,
                                   compiled=compiled)
             assert_same_trajectory(traj, solo)
+
+    @pytest.mark.parametrize("case", ["input1", "rand3"])
+    def test_batches_over_a_range_equal_run_trajectories(self, case, monkeypatch):
+        """A range that starts mid-stream and crosses batch boundaries; its
+        last batch has one row."""
+        omega0 = inputs = None
+        if case == "rand3":
+            prog, omega0 = rand3_program()
+        else:
+            prog, inputs = gallery.conditioned_step_program(), ["1"]
+        compiled = compile_program(prog)
+        want = run_trajectories(prog, 30, seed=19, omega0=omega0, inputs=inputs,
+                                store_states=True, compiled=compiled)[5:]
+        monkeypatch.setattr(engine, "BATCH_SIZE", 8)
+        batches = list(engine.sample_batches(prog, range(5, 30), 19, omega0=omega0, inputs=inputs,
+                                             store_states=True, compiled=compiled))
+        assert [(b.start, len(b.path)) for b in batches] == [(5, 8), (13, 8), (21, 8), (29, 1)]
+        rows = [(b, r) for b in batches for r in range(len(b.path))]
+        assert len(rows) == len(want)
+        for (b, r), traj in zip(rows, want):
+            assert b.start + r == traj.index
+            assert ([list(o.items()) for o in b.outcomes[b.path[r]]]
+                    == [list(step.outcomes.items()) for step in traj.steps])
+            assert b.probability[r] == traj.probability
+            assert b.states[-1][r].tobytes() == traj.final_state.tobytes()
+            for t, step in enumerate(traj.steps):
+                assert b.weights[t][r] == step.weight
+                assert b.states[t][r].tobytes() == step.state.tobytes()
+
+    @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 3), range(2 ** 64, 2 ** 64 + 1)])
+    def test_batches_refuse_a_bad_range(self, indices):
+        prog = gallery.conditioned_step_program()
+        with pytest.raises(EngineError, match=r"a range of step 1 in 0 \.\. 2\*\*64, got range"):
+            engine.sample_batches(prog, indices, compiled=compile_program(prog))
+
+    def test_index_bounds(self):
+        prog = gallery.conditioned_step_program()
+        last = run_trajectory(prog, seed=3, index=2 ** 64 - 1)
+        assert last.index == 2 ** 64 - 1
+        with pytest.raises(EngineError, match="trajectory indices must be"):
+            run_trajectory(prog, seed=3, index=-1)
+        assert run_trajectories(prog, -1) == []
 
     @pytest.mark.parametrize("inputs", [["0"], ["1"]])
     def test_tensor_path_matches_fast_path(self, inputs, monkeypatch):

@@ -41,7 +41,7 @@ class TestPurity:
         product = np.kron([1, 0], [1, 1]) / np.sqrt(2)
         assert abs(marginal_purity(product, (2, 2), [1]) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("block", [(0, 0), (3,), (-1,), (1, 2, 1)])
+    @pytest.mark.parametrize("block", [(0, 0), (3,), (-1,), (1, 2, 1), (1.0,), (True,)])
     def test_marginal_purity_rejects_a_bad_block(self, block):
         with pytest.raises(IndividuationError, match=rf"block \({block[0]}"):
             marginal_purity(np.kron(BELL, [1, 0]), (2, 2, 2), block)
