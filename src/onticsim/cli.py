@@ -24,6 +24,7 @@ from .engine import (
     TrajectoryBatch,
     _history_chunks,
     _history_labels,
+    _walk,
     compile_program,
     load_run_spec,
     run_trajectory,
@@ -66,10 +67,11 @@ def _output(args):
     return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _run_records(batch: TrajectoryBatch, writer: jsonio.RecordWriter, seed: int,
+def _run_records(batch: TrajectoryBatch, labels, writer: jsonio.RecordWriter, seed: int,
                  store_states: bool) -> list[str]:
-    """One batch's records as text; each path's outcomes and the states are formatted once."""
-    outcomes = [writer.outcomes(items) for items in batch.outcome_items()]
+    """One batch's records as text; each path's outcomes (``labels`` of its
+    history) and the states are formatted once."""
+    outcomes = labels(batch.events, batch.free)
     n = len(batch.path)
     return writer.format([outcomes[p] for p in batch.path.tolist()], batch.probability,
                          head=([seed] * n, range(batch.start, batch.start + n)),
@@ -84,7 +86,8 @@ def cmd_run(args) -> int:
                              store_states=args.store_states, compiled=compiled)
     writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if args.store_states else (),
                                  indent=2 if args.format == "json" else None)
-    texts = (_run_records(batch, writer, args.seed, args.store_states) for batch in batches)
+    labels = _history_labels(_walk(compiled), writer.pair, writer.joiner)
+    texts = (_run_records(batch, labels, writer, args.seed, args.store_states) for batch in batches)
     with _output(args) as out:
         if args.format == "json":
             writer.write(out.write, texts)
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("run", "classify", "bench-memory"):
         sub.choices[name].add_argument("--seed", type=int, default=DEFAULT_SEED)
     for name in ("run", "enumerate", "classify"):
-        sub.choices[name].add_argument("--max-dim", type=int, default=MAX_DIM)
+        sub.choices[name].add_argument("--max-dim", type=_at_least(1), default=MAX_DIM)
     return parser
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 import functools
+import itertools
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
@@ -168,7 +169,6 @@ class _Branches:
     that race to fill one store equal values."""
 
     cands: list[dict[int, int]]        # node index -> event index, every node of the slice
-    frees: list[dict[str, str]]        # the free choices of each candidate, label -> outcome
     deterministic: bool                # every admissible subset sums to the identity
     stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
 
@@ -182,6 +182,7 @@ class CompiledStep:
     # ``compile_program``; the identity on the first step, whose input is
     # the initial state.
     bind: list[tuple[int, int]]
+    run: list[int]  # the step's nodes in run order: its slices in turn, as foliated
 
 
 def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[CompiledStep]:
@@ -228,7 +229,7 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
             key_nodes = tuple(i for i in members if lay.circuit.nodes[i].condition is not None
                               and lay.sources[i] not in members)
             plans.append(_SlicePlan(members, fol.leaf_dims(s + 1), fast, key_nodes))
-        compiled.append(CompiledStep(lay, fol, plans, bind))
+        compiled.append(CompiledStep(lay, fol, plans, bind, [i for s in fol.slices for i in s]))
         prev_out = lay.output_dims
     return compiled
 
@@ -250,33 +251,25 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
 
 def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[int, int],
                       classical_input: str) -> _Branches:
-    """All joint outcome choices of a slice, honoring conditioning, the free
-    choices of each, and whether the slice is deterministic.
+    """All joint outcome choices of a slice, honoring conditioning, and
+    whether the slice is deterministic.
 
     ``chosen`` maps the node index of each node fired before the slice to
     its event index. Each candidate maps node index -> event index for every
-    node of the slice (including forced singletons, which are not free
-    choices); its free choices map node label -> outcome label. Nodes
-    grow in topological order, so a source inside the slice is already in
-    the partial candidate. The slice is deterministic when every admissible
+    node of the slice, forced singletons included. Nodes grow in
+    topological order, so a source inside the slice is already in the
+    partial candidate. The slice is deterministic when every admissible
     event subset met on the way is one that validation recorded as summing
     to the identity.
     """
     candidates: list[dict[int, int]] = [{}]
-    frees: list[dict[str, str]] = [{}]
     deterministic = True
     for i in plan.node_indices:
-        node = lay.circuit.nodes[i]
-        grown, grown_frees = [], []
-        for cand, free in zip(candidates, frees):
-            admissible = admissible_events(lay, i, ChainMap(cand, chosen), classical_input)
-            deterministic = deterministic and (i, admissible) in lay.deterministic
-            for idx in admissible:
-                grown.append({**cand, i: idx})
-                grown_frees.append({**free, node.label: node.events[idx].outcome}
-                                   if len(admissible) > 1 else free)
-        candidates, frees = grown, grown_frees
-    return _Branches(candidates, frees, deterministic)
+        subsets = [admissible_events(lay, i, ChainMap(cand, chosen), classical_input)
+                   for cand in candidates]
+        deterministic = deterministic and all((i, a) in lay.deterministic for a in subsets)
+        candidates = [{**cand, i: idx} for cand, a in zip(candidates, subsets) for idx in a]
+    return _Branches(candidates, deterministic)
 
 
 def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.ndarray:
@@ -303,13 +296,6 @@ class TrajectoryStep:
     state: np.ndarray | None = None   # normalized post-step state, output-wire order
 
 
-def _outcome_items(step_outcomes) -> list[tuple[str, str]]:
-    """Flat (node, outcome) pairs; step-prefixed for multi-step programs."""
-    multi = len(step_outcomes) > 1
-    return [(f"{t}:{k}" if multi else k, v)
-            for t, outcomes in enumerate(step_outcomes) for k, v in outcomes.items()]
-
-
 @dataclass
 class Trajectory:
     seed: int
@@ -320,7 +306,10 @@ class Trajectory:
     state_dims: list[tuple[int, ...]] = field(default_factory=list)
 
     def outcome_items(self) -> list[tuple[str, str]]:
-        return _outcome_items([s.outcomes for s in self.steps])
+        """Flat (node, outcome) pairs; step-prefixed for multi-step programs."""
+        multi = len(self.steps) > 1
+        return [(f"{t}:{k}" if multi else k, v)
+                for t, step in enumerate(self.steps) for k, v in step.outcomes.items()]
 
 
 def _initial_tensor(program: Program, compiled: list[CompiledStep], omega0) -> np.ndarray:
@@ -419,20 +408,19 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     ``state`` is (n, d) on the step's input wires in canonical order;
     ``uniforms`` is (n, len(step.slices)), one draw per slice. Rows that
     made the same choices so far share an integer path id, and the context
-    key, candidates and free choices are worked out once per path. Returns
-    (path id per row, free outcomes per path, (n, d_out) normalized states
-    in output-wire order, step weight per row).
+    key and candidates are worked out once per path. Returns (path id per
+    row, event indices and free mask per path over ``step.run``, (n, d_out)
+    normalized states in output-wire order, step weight per row).
     """
     lay = step.layout
     n = len(state)
     state = state.reshape((n, *lay.input_dims))
     order = [_BATCH, *lay.input_wires]
     path = np.zeros(n, dtype=np.intp)
-    # (node index -> event index, free outcomes) per path
-    paths: list[tuple[dict[int, int], dict[str, str]]] = [({}, {})]
+    paths: list[dict[int, int]] = [{}]  # node index -> event index, per path
     weight = np.ones(n)
     for s, plan in enumerate(step.slices):
-        new_paths: list[tuple[dict[int, int], dict[str, str]]] = []
+        new_paths: list[dict[int, int]] = []
         new_path = np.empty(n, dtype=np.intp)
         out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
         if plan.fast:
@@ -440,14 +428,13 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             x_all = x_all.reshape(n, 1, -1, 1)
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
         for p, rows in _groups(path, len(paths)):
-            chosen, free = paths[p]
+            chosen = paths[p]
             key = tuple([admissible_events(lay, i, chosen, classical_input) for i in plan.key_nodes])
             branches = plan.branches.get(key)
             if branches is None:
                 branches = plan.branches[key] = _slice_candidates(plan, lay, chosen, classical_input)
-            cands, frees = branches.cands, branches.frees
             u = uniforms[rows, s]
-            m, k = len(u), len(cands)
+            m, k = len(u), len(branches.cands)
             if plan.fast:
                 amps = np.matmul(_stacked_operators(step, s, branches), x_all[rows])
                 amps = amps.reshape(m * k, -1)
@@ -460,7 +447,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                 # The kernel contracts each row of the stack alone, as a state of
                 # its own, so a row's bits do not depend on the batch.
                 results = [_apply_slice(state[rows], order, lay, plan.node_indices, c)
-                           for c in cands]
+                           for c in branches.cands]
                 out_order, out_shape = results[0][1], results[0][0].shape[1:]
                 weights = np.stack([_norms(r) for r, _ in results], axis=1)
                 amps = np.stack([r.reshape(m, -1) for r, _ in results], axis=1)
@@ -473,11 +460,14 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             lookup = np.zeros(k, dtype=np.intp)
             lookup[distinct] = np.arange(len(new_paths), len(new_paths) + len(distinct))
             new_path[rows] = lookup[idx]
-            new_paths += [({**chosen, **cands[c]}, {**free, **frees[c]}) for c in distinct]
+            new_paths += [{**chosen, **branches.cands[c]} for c in distinct]
         state, order, path, paths = out.reshape((n, *out_shape)), out_order, new_path, new_paths
         weight = weight * w
     state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
-    return path, [free for _, free in paths], state, weight
+    events = np.array([[chosen[i] for i in step.run] for chosen in paths], dtype=np.intp)
+    free = np.array([[len(admissible_events(lay, i, chosen, classical_input)) > 1
+                      for i in step.run] for chosen in paths], dtype=bool)
+    return path, events, free, state, weight
 
 
 def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
@@ -508,22 +498,20 @@ def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]]) -> np.ndarray:
 class TrajectoryBatch:
     """Trajectories ``start .. start + n - 1`` of one seeded run, as arrays.
 
-    Row r's free outcomes per step are ``outcomes[path[r]]``; rows that made
-    the same choices share a path. ``states`` holds one (n, d) array of
-    normalized post-step states per step when states are stored, else only
-    the final one.
+    Row r's history, the record ``enumerate_histories`` walks too, is row
+    ``path[r]`` of ``events`` and ``free`` over the columns of ``_walk``:
+    each node's event index, and whether it had more than one admissible
+    event. ``states`` holds one (n, d) array of normalized post-step states
+    per step when states are stored, else only the final one.
     """
 
     start: int
-    path: np.ndarray                            # (n,) index into ``outcomes``
-    outcomes: list[tuple[dict[str, str], ...]]  # per path: free outcomes of each step
-    weights: list[np.ndarray]                   # per step: (n,) conditional weights
-    probability: np.ndarray                     # (n,)
+    path: np.ndarray           # (n,) row index into ``events`` and ``free``
+    events: np.ndarray         # (paths, columns) event indices
+    free: np.ndarray           # (paths, columns) free mask
+    weights: list[np.ndarray]  # per step: (n,) conditional weights
+    probability: np.ndarray    # (n,)
     states: list[np.ndarray]
-
-    def outcome_items(self) -> list[list[tuple[str, str]]]:
-        """``Trajectory.outcome_items`` of each path."""
-        return [_outcome_items(steps) for steps in self.outcomes]
 
 
 def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list[str],
@@ -532,26 +520,26 @@ def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list
     state = state0.reshape(1, -1).repeat(n, axis=0)
     dims = compiled[0].layout.input_dims
     path = np.zeros(n, dtype=np.intp)
-    outcomes: list[tuple[dict[str, str], ...]] = [()]
+    events, free = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=bool)
     prob = np.ones(n)
     weights, states = [], []
     col = 0
     for t, step in enumerate(compiled):
         state = _apply_bind(state.reshape((n, *dims)), step.bind).reshape(n, -1)
-        step_path, step_frees, state, weight = _sample_slices(
+        step_path, step_events, step_free, state, weight = _sample_slices(
             step, state, inputs[t], uniforms[:, col:col + len(step.slices)]
         )
         col += len(step.slices)
         dims = step.layout.output_dims
         prob = prob * weight  # step weights multiply in step order
         weights.append(weight)
-        joint = path * len(step_frees) + step_path
-        ids, path = np.unique(joint, return_inverse=True)
-        outcomes = [outcomes[j // len(step_frees)] + (step_frees[j % len(step_frees)],)
-                    for j in ids.tolist()]
+        ids, path = np.unique(path * len(step_events) + step_path, return_inverse=True)
+        before, now = np.divmod(ids, len(step_events))
+        events = np.concatenate([events[before], step_events[now]], axis=1)
+        free = np.concatenate([free[before], step_free[now]], axis=1)
         if store_states:
             states.append(state)
-    return TrajectoryBatch(start, path, outcomes, weights, prob,
+    return TrajectoryBatch(start, path, events, free, weights, prob,
                            states if store_states else [state])
 
 
@@ -602,14 +590,20 @@ def _run(program: Program | Circuit, indices: range, seed: int, omega0, inputs: 
         compiled = compile_program(program, max_dim=max_dim)
     inputs = _padded_inputs(inputs, compiled)
     dims = [step.layout.output_dims for step in compiled]
+    # A step's own outcomes are labelled as the history of a one-step program.
+    bounds = [0, *itertools.accumulate(len(step.run) for step in compiled)]
+    labels = [_history_labels(_walk([step]), tuple, lambda k: functools.partial(map, dict))
+              for step in compiled]
     result = []
     for batch in sample_batches(program, indices, seed, omega0=omega0, inputs=inputs,
                                 store_states=store_states, compiled=compiled):
+        outcomes = list(zip(*(label(batch.events[:, a:b], batch.free[:, a:b])
+                              for label, a, b in zip(labels, bounds, bounds[1:]))))
         weights = [w.tolist() for w in batch.weights]
         for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
-            steps = [TrajectoryStep(inputs[t], dict(outcomes), weights[t][r],
+            steps = [TrajectoryStep(inputs[t], dict(step_outcomes), weights[t][r],
                                     batch.states[t][r].copy() if store_states else None)
-                     for t, outcomes in enumerate(batch.outcomes[p])]
+                     for t, step_outcomes in enumerate(outcomes[p])]
             # With stored states the last step's copy is the final state; a row
             # view would keep the whole batch array alive.
             final = steps[-1].state if store_states else batch.states[-1][r]
@@ -735,22 +729,30 @@ def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], 
     return out, list(out_order), child_ev, child_free
 
 
+def _walk(compiled: list[CompiledStep]) -> list[tuple[str, list[str]]]:
+    """A history record's columns, (node label, its events' outcomes), one
+    per node of each step in run order; ``t:``-prefixed in multi-step programs."""
+    multi = len(compiled) > 1
+    return [(f"{t}:{n.label}" if multi else n.label, [e.outcome for e in n.events])
+            for t, step in enumerate(compiled)
+            for n in map(step.layout.circuit.nodes.__getitem__, step.run)]
+
+
 def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] | None = None, *,
                     cap: int = DEFAULT_HISTORY_CAP, max_dim: int = MAX_DIM):
     """``enumerate_histories`` as arrays: ``(walk, chunks)``. Every check,
     HistoryCapExceeded's included, is made first; the histories are counted
     from the condition tables, with no linear algebra.
 
-    The tree has one level, and one column, per node in each step's
-    foliation run order; ``walk`` holds each column's history label and
-    outcome labels. It is walked level by level over chunks of at most
-    ``BATCH_SIZE`` histories, depth first over chunks, so memory is bounded
-    by ``BATCH_SIZE`` and the depth of the tree. A chunk's states are
-    stacked on a leading ``_BATCH`` axis: one stacked ``_apply_slice`` call
-    applies an event to every row that admits it, with the bits of a walk
-    one history at a time. ``chunks`` yields, in history order and pieces
-    of at most 256 rows, the event indices per column (-1 before a node
-    runs), the free mask (more than one admissible event) and probabilities.
+    The tree has one level per node in each step's run order, and one column
+    of ``walk = _walk(compiled)``. It is walked level by level over chunks
+    of at most ``BATCH_SIZE`` histories, depth first over chunks, so memory
+    is bounded by ``BATCH_SIZE`` and the depth of the tree. A chunk's states
+    are stacked on a leading ``_BATCH`` axis: one stacked ``_apply_slice``
+    call applies an event to every row that admits it, with the bits of a
+    walk one history at a time. ``chunks`` yields, in history order and
+    pieces of at most 256 rows, the event indices per column (-1 before a
+    node runs), the free mask (see ``TrajectoryBatch``) and probabilities.
     """
     if isinstance(program, Circuit):
         program = Program.single(program)
@@ -759,12 +761,8 @@ def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] |
     state0 = _initial_tensor(program, compiled, omega0)
     if _history_count(compiled, inputs) > cap:
         raise HistoryCapExceeded(f"more than {cap} histories")
-    runs = [[i for s in step.foliation.slices for i in s] for step in compiled]
-    columns, walk = [], []
-    for t, step in enumerate(compiled):
-        columns.append({i: len(walk) + k for k, i in enumerate(runs[t])})
-        walk += [(f"{t}:{n.label}" if len(compiled) > 1 else n.label, [e.outcome for e in n.events])
-                 for n in map(step.layout.circuit.nodes.__getitem__, runs[t])]
+    walk, column = _walk(compiled), itertools.count()
+    columns = [{i: next(column) for i in step.run} for step in compiled]
     kind = np.min_scalar_type(-max((len(o) for _, o in walk), default=1))  # holds -1 and every event
 
     def chunks():
@@ -775,8 +773,8 @@ def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] |
         while stack:
             t, k, order, x, ev, free = stack.pop()
             lay = compiled[t].layout
-            if k < len(runs[t]):
-                x, order, ev, free = _node_children(lay, runs[t][k], x, order, ev, free,
+            if k < len(compiled[t].run):
+                x, order, ev, free = _node_children(lay, compiled[t].run[k], x, order, ev, free,
                                                     columns[t], inputs[t])
                 split = len(x) > BATCH_SIZE  # then pieces are copies: none keeps the others alive
                 for a in reversed(range(0, len(x), BATCH_SIZE)):
@@ -834,10 +832,11 @@ def enumerate_histories(
     """All outcome histories with their exact probabilities ||Omega w0||^2,
     depth first (see ``_history_chunks``).
 
-    A node's children in the history tree are its admissible events. History
-    keys are ``Trajectory.outcome_items`` of the free choices, made at the
-    leaves. Raises HistoryCapExceeded when the count passes ``cap``, before
-    any linear algebra.
+    A node's children in the history tree are its admissible events. A
+    history is the record a ``TrajectoryBatch`` row holds, keyed at the leaf
+    by ``_history_labels`` as ``run`` labels its outcomes. Raises
+    HistoryCapExceeded when the count passes ``cap``, before any linear
+    algebra.
     """
     walk, chunks = _history_chunks(program, omega0, inputs, cap=cap, max_dim=max_dim)
     keys = _history_labels(walk, tuple, lambda k: list)

@@ -122,10 +122,6 @@ class RecordWriter:
         self.pair = functools.lru_cache(self.PAIR_CACHE)(  # the text of a (label, outcome) pair
             lambda kv: dumps(list(kv), indent=indent, level=level + 2))
 
-    def outcomes(self, items) -> str:
-        first, pad, end = self._list
-        return f"[{first}{pad.join(map(self.pair, items))}{end}]" if items else "[]"
-
     def joiner(self, k: int):
         """The outcomes texts of rows of ``k`` pair texts each."""
         first, pad, end = self._list

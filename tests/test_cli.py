@@ -348,6 +348,9 @@ def test_bad_initial_state_refused_before_output(fmt, circuits_dir, tmp_path, ca
     # Each subcommand takes only the options it reads.
     ["enumerate", "bell_pair.json", "--seed", "1"],
     ["bench-memory", "--max-dim", "5"],
+    # A cap below 1 admits no leaf.
+    *([command, "bell_pair.json", "--max-dim", cap]
+      for command in ("run", "enumerate", "classify") for cap in ("0", "-1", "x")),
 ])
 def test_bad_argument_is_a_usage_error(argv, circuits_dir, capsys):
     argv = [str(circuits_dir / a) if a.endswith(".json") else a for a in argv]

@@ -24,7 +24,7 @@ from onticsim.engine import (
     run_trajectory,
     trajectory_rng,
 )
-from onticsim.foliation import compile_history, foliate
+from onticsim.foliation import admissible_events, compile_history, foliate
 from onticsim.linalg import haar_state, haar_unitary
 from onticsim.random_circuits import random_circuit
 
@@ -388,7 +388,8 @@ class TestDeepChain:
 def slice_walk_histories(program, omega0=None, inputs=None, cap=engine.DEFAULT_HISTORY_CAP):
     """``enumerate_histories`` as it stood before the node walk: one tree
     level per slice, whose children are the slice's joint candidates, each
-    applied by one ``_apply_slice`` call over the slice's nodes."""
+    applied by one ``_apply_slice`` call over the slice's nodes. A key holds
+    the nodes with more than one admissible event, in slice order."""
     if isinstance(program, Circuit):
         program = Program.single(program)
     compiled = compile_program(program)
@@ -408,10 +409,13 @@ def slice_walk_histories(program, omega0=None, inputs=None, cap=engine.DEFAULT_H
             return
         plan = step.slices[s]
         branches = engine._slice_candidates(plan, lay, chosen, inputs[t])
-        for cand, free in zip(branches.cands, branches.frees):
+        for cand in branches.cands:
             out, out_order = engine._apply_slice(state, order, lay, plan.node_indices, cand)
-            yield (t, s + 1, out, out_order, {**chosen, **cand},
-                   key + tuple((prefixes[t] + n, o) for n, o in free.items()))
+            fired = {**chosen, **cand}
+            nodes = [(lay.circuit.nodes[i], fired[i]) for i in plan.node_indices
+                     if len(admissible_events(lay, i, fired, inputs[t])) > 1]
+            yield (t, s + 1, out, out_order, fired,
+                   key + tuple((prefixes[t] + n.label, n.events[e].outcome) for n, e in nodes))
 
     results = []
     state0 = engine._initial_tensor(program, compiled, omega0)
@@ -750,16 +754,22 @@ class TestBatchKernel:
         compiled = compile_program(prog)
         want = run_trajectories(prog, 30, seed=19, omega0=omega0, inputs=inputs,
                                 store_states=True, compiled=compiled)[5:]
+        whole, = engine.sample_batches(prog, range(30), 19, omega0=omega0, inputs=inputs,
+                                       compiled=compiled)
         monkeypatch.setattr(engine, "BATCH_SIZE", 8)
         batches = list(engine.sample_batches(prog, range(5, 30), 19, omega0=omega0, inputs=inputs,
                                              store_states=True, compiled=compiled))
         assert [(b.start, len(b.path)) for b in batches] == [(5, 8), (13, 8), (21, 8), (29, 1)]
-        rows = [(b, r) for b in batches for r in range(len(b.path))]
+        labels = engine._history_labels(engine._walk(compiled), tuple, lambda k: list)
+        rows = [(b, r, keys[p]) for b in batches
+                for keys in [labels(b.events, b.free)] for r, p in enumerate(b.path)]
         assert len(rows) == len(want)
-        for (b, r), traj in zip(rows, want):
+        for (b, r, key), traj in zip(rows, want):
             assert b.start + r == traj.index
-            assert ([list(o.items()) for o in b.outcomes[b.path[r]]]
-                    == [list(step.outcomes.items()) for step in traj.steps])
+            assert list(key) == traj.outcome_items()
+            for record in ("events", "free"):
+                assert np.array_equal(getattr(b, record)[b.path[r]],
+                                      getattr(whole, record)[whole.path[traj.index]])
             assert b.probability[r] == traj.probability
             assert b.states[-1][r].tobytes() == traj.final_state.tobytes()
             for t, step in enumerate(traj.steps):
@@ -835,11 +845,11 @@ class TestBatchKernel:
 
     def test_slice_total_names_the_first_failing_row(self):
         weights = np.array([[0.5, 0.5], [np.nan, 0.0], [0.2, 0.3], [0.1, 0.1]])
-        deterministic = engine._Branches([], [], deterministic=True)
+        deterministic = engine._Branches([], deterministic=True)
         with pytest.raises(EngineError, match=r"weights sum to 0\.500000000 for a deterministic"):
             engine._check_slice_total(deterministic, weights)
         engine._check_slice_total(deterministic, weights[:2])  # a NaN total passes
-        engine._check_slice_total(engine._Branches([], [], deterministic=False), weights)
+        engine._check_slice_total(engine._Branches([], deterministic=False), weights)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
     @pytest.mark.parametrize("count", [1, 4, 5, 13])

@@ -47,6 +47,12 @@ RECORDS = [  # (index, outcome pairs, probability)
 ]
 
 
+def _outcomes(writer, items) -> str:
+    """The outcomes text of one record, from its pairs' texts."""
+    text, = writer.joiner(len(items))([tuple(map(writer.pair, items))])
+    return text
+
+
 def _written(records, indent, key, states=False) -> list[str]:
     """The writer's ``write`` calls for ``records`` (index, pairs, probability)."""
     writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if states else (),
@@ -54,7 +60,7 @@ def _written(records, indent, key, states=False) -> list[str]:
     texts = writer.vectors(STATES[[i % 2 for i, _, _ in records]])
     calls = []
     texts = writer.format(
-        [writer.outcomes(pairs) for _, pairs, _ in records], [p for _, _, p in records],
+        [_outcomes(writer, pairs) for _, pairs, _ in records], [p for _, _, p in records],
         head=([7] * len(records), [i for i, _, _ in records]), tail=(texts,) if states else ())
     writer.write(calls.append, ([text] for text in texts), total_probability=1.0)
     return calls
@@ -88,7 +94,7 @@ def test_record_text_is_the_jsonl_line():
     writer = jsonio.RecordWriter(("seed", "index"))
     for i, pairs, p in RECORDS:
         record = {"seed": 7, "index": i, "outcomes": pairs, "probability": p}
-        assert writer.format([writer.outcomes(pairs)], [p], head=([7], [i])) == [jsonio.dumps(record)]
+        assert writer.format([_outcomes(writer, pairs)], [p], head=([7], [i])) == [jsonio.dumps(record)]
 
 
 def test_records_are_written_as_they_are_made():
@@ -99,7 +105,7 @@ def test_records_are_written_as_they_are_made():
     def records():
         for i in range(3):
             seen.append(out.getvalue())  # what was written before record i is made
-            yield writer.format([writer.outcomes([("n", str(i))])], [0.5])
+            yield writer.format([_outcomes(writer, [("n", str(i))])], [0.5])
 
     writer.write(out.write, records())
     assert seen[0] == "" and seen[1].endswith("0.5\n  }") and seen[2].count('"n"') == 2
@@ -116,11 +122,13 @@ def test_batch_probabilities_are_written_as_format_float_writes_them():
                      for p in probabilities]
 
 
-def test_joiner_makes_the_outcomes_text_from_pair_texts():
-    writer = jsonio.RecordWriter(indent=2, key="histories")
+@pytest.mark.parametrize("indent, key", [(None, None), (2, None), (2, "histories")])
+def test_joiner_makes_the_outcomes_text_from_pair_texts(indent, key):
+    writer = jsonio.RecordWriter(indent=indent, key=key)
     for items in ([], [("a", "0")], [("a\"b", "é"), ("☃", "x\\y"), ("c", "1")]):
         rows = [tuple(map(writer.pair, items))] * 2
-        assert list(writer.joiner(len(items))(rows)) == [writer.outcomes(items)] * 2
+        text = jsonio.dumps([list(kv) for kv in items], indent=indent, level=writer.level + 1)
+        assert list(writer.joiner(len(items))(rows)) == [text] * 2
 
 
 def test_pair_cache_is_bounded():
@@ -128,7 +136,7 @@ def test_pair_cache_is_bounded():
     n = 3 * writer.PAIR_CACHE
     for i in range(n):
         items = [("a", str(i % 3)), ("b", "x"), ("c", str(i))]
-        text = writer.outcomes(items)
+        text = _outcomes(writer, items)
     assert writer.pair.cache_info().currsize <= writer.PAIR_CACHE
     assert text == jsonio.dumps([list(kv) for kv in items], indent=2, level=3)
 
