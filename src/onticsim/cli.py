@@ -32,7 +32,7 @@ from .engine import (
 )
 from .individuation import IndividuationError, classify_timeline
 from .linalg import MAX_DIM
-from .measurement import MeasurementError, mean_recall_fidelity, recall_fidelity_bound
+from .measurement import _STRATEGIES, MeasurementError, mean_recall_fidelity, recall_fidelity_bound
 from .quantum import COMPLETENESS_TOL
 
 DEFAULT_SEED = 20120712  # fixed so runs are reproducible by default
@@ -159,7 +159,7 @@ def cmd_classify(args) -> int:
 def cmd_bench_memory(args) -> int:
     with _output(args) as out:
         out.write("strategy,M,d,trials,mean_fidelity,std_error,bound\n")
-        for strategy in args.strategies.split(","):
+        for strategy in args.strategies:
             for d in args.dims:
                 for m in args.copies:
                     bound = float(recall_fidelity_bound(m, d))
@@ -196,6 +196,16 @@ def _int_list_at_least(low: int):
     """An argparse type: comma-separated integers, each of at least ``low``."""
     item = _at_least(low)
     return lambda text: [item(x) for x in text.split(",")]
+
+
+def _strategy_list(text: str) -> list[str]:
+    """An argparse type: comma-separated names of recall strategies."""
+    names = text.split(",")
+    for name in names:
+        if name not in _STRATEGIES:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated strategies from {', '.join(_STRATEGIES)}, got {text!r}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-memory", parents=[common],
                        help="store-and-recall fidelity sweep (CSV)")
-    p.add_argument("--strategies", type=str,
-                   default="optimal_covariant_qubit,sic_estimate,random_vn_repeat")
+    p.add_argument("--strategies", type=_strategy_list, default=",".join(_STRATEGIES))
     p.add_argument("--copies", type=_int_list_at_least(1), default="1,2,3",
                    help="comma-separated M values")
     p.add_argument("--dims", type=_int_list_at_least(2), default="2",

@@ -340,6 +340,11 @@ def test_bad_initial_state_refused_before_output(fmt, circuits_dir, tmp_path, ca
     ["bench-memory", "--dims", "2,"],
     ["bench-memory", "--copies", "0"],
     ["bench-memory", "--dims", "1"],
+    # A strategy name is checked before any row is written.
+    ["bench-memory", "--strategies", "nope"],
+    ["bench-memory", "--strategies", ","],
+    ["bench-memory", "--strategies", "sic_estimate,"],
+    ["bench-memory", "--strategies", "sic_estimate,Sic_estimate"],
     # A tolerance that is not finite and >= 0 would accept a trace-increasing node.
     ["validate", "bell_pair.json", "--tolerance", "nan"],
     ["validate", "bell_pair.json", "--tolerance", "inf"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onticsim import linalg
 from onticsim.linalg import (
     DimensionError,
     SystemShape,
@@ -16,12 +17,14 @@ from onticsim.linalg import (
     haar_unitary,
     is_contraction,
     partial_trace,
+    random_isometry,
     schmidt_decompose,
     schmidt_rank,
     states_equal,
     tensor_many,
     tensor_product,
 )
+from test_quantum import random_complete_kraus
 
 RNG = np.random.default_rng(1234)
 
@@ -266,6 +269,46 @@ class TestContractionAgainstSvd:
             assert_same_side(ok, sigma, target, d)
         k = g / (top * (1 + rng.random()))
         assert is_contraction(cached_unitary(d) @ k)[0]
+
+
+def plain_gram_product(ops, v):
+    """The oracle: G v as K^dag (K v) over whole operators, one read each."""
+    return sum(np.conj(k.T @ np.conj(k @ v)) for k in ops)
+
+
+def block_rows(k) -> int:
+    """Rows per block of a row-major operator, as ``_apply_gram`` takes them."""
+    return max(1, linalg._GRAM_BLOCK_BYTES // (16 * k.shape[1]))
+
+
+class TestBlockedGram:
+    """``_apply_gram``, row block by row block, against the plain product."""
+
+    @pytest.mark.parametrize("case", ["switch", "ragged", "whole_blocks", "two_operators", "isometry"])
+    def test_agrees_with_the_plain_product(self, case):
+        rng = np.random.default_rng(70)
+        ops = {
+            "switch": lambda: [random_complex((257, 257), rng)],  # the dense/Lanczos switch
+            "ragged": lambda: [random_complex((1000, 300), rng)],
+            "whole_blocks": lambda: [random_complex((436, 300), rng)],
+            "two_operators": lambda: list(random_complete_kraus(300, 2, rng).operators),
+            "isometry": lambda: [np.ascontiguousarray(random_isometry(300, 600, rng))],
+        }[case]()
+        assert all(k.flags.c_contiguous and len(k) > block_rows(k) for k in ops)
+        if case in ("ragged", "whole_blocks"):
+            assert (len(ops[0]) % block_rows(ops[0]) == 0) == (case == "whole_blocks")
+        v = random_complex(ops[0].shape[1], rng)
+        bound = 1e-13 * sum(np.linalg.norm(k, 2) ** 2 for k in ops) * np.linalg.norm(v)
+        assert np.linalg.norm(linalg._apply_gram(ops, v) - plain_gram_product(ops, v)) <= bound
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_operator_that_is_not_row_major_is_one_block(self, layout):
+        rng = np.random.default_rng(71)
+        a = random_complex((600, 300), rng)
+        k = np.asfortranarray(a) if layout == "fortran" else a[::2]
+        assert not k.flags.c_contiguous and len(k) > block_rows(k)
+        v = random_complex(300, rng)
+        assert np.array_equal(linalg._apply_gram([k], v), plain_gram_product([k], v))
 
 
 class TestBloch:

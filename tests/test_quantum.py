@@ -276,6 +276,19 @@ def trace_increasing(d, excess=1e-6, seed=0):
     return k
 
 
+def phase_dft(d, rng, block=256):
+    """diag(left) . DFT . diag(right) with random phases: a unitary whose
+    entries all have modulus 1/sqrt(d), built by row blocks without QR."""
+    left = np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d)
+    right = np.exp(2j * np.pi * rng.random(d))
+    k = np.arange(d)
+    roots = np.exp(-2j * np.pi * k / d)  # DFT entry (j, k) is roots[j*k mod d]
+    u = np.empty((d, d), dtype=complex)
+    for a in range(0, d, block):
+        u[a:a + block] = roots[np.outer(k[a:a + block], k) % d] * left[a:a + block, None] * right
+    return u
+
+
 @pytest.fixture
 def lanczos_steps(monkeypatch):
     """Records each product with sum K^dag K; the dense paths make none."""
@@ -298,6 +311,18 @@ class TestGramSpectrum:
         assert len(lanczos_steps) == (0 if d == 256 else 2)  # Lanczos above 256, no fallback
         with pytest.raises(ValueError, match="- 1 = 1e-06"):
             KrausSet((k,)).validate()
+
+    def test_dense_dft_layer_settles_in_one_step_and_its_excess_in_two(self, lanczos_steps):
+        # The row-blocked G v must leave the step counts of the plain product.
+        u = phase_dft(4096, np.random.default_rng(25))
+        verdict = normalisation([u])
+        assert verdict.deterministic and verdict.excess is None
+        assert len(lanczos_steps) == 1
+        lanczos_steps.clear()
+        u[:, 0] *= np.sqrt(1 + 1e-6)  # G = diag(1 + 1e-6, 1, ..., 1), in place: no second copy
+        verdict = normalisation([u])
+        assert not verdict.deterministic and abs(verdict.excess - 1e-6) < 1e-12
+        assert len(lanczos_steps) == 2
 
     def test_gapless_subnormalised_spectrum_with_one_excess_rejected(self):
         d = 1024
