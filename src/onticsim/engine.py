@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -155,9 +155,11 @@ class _SlicePlan:
     node_indices: list[int]           # the foliation's slice, in run order
     out_dims: tuple[int, ...]
     fast: bool
-    # Nodes whose condition reads from outside the slice (or @input), in
-    # run order: their admissible event subsets make up the context key.
-    key_nodes: tuple[int, ...]
+    columns: slice                    # the slice's columns in ``CompiledStep.run``
+    # Columns of the nodes whose condition reads from outside the slice (or
+    # @input), in run order: their admissible event subsets make up the
+    # context key.
+    key_columns: tuple[int, ...]
     # context key -> _Branches, filled on first use
     branches: dict = field(default_factory=dict)
 
@@ -171,6 +173,7 @@ class _Branches:
     cands: list[dict[int, int]]        # node index -> event index, every node of the slice
     deterministic: bool                # every admissible subset sums to the identity
     stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
+    events: np.ndarray | None = None   # (candidates, slice nodes) event indices, in run order
 
 
 @dataclass
@@ -183,6 +186,8 @@ class CompiledStep:
     # the initial state.
     bind: list[tuple[int, int]]
     run: list[int]  # the step's nodes in run order: its slices in turn, as foliated
+    # classical input -> ``_condition_tables``, filled on first use
+    conditions: dict = field(default_factory=dict)
 
 
 def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[CompiledStep]:
@@ -220,15 +225,18 @@ def compile_program(program: Program, *, max_dim: int = MAX_DIM) -> list[Compile
         # Leaf 0 and the last leaf are the boundary.
         if any(prod(fol.leaf_dims(s)) > max_dim for s in range(len(fol.leaves))):
             raise EngineError(f"step {t}: leaf dimension exceeds cap {max_dim}")
-        plans = []
+        plans, a = [], 0
         for s, members in enumerate(fol.slices):
             fast = (
                 prod(fol.leaf_dims(s)) <= FAST_PATH_MAX_DIM
                 and prod(fol.leaf_dims(s + 1)) <= FAST_PATH_MAX_DIM
             )
-            key_nodes = tuple(i for i in members if lay.circuit.nodes[i].condition is not None
-                              and lay.sources[i] not in members)
-            plans.append(_SlicePlan(members, fol.leaf_dims(s + 1), fast, key_nodes))
+            key_columns = tuple(a + j for j, i in enumerate(members)
+                                if lay.circuit.nodes[i].condition is not None
+                                and lay.sources[i] not in members)
+            plans.append(_SlicePlan(members, fol.leaf_dims(s + 1), fast,
+                                    slice(a, a + len(members)), key_columns))
+            a += len(members)
         compiled.append(CompiledStep(lay, fol, plans, bind, [i for s in fol.slices for i in s]))
         prev_out = lay.output_dims
     return compiled
@@ -269,7 +277,9 @@ def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[int, in
                    for cand in candidates]
         deterministic = deterministic and all((i, a) in lay.deterministic for a in subsets)
         candidates = [{**cand, i: idx} for cand, a in zip(candidates, subsets) for idx in a]
-    return _Branches(candidates, deterministic)
+    events = np.array([[cand[i] for i in plan.node_indices] for cand in candidates], dtype=np.intp)
+    return _Branches(candidates, deterministic,
+                     events=events.reshape(len(candidates), len(plan.node_indices)))
 
 
 def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.ndarray:
@@ -401,42 +411,125 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.matmul(rows.conj(), rows.transpose(0, 2, 1)).real.reshape(len(x))
 
 
+class _Conditions(NamedTuple):
+    """A step's condition tables under one classical input, over the columns
+    of ``step.run``. Column c's admissible events are
+    ``subsets[c][subset[c, e]]``, where e is the event index in column
+    ``source[c]``: the event its source fired, or, for a node with no fired
+    source, its own column, whose row is constant (so -1, before the node
+    runs, reads it too)."""
+
+    source: np.ndarray                  # (columns,)
+    subset: np.ndarray                  # (columns, most events) subset id per source event
+    subsets: list[list[tuple[int, ...]]]  # per column, its distinct admissible subsets
+    free: np.ndarray                    # (columns, most events) more than one event admissible
+
+
+def _condition_tables(step: CompiledStep, classical_input: str) -> _Conditions:
+    """The step's ``_Conditions``, from ``_admissible_table`` over every
+    event of each node's source. Built once per step and classical input,
+    as a function of that key alone."""
+    tables = step.conditions.get(classical_input)
+    if tables is None:
+        lay = step.layout
+        column = {i: c for c, i in enumerate(step.run)}
+        width = max((len(node.events) for node in lay.circuit.nodes), default=1)
+        source = np.arange(len(step.run))
+        subset = np.zeros((len(step.run), width), dtype=np.intp)
+        free = np.zeros((len(step.run), width), dtype=bool)
+        all_subsets = []
+        for c, i in enumerate(step.run):
+            u = lay.sources[i]
+            by_event = list(_admissible_table(
+                lay, i, () if u is None else range(len(lay.circuit.nodes[u].events)),
+                classical_input).values())
+            subsets = list(dict.fromkeys(by_event))
+            if u is not None:
+                source[c] = column[u]
+            subset[c, :len(by_event)] = [subsets.index(a) for a in by_event]
+            free[c] = [len(subsets[j]) > 1 for j in subset[c]]
+            all_subsets.append(subsets)
+        tables = step.conditions[classical_input] = _Conditions(source, subset, all_subsets, free)
+    return tables
+
+
+#: The longest inner dimension one gemm of ``_contract_rows`` is given.
+#: OpenBLAS 0.3.31 cuts a longer one into blocks, and its threaded and
+#: serial gemm cut it differently (seen at two threads for 128 < d_in <
+#: 255), so a row's bits would depend on whether its product ran threaded,
+#: that is, on how many rows share it.
+_GEMM_DEPTH = 128
+
+
+def _contract_rows(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` (m, d_in) under every operator of a (1, k, d_out,
+    d_in) stack, as (m, k * d_out): one row-oriented gemm per ``_GEMM_DEPTH``
+    columns of ``x``, summed in column order. A row's bits then do not
+    depend on which other rows share the product, a BLAS property that
+    ``test_gemm_rows_keep_their_bits`` pins. A single row would go through
+    gemv, which does not keep them, so it is padded to two."""
+    if len(x) == 1:
+        return _contract_rows(x.repeat(2, axis=0), stacked)[:1]
+    ops = stacked.reshape(-1, stacked.shape[-1])
+    out = x[:, :_GEMM_DEPTH] @ ops[:, :_GEMM_DEPTH].T
+    for a in range(_GEMM_DEPTH, ops.shape[1], _GEMM_DEPTH):
+        out += x[:, a:a + _GEMM_DEPTH] @ ops[:, a:a + _GEMM_DEPTH].T
+    return out
+
+
 def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                    uniforms: np.ndarray):
     """The batch kernel: sample every slice of one circuit step for a batch.
 
     ``state`` is (n, d) on the step's input wires in canonical order;
     ``uniforms`` is (n, len(step.slices)), one draw per slice. Rows that
-    made the same choices so far share an integer path id, and the context
-    key and candidates are worked out once per path. Returns (path id per
-    row, event indices and free mask per path over ``step.run``, (n, d_out)
-    normalized states in output-wire order, step weight per row).
+    made the same choices so far share an integer path id, and each path is
+    a row of event indices over ``step.run``. A slice's rows are grouped by
+    context key, read from the step's condition tables, whichever path
+    brought them there: each group's candidates are looked up once, and its
+    picks, normalisation and weight check run once. The fast path contracts
+    a group's rows with all its candidates' operators in one gemm per
+    ``_GEMM_DEPTH`` columns, padding a single row to two; a row's bits then
+    do not depend on its batch, by a BLAS property that
+    ``test_gemm_rows_keep_their_bits`` pins (see ``_contract_rows``). The
+    tensor path contracts each row alone. New path ids number the (old
+    path, picked candidate) pairs in order. Returns
+    (path id per row, event indices and free mask per path over
+    ``step.run``, (n, d_out) normalized states in output-wire order, step
+    weight per row).
     """
     lay = step.layout
+    tables = _condition_tables(step, classical_input)
     n = len(state)
     state = state.reshape((n, *lay.input_dims))
     order = [_BATCH, *lay.input_wires]
     path = np.zeros(n, dtype=np.intp)
-    paths: list[dict[int, int]] = [{}]  # node index -> event index, per path
+    ev = np.full((1, len(step.run)), -1, dtype=np.intp)  # per path; -1 before a node runs
     weight = np.ones(n)
     for s, plan in enumerate(step.slices):
-        new_paths: list[dict[int, int]] = []
-        new_path = np.empty(n, dtype=np.intp)
+        # each path's context key, as subset ids of the key columns, numbered
+        # in order of first appearance
+        cols = list(plan.key_columns)
+        keys: dict[tuple[int, ...], int] = {}
+        code = np.array([keys.setdefault(ids, len(keys)) for ids in map(
+            tuple, tables.subset[cols, ev[:, tables.source[cols]]].tolist())], dtype=np.intp)
+        pick = np.empty(n, dtype=np.intp)
         out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
         if plan.fast:
-            x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]])
-            x_all = x_all.reshape(n, 1, -1, 1)
+            x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]]).reshape(n, -1)
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
-        for p, rows in _groups(path, len(paths)):
-            chosen = paths[p]
-            key = tuple([admissible_events(lay, i, chosen, classical_input) for i in plan.key_nodes])
+        cand_events = []
+        for (ids, g), (_, rows) in zip(keys.items(), _groups(code[path], len(keys))):
+            key = tuple([tables.subsets[c][j] for c, j in zip(cols, ids)])
             branches = plan.branches.get(key)
-            if branches is None:
+            if branches is None:  # any path with the key: the key alone fixes the candidates
+                p = code.tolist().index(g)
+                chosen = {i: e for i, e in zip(step.run, ev[p].tolist()) if e >= 0}
                 branches = plan.branches[key] = _slice_candidates(plan, lay, chosen, classical_input)
             u = uniforms[rows, s]
             m, k = len(u), len(branches.cands)
             if plan.fast:
-                amps = np.matmul(_stacked_operators(step, s, branches), x_all[rows])
+                amps = _contract_rows(x_all[rows], _stacked_operators(step, s, branches))
                 amps = amps.reshape(m * k, -1)
                 weights = np.empty(m * k)
                 for a in range(0, m * k, 256):  # a conjugated copy of 256 rows at a time, same bits
@@ -455,19 +548,23 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             _check_slice_total(branches, weights)
             pos = np.arange(m)
             w_rows = weights[pos, idx]
-            out[rows], w[rows] = amps[pos, idx] / np.sqrt(w_rows)[:, None], w_rows
-            distinct = sorted(set(idx.tolist()))
-            lookup = np.zeros(k, dtype=np.intp)
-            lookup[distinct] = np.arange(len(new_paths), len(new_paths) + len(distinct))
-            new_path[rows] = lookup[idx]
-            new_paths += [{**chosen, **branches.cands[c]} for c in distinct]
-        state, order, path, paths = out.reshape((n, *out_shape)), out_order, new_path, new_paths
+            out[rows], w[rows], pick[rows] = amps[pos, idx] / np.sqrt(w_rows)[:, None], w_rows, idx
+            cand_events.append(branches.events)
+        # New path ids in (old path, pick) order; each new path extends its
+        # old one by the picked candidate of the old path's context key.
+        k_max = max(len(e) for e in cand_events)
+        pairs, path = np.unique(path * k_max + pick, return_inverse=True)
+        parent, cand = np.divmod(pairs, k_max)
+        picked = np.zeros((len(cand_events), k_max, len(plan.node_indices)), dtype=np.intp)
+        for g, e in enumerate(cand_events):
+            picked[g, :len(e)] = e
+        ev = ev[parent]
+        ev[:, plan.columns] = picked[code[parent], cand]
+        state, order = out.reshape((n, *out_shape)), out_order
         weight = weight * w
     state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
-    events = np.array([[chosen[i] for i in step.run] for chosen in paths], dtype=np.intp)
-    free = np.array([[len(admissible_events(lay, i, chosen, classical_input)) > 1
-                      for i in step.run] for chosen in paths], dtype=bool)
-    return path, events, free, state, weight
+    free = tables.free[np.arange(len(step.run)), ev[:, tables.source]]
+    return path, ev, free, state, weight
 
 
 def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:

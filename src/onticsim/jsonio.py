@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -33,12 +34,16 @@ def _is_number(obj) -> bool:
 
 
 def _decode_scalar(obj) -> complex:
-    """A number, or an [re, im] pair of numbers; a JSON boolean is neither."""
-    if _is_number(obj):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
-        return complex(obj[0], obj[1])
-    raise ValueError(f"not a complex scalar: {obj!r}")
+    """A number, or an [re, im] pair of numbers; a JSON boolean is neither,
+    and an integer beyond float range is refused."""
+    try:
+        if _is_number(obj):
+            return complex(obj)
+        if isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
+            return complex(obj[0], obj[1])
+    except OverflowError:
+        raise ValueError(f"complex scalar out of float range: {reprlib.repr(obj)}") from None
+    raise ValueError(f"not a complex scalar: {reprlib.repr(obj)}")
 
 
 def decode_matrix(obj) -> np.ndarray:

@@ -347,7 +347,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_isometry(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Random isometry V (d_out x d_in), V^dag V = I. Requires d_out >= d_in."""
+    """Random isometry V (d_out x d_in), V^dag V = I. Requires d_out >= d_in.
+    V is a C-contiguous copy of the first d_in columns of a Haar unitary, so
+    it does not keep the whole unitary alive."""
     if d_out < d_in:
         raise DimensionError(f"no isometry from dim {d_in} into dim {d_out}")
-    return haar_unitary(d_out, rng)[:, :d_in]
+    return np.ascontiguousarray(haar_unitary(d_out, rng)[:, :d_in])

@@ -222,6 +222,17 @@ FIELD_CASES = {
                              True, "circuit document: not a complex scalar: [True, 0.0]"),
     "state entry a boolean": ("conditioned_step_program.json", ("initial_state", 0, 1), False,
                               "program document: not a complex scalar: [0.70710678"),
+    # Integers that raised OverflowError.
+    "kraus entry beyond float range": ("bell_pair.json", ("nodes", 1, "events", 0, "kraus", 0, 0, 0),
+                                       10 ** 400, "circuit document: complex scalar out of float "
+                                       "range: 100000000000000000...0000000000000000000"),
+    "kraus part beyond float range": ("bell_pair.json",
+                                      ("nodes", 1, "events", 0, "kraus", 0, 0, 0, 1), -10 ** 400,
+                                      "circuit document: complex scalar out of float range: [1.0, "
+                                      "-10000000000000000...0000000000000000000]"),
+    "state entry beyond float range": ("conditioned_step_program.json", ("initial_state", 0, 1),
+                                       10 ** 400, "program document: complex scalar out of float "
+                                       "range: [0.7071067811865475, 100000000000000000...000000"),
 }
 
 
@@ -245,6 +256,7 @@ def test_malformed_field_gives_one_error_line(command, case, circuits_dir, tmp_p
     prefix = "invalid: " if command == "validate" else "error: "
     assert captured.err.startswith(prefix + "malformed " + message), captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_integer_labels_read_as_text(circuits_dir, tmp_path, capsys):

@@ -851,6 +851,29 @@ class TestBatchKernel:
         engine._check_slice_total(deterministic, weights[:2])  # a NaN total passes
         engine._check_slice_total(engine._Branches([], deterministic=False), weights)
 
+    def test_one_fast_contraction_per_context_key(self, monkeypatch):
+        """Rows are grouped by context key, not by path: each key a batch
+        meets is contracted once, however many paths share it."""
+        prog = gallery.conditioned_step_program()
+        compiled = compile_program(prog)
+        contract, stacks = engine._contract_rows, []
+
+        def counted(x, stacked):
+            stacks.append(stacked)
+            return contract(x, stacked)
+
+        monkeypatch.setattr(engine, "_contract_rows", counted)
+        batch, = engine.sample_batches(prog, range(1000), 5, inputs=["1"], compiled=compiled)
+        step, = compiled
+        assert all(plan.fast for plan in step.slices)
+        keyed = [b.stacked for plan in step.slices for b in plan.branches.values()]
+        assert sorted(map(id, stacks)) == sorted(map(id, keyed))
+        assert [len(plan.branches) for plan in step.slices] == [1, 2, 1, 2]
+        # the paths that enter each slice
+        columns = np.cumsum([len(plan.node_indices) for plan in step.slices])[:-1].tolist()
+        rows = batch.events[batch.path].tolist()
+        assert [len({tuple(r[:a]) for r in rows}) for a in [0, *columns]] == [1, 4, 8, 8]
+
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
     @pytest.mark.parametrize("count", [1, 4, 5, 13])
     @pytest.mark.parametrize("n", [1, 2, 1024])
@@ -885,3 +908,26 @@ class TestBatchKernel:
             assert len(result) == len(serial)
             for a, b in zip(result, serial):
                 assert_same_trajectory(a, b)
+
+
+def test_gemm_rows_keep_their_bits():
+    """The BLAS property that one gemm per context key relies on: a row's
+    bits do not depend on which other rows share the product. For every
+    d_in and k * d_out from 1 to 256, subsets of 2, 3, 5, 37 and n - 1 rows,
+    and a single row, which ``_contract_rows`` pads to two, equal the rows
+    of the full product bit for bit. A BLAS build without the property fails
+    here, instead of making a sampled trajectory depend on its batch."""
+    n = 39
+    rng = np.random.default_rng(256)
+    x_all = rng.normal(size=(n, 256)) + 1j * rng.normal(size=(n, 256))
+    ops_all = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    subsets = [[7, 30], [3, 17, 30], [0, 9, 11, 25, 38], list(range(1, 38)), list(range(n - 1)),
+               [20]]
+    for d_in in range(1, 257):
+        x = np.ascontiguousarray(x_all[:, :d_in])
+        for kd in range(1, 257):
+            stacked = np.ascontiguousarray(ops_all[:kd, :d_in]).reshape(1, 1, kd, d_in)
+            full = engine._contract_rows(x, stacked)
+            for rows in subsets:
+                part = engine._contract_rows(x[rows], stacked)
+                assert part.tobytes() == full[rows].tobytes(), (d_in, kd, len(rows))

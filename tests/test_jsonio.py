@@ -37,6 +37,16 @@ def test_non_finite_and_unknown_values_are_rejected():
         jsonio.dumps(np.zeros(2))
 
 
+@pytest.mark.parametrize("entry", [10 ** 400, -10 ** 400, [0, 10 ** 400], [10 ** 309, 1.5]])
+def test_integers_beyond_float_range_are_refused(entry):
+    """``complex`` raises OverflowError for them; the decoder raises the
+    ValueError every loader reports as a malformed document."""
+    for decode, doc in ((jsonio.decode_matrix, [[1, entry]]), (jsonio.decode_vector, [entry])):
+        with pytest.raises(ValueError, match=r"^complex scalar out of float range: .*10+\.\.\.0+"):
+            decode(doc)
+    assert jsonio.decode_vector([10 ** 308, [0, -(10 ** 308)]]).tolist() == [1e308, -1e308j]
+
+
 # --- RecordWriter ----------------------------------------------------------------
 
 STATES = np.array([[1.0, 0.5j], [-0.0, 1 / 3 - 2j]])

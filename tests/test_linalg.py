@@ -292,7 +292,7 @@ class TestBlockedGram:
             "ragged": lambda: [random_complex((1000, 300), rng)],
             "whole_blocks": lambda: [random_complex((436, 300), rng)],
             "two_operators": lambda: list(random_complete_kraus(300, 2, rng).operators),
-            "isometry": lambda: [np.ascontiguousarray(random_isometry(300, 600, rng))],
+            "isometry": lambda: [random_isometry(300, 600, rng)],
         }[case]()
         assert all(k.flags.c_contiguous and len(k) > block_rows(k) for k in ops)
         if case in ("ragged", "whole_blocks"):
