@@ -14,7 +14,6 @@ history operator applied to the initial state.
 
 from __future__ import annotations
 
-from collections import ChainMap
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -167,13 +166,14 @@ class _SlicePlan:
 @dataclass
 class _Branches:
     """A slice's joint outcome choices in one context, and what follows from
-    them. Every field is a function of the context key alone, so threads
-    that race to fill one store equal values."""
+    them: each candidate is a row of event indices, in the order that the
+    node walk of ``_node_children`` makes a row's children. Every field is a
+    function of the context key alone, so threads that race to fill one
+    store equal values."""
 
-    cands: list[dict[int, int]]        # node index -> event index, every node of the slice
+    events: np.ndarray                 # (candidates, slice nodes) event indices, in run order
     deterministic: bool                # every admissible subset sums to the identity
     stacked: np.ndarray | None = None  # fast path: (1, candidates, d_out, d_in) operators
-    events: np.ndarray | None = None   # (candidates, slice nodes) event indices, in run order
 
 
 @dataclass
@@ -255,38 +255,122 @@ def _bind_pairs(bind, n_out: int, n_in: int, t: int) -> list[tuple[int, int]]:
     return bind
 
 
-# --- slice candidates ---------------------------------------------------------
+# --- the history tree ------------------------------------------------------------
 
-def _slice_candidates(plan: _SlicePlan, lay: CircuitLayout, chosen: dict[int, int],
-                      classical_input: str) -> _Branches:
-    """All joint outcome choices of a slice, honoring conditioning, and
-    whether the slice is deterministic.
+class _Conditions(NamedTuple):
+    """A step's condition tables under one classical input, over the columns
+    of ``step.run``: the one record of which events a node admits, for the
+    sampler and the enumerator alike. Column c's admissible events are
+    ``subsets[c][subset[c, e]]``, where e is the event index in column
+    ``source[c]``: the event its source fired, or, for a node with no fired
+    source, its own column, whose row is constant (so -1, before the node
+    runs, reads it too)."""
 
-    ``chosen`` maps the node index of each node fired before the slice to
-    its event index. Each candidate maps node index -> event index for every
-    node of the slice, forced singletons included. Nodes grow in
-    topological order, so a source inside the slice is already in the
-    partial candidate. The slice is deterministic when every admissible
-    event subset met on the way is one that validation recorded as summing
-    to the identity.
-    """
-    candidates: list[dict[int, int]] = [{}]
+    source: np.ndarray                  # (columns,)
+    subset: np.ndarray                  # (columns, most events) subset id per source event
+    subsets: list[list[tuple[int, ...]]]  # per column, its distinct admissible subsets
+    subset_events: list[np.ndarray]     # per column, (subsets, most events) its subsets, -1 padded
+    free: np.ndarray                    # (columns, most events) more than one event admissible
+
+    def subset_ids(self, cols, ev: np.ndarray, offset: int = 0) -> np.ndarray:
+        """The subset id of column(s) ``cols`` in each row of event indices
+        ``ev``, whose step columns start at ``offset``."""
+        return self.subset[cols, ev[:, offset + self.source[cols]]]
+
+    def free_mask(self, ev: np.ndarray, offset: int = 0) -> np.ndarray:
+        """Each row's free mask over the step's columns (see ``subset_ids``)."""
+        return self.free[np.arange(len(self.source)), ev[:, offset + self.source]]
+
+
+def _condition_tables(step: CompiledStep, classical_input: str) -> _Conditions:
+    """The step's ``_Conditions``, from ``admissible_events`` under every
+    event of each node's source. Built once per step and classical input,
+    as a function of that key alone."""
+    tables = step.conditions.get(classical_input)
+    if tables is None:
+        lay = step.layout
+        width = max((len(node.events) for node in lay.circuit.nodes), default=1)
+        source = np.arange(len(step.run))
+        subset = np.zeros((len(step.run), width), dtype=np.intp)
+        free = np.zeros((len(step.run), width), dtype=bool)
+        all_subsets, padded = [], []
+        for c, i in enumerate(step.run):
+            u = lay.sources[i]  # None: the lookup reads no fired event
+            if u is not None:
+                source[c] = step.run.index(u)
+            by_event = [admissible_events(lay, i, {u: e}, classical_input)
+                        for e in (range(len(lay.circuit.nodes[u].events)) if u is not None else [0])]
+            subsets = list(dict.fromkeys(by_event))
+            subset[c, :len(by_event)] = [subsets.index(a) for a in by_event]
+            free[c] = [len(subsets[j]) > 1 for j in subset[c]]
+            all_subsets.append(subsets)
+            padded.append(np.array([a + (-1,) * (width - len(a)) for a in subsets]))
+        tables = step.conditions[classical_input] = _Conditions(source, subset, all_subsets,
+                                                                padded, free)
+    return tables
+
+
+def _node_events(c: int, ev: np.ndarray, tables: _Conditions, offset: int = 0):
+    """One level of the history tree as event rows: the children of the
+    rows ``ev`` of event indices at the node of the step's column ``c``,
+    column ``offset + c`` of ``ev``. A row's children are its admissible
+    events in the order its condition lists them, parent-major. Returns each
+    child's parent row and the children's event indices."""
+    admitted = tables.subset_events[c][tables.subset_ids(c, ev, offset)]
+    parent, j = np.nonzero(admitted >= 0)
+    child_ev = ev[parent]
+    child_ev[:, offset + c] = admitted[parent, j]
+    return parent, child_ev
+
+
+def _node_children(step: CompiledStep, c: int, x: np.ndarray, order: list[int], ev: np.ndarray,
+                   tables: _Conditions, offset: int = 0):
+    """The children of a stack of histories (states ``x`` on a leading
+    ``_BATCH`` axis in wire order ``order``) at the node of column ``c``,
+    as (states, wire order, event indices); see ``_node_events``. The one
+    place that applies a node: each event is applied to all of its rows by
+    one stacked ``_apply_slice`` call, which contracts each row alone."""
+    i = step.run[c]
+    parent, child_ev = _node_events(c, ev, tables, offset)
+    events = child_ev[:, offset + c]
+    distinct = np.unique(events).tolist()
+    out = None
+    for e in distinct:
+        dest = slice(None) if len(distinct) == 1 else np.flatnonzero(events == e)
+        rows = parent[dest]
+        y, out_order = _apply_slice(x if len(rows) == len(x) else x[rows], order, step.layout,
+                                    [i], {i: e})
+        if len(distinct) == 1:  # one event for every child: no copy
+            return y, list(out_order), child_ev
+        if out is None:
+            out = np.empty((len(child_ev), *y.shape[1:]), dtype=y.dtype)
+        out[dest] = y
+    return out, list(out_order), child_ev
+
+
+def _slice_candidates(step: CompiledStep, plan: _SlicePlan, ev: np.ndarray,
+                      tables: _Conditions) -> _Branches:
+    """A slice's joint outcome choices in the context of ``ev``, one path's
+    event indices over ``step.run`` (-1 before a node runs), grown node by
+    node by ``_node_events``, so in the order of the tree walk's children.
+    The slice is deterministic when validation recorded every admissible
+    event subset met on the way as summing to the identity."""
     deterministic = True
-    for i in plan.node_indices:
-        subsets = [admissible_events(lay, i, ChainMap(cand, chosen), classical_input)
-                   for cand in candidates]
-        deterministic = deterministic and all((i, a) in lay.deterministic for a in subsets)
-        candidates = [{**cand, i: idx} for cand, a in zip(candidates, subsets) for idx in a]
-    events = np.array([[cand[i] for i in plan.node_indices] for cand in candidates], dtype=np.intp)
-    return _Branches(candidates, deterministic,
-                     events=events.reshape(len(candidates), len(plan.node_indices)))
+    for c in range(plan.columns.start, plan.columns.stop):
+        deterministic = deterministic and all(
+            (step.run[c], tables.subsets[c][j]) in step.layout.deterministic
+            for j in set(tables.subset_ids(c, ev).tolist()))
+        _, ev = _node_events(c, ev, tables)
+    return _Branches(ev[:, plan.columns], deterministic)
 
 
 def _stacked_operators(step: CompiledStep, s: int, branches: _Branches) -> np.ndarray:
     """The fast path's slice operators of each candidate, stacked to
     broadcast over a batch."""
     if branches.stacked is None:
-        mats = [_compose(step.foliation, s, s + 1, cand, MAX_DIM) for cand in branches.cands]
+        nodes = step.slices[s].node_indices
+        mats = [_compose(step.foliation, s, s + 1, dict(zip(nodes, row)), MAX_DIM)
+                for row in branches.events.tolist()]
         branches.stacked = np.stack(mats)[None] if mats else np.zeros((1, 0, 1, 1), dtype=complex)
     return branches.stacked
 
@@ -411,48 +495,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.matmul(rows.conj(), rows.transpose(0, 2, 1)).real.reshape(len(x))
 
 
-class _Conditions(NamedTuple):
-    """A step's condition tables under one classical input, over the columns
-    of ``step.run``. Column c's admissible events are
-    ``subsets[c][subset[c, e]]``, where e is the event index in column
-    ``source[c]``: the event its source fired, or, for a node with no fired
-    source, its own column, whose row is constant (so -1, before the node
-    runs, reads it too)."""
-
-    source: np.ndarray                  # (columns,)
-    subset: np.ndarray                  # (columns, most events) subset id per source event
-    subsets: list[list[tuple[int, ...]]]  # per column, its distinct admissible subsets
-    free: np.ndarray                    # (columns, most events) more than one event admissible
-
-
-def _condition_tables(step: CompiledStep, classical_input: str) -> _Conditions:
-    """The step's ``_Conditions``, from ``_admissible_table`` over every
-    event of each node's source. Built once per step and classical input,
-    as a function of that key alone."""
-    tables = step.conditions.get(classical_input)
-    if tables is None:
-        lay = step.layout
-        column = {i: c for c, i in enumerate(step.run)}
-        width = max((len(node.events) for node in lay.circuit.nodes), default=1)
-        source = np.arange(len(step.run))
-        subset = np.zeros((len(step.run), width), dtype=np.intp)
-        free = np.zeros((len(step.run), width), dtype=bool)
-        all_subsets = []
-        for c, i in enumerate(step.run):
-            u = lay.sources[i]
-            by_event = list(_admissible_table(
-                lay, i, () if u is None else range(len(lay.circuit.nodes[u].events)),
-                classical_input).values())
-            subsets = list(dict.fromkeys(by_event))
-            if u is not None:
-                source[c] = column[u]
-            subset[c, :len(by_event)] = [subsets.index(a) for a in by_event]
-            free[c] = [len(subsets[j]) > 1 for j in subset[c]]
-            all_subsets.append(subsets)
-        tables = step.conditions[classical_input] = _Conditions(source, subset, all_subsets, free)
-    return tables
-
-
 #: The longest inner dimension one gemm of ``_contract_rows`` is given.
 #: OpenBLAS 0.3.31 cuts a longer one into blocks, and its threaded and
 #: serial gemm cut it differently (seen at two threads for 128 < d_in <
@@ -486,17 +528,19 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
     made the same choices so far share an integer path id, and each path is
     a row of event indices over ``step.run``. A slice's rows are grouped by
     context key, read from the step's condition tables, whichever path
-    brought them there: each group's candidates are looked up once, and its
-    picks, normalisation and weight check run once. The fast path contracts
-    a group's rows with all its candidates' operators in one gemm per
-    ``_GEMM_DEPTH`` columns, padding a single row to two; a row's bits then
-    do not depend on its batch, by a BLAS property that
-    ``test_gemm_rows_keep_their_bits`` pins (see ``_contract_rows``). The
-    tensor path contracts each row alone. New path ids number the (old
-    path, picked candidate) pairs in order. Returns
-    (path id per row, event indices and free mask per path over
-    ``step.run``, (n, d_out) normalized states in output-wire order, step
-    weight per row).
+    brought them there (a slice with no key columns has one key): each
+    group's candidates are looked up once, and its picks, normalisation and
+    weight check run once. The fast path contracts a group's rows with all
+    its candidates' operators in one gemm per ``_GEMM_DEPTH`` columns,
+    padding a single row to two; a row's bits then do not depend on its
+    batch, by a BLAS property that ``test_gemm_rows_keep_their_bits`` pins
+    (see ``_contract_rows``). The tensor path walks the slice node by node
+    over the group's rows with ``_node_children``, the enumerator's kernel:
+    every row has the key's candidates as its children, in their order, and
+    each row is contracted alone. New path ids number the (old path, picked
+    candidate) pairs in order. Returns (path id per row, event indices and
+    free mask per path over ``step.run``, (n, d_out) normalized states in
+    output-wire order, step weight per row).
     """
     lay = step.layout
     tables = _condition_tables(step, classical_input)
@@ -510,9 +554,12 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         # each path's context key, as subset ids of the key columns, numbered
         # in order of first appearance
         cols = list(plan.key_columns)
-        keys: dict[tuple[int, ...], int] = {}
-        code = np.array([keys.setdefault(ids, len(keys)) for ids in map(
-            tuple, tables.subset[cols, ev[:, tables.source[cols]]].tolist())], dtype=np.intp)
+        if cols:
+            keys: dict[tuple[int, ...], int] = {}
+            code = np.array([keys.setdefault(ids, len(keys)) for ids in map(
+                tuple, tables.subset_ids(cols, ev).tolist())], dtype=np.intp)
+        else:
+            keys, code = {(): 0}, np.zeros(len(ev), dtype=np.intp)
         pick = np.empty(n, dtype=np.intp)
         out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
         if plan.fast:
@@ -524,10 +571,9 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
             branches = plan.branches.get(key)
             if branches is None:  # any path with the key: the key alone fixes the candidates
                 p = code.tolist().index(g)
-                chosen = {i: e for i, e in zip(step.run, ev[p].tolist()) if e >= 0}
-                branches = plan.branches[key] = _slice_candidates(plan, lay, chosen, classical_input)
+                branches = plan.branches[key] = _slice_candidates(step, plan, ev[p:p + 1], tables)
             u = uniforms[rows, s]
-            m, k = len(u), len(branches.cands)
+            m, k = len(u), len(branches.events)
             if plan.fast:
                 amps = _contract_rows(x_all[rows], _stacked_operators(step, s, branches))
                 amps = amps.reshape(m * k, -1)
@@ -537,13 +583,11 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                     weights[a:a + 256] = np.einsum("ij,ij->i", block.conj(), block).real
                 weights, amps = weights.reshape(m, k), amps.reshape(m, k, -1)
             else:
-                # The kernel contracts each row of the stack alone, as a state of
-                # its own, so a row's bits do not depend on the batch.
-                results = [_apply_slice(state[rows], order, lay, plan.node_indices, c)
-                           for c in branches.cands]
-                out_order, out_shape = results[0][1], results[0][0].shape[1:]
-                weights = np.stack([_norms(r) for r, _ in results], axis=1)
-                amps = np.stack([r.reshape(m, -1) for r, _ in results], axis=1)
+                x, out_order, e = state[rows], order, ev[path[rows]]
+                for c in range(plan.columns.start, plan.columns.stop):
+                    x, out_order, e = _node_children(step, c, x, out_order, e, tables)
+                out_shape = x.shape[1:]
+                weights, amps = _norms(x).reshape(m, k), x.reshape(m, k, -1)
             idx = _pick_branches(weights, u)
             _check_slice_total(branches, weights)
             pos = np.arange(m)
@@ -563,8 +607,7 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
         state, order = out.reshape((n, *out_shape)), out_order
         weight = weight * w
     state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
-    free = tables.free[np.arange(len(step.run)), ev[:, tables.source]]
-    return path, ev, free, state, weight
+    return path, ev, tables.free_mask(ev), state, weight
 
 
 def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
@@ -641,16 +684,15 @@ def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list
 
 
 def _padded_inputs(inputs, compiled: list[CompiledStep]) -> list[str]:
-    """One classical input per step, missing ones "0". Surplus inputs, and
-    an input that an ``@input``-conditioned node has no entry for, raise."""
+    """One classical input per step, missing ones "0". Surplus inputs raise,
+    and so does an input that an ``@input``-conditioned node has no entry
+    for, when the step's condition tables are built."""
     inputs = list(inputs) if inputs else []
     if len(inputs) > len(compiled):
         raise EngineError(f"got {len(inputs)} classical inputs for a {len(compiled)}-step program")
     inputs += ["0"] * (len(compiled) - len(inputs))
     for step, classical_input in zip(compiled, inputs):
-        for i, source in enumerate(step.layout.sources):
-            if source is None:  # @input or no condition: the lookup reads no fired event
-                admissible_events(step.layout, i, {}, classical_input)
+        _condition_tables(step, classical_input)
     return inputs
 
 
@@ -751,79 +793,23 @@ def run_trajectories(
 
 # --- exhaustive enumeration -----------------------------------------------------
 
-def _admissible_table(lay: CircuitLayout, i: int, source_events,
-                      classical_input: str) -> dict[int, tuple[int, ...]]:
-    """Node ``i``'s admissible events under each of ``source_events``, the
-    events its source node may have fired; one entry, 0, without a source."""
-    source = lay.sources[i]
-    return {u: admissible_events(lay, i, {source: u}, classical_input)
-            for u in (source_events if source is not None else [0])}
-
-
 def _history_count(compiled: list[CompiledStep], inputs: list[str]) -> int:
     """The number of histories, from the condition tables alone: a step's
     are counted up its forest of conditioning edges, and steps multiply."""
     total = 1
     for step, classical_input in zip(compiled, inputs):
         lay = step.layout
+        tables = _condition_tables(step, classical_input)
         # ways[i][e]: how the nodes hanging on node i can fire once i fired e;
         # the last entry is the step root's
         ways = [[1] * len(node.events) for node in lay.circuit.nodes] + [[1]]
-        for i in reversed(lay.topo_order):
+        for c in reversed(range(len(step.run))):  # sources run first
+            i = step.run[c]
             source = -1 if lay.sources[i] is None else lay.sources[i]
-            for u, admissible in _admissible_table(lay, i, range(len(ways[source])),
-                                                   classical_input).items():
-                ways[source][u] *= sum(ways[i][e] for e in admissible)
+            for u, j in enumerate(tables.subset[c, :len(ways[source])].tolist()):
+                ways[source][u] *= sum(ways[i][e] for e in tables.subsets[c][j])
         total *= ways[-1][0]
     return total
-
-
-def _node_children(lay: CircuitLayout, i: int, x: np.ndarray, order: list[int], ev: np.ndarray,
-                   free: np.ndarray, column: dict[int, int], classical_input: str):
-    """The children of a chunk of histories at node ``i``, parent-major.
-
-    ``x`` stacks the chunk's states on a leading batch axis; ``ev`` and
-    ``free`` are the chunk's event indices and free mask (see
-    ``_history_chunks``), and ``column`` maps the step's nodes to their
-    columns. A row's children are its admissible events in the order its
-    condition lists them. Each event is applied to all of its rows by one
-    stacked ``_apply_slice`` call.
-    """
-    m = len(x)
-    source = lay.sources[i]
-    col = None if source is None else ev[:, column[source]]
-    tables = _admissible_table(lay, i, [] if col is None else np.unique(col).tolist(),
-                               classical_input)
-    # (rows, their admissible events) per source event
-    groups = [(np.arange(m) if len(tables) == 1 else np.flatnonzero(col == u), admissible)
-              for u, admissible in tables.items()]
-    counts = np.empty(m, dtype=np.intp)
-    for rows, admissible in groups:
-        counts[rows] = len(admissible)
-    start = np.cumsum(counts) - counts
-    # event -> (rows that admit it, their children's positions)
-    targets: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for rows, admissible in groups:
-        for j, e in enumerate(admissible):
-            targets.setdefault(e, []).append((rows, start[rows] + j))
-    child_ev = np.repeat(ev, counts, axis=0)
-    child_free = np.repeat(free, counts, axis=0)
-    child_free[:, column[i]] = np.repeat(counts > 1, counts)
-    out = None
-    for e, parts in targets.items():
-        rows, dest = (np.concatenate(part) for part in zip(*parts))
-        if len(parts) > 1:  # rows in order, so that all m of them are x itself
-            by_row = np.argsort(rows)
-            rows, dest = rows[by_row], dest[by_row]
-        y, out_order = _apply_slice(x if len(rows) == m else x[rows], order, lay, [i], {i: e})
-        child_ev[dest, column[i]] = e
-        if len(child_ev) == m and len(rows) == m:  # one event for every row: no copy
-            out = y
-            break
-        if out is None:
-            out = np.empty((len(child_ev), *y.shape[1:]), dtype=y.dtype)
-        out[dest] = y
-    return out, list(out_order), child_ev, child_free
 
 
 def _walk(compiled: list[CompiledStep]) -> list[tuple[str, list[str]]]:
@@ -845,11 +831,13 @@ def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] |
     of ``walk = _walk(compiled)``. It is walked level by level over chunks
     of at most ``BATCH_SIZE`` histories, depth first over chunks, so memory
     is bounded by ``BATCH_SIZE`` and the depth of the tree. A chunk's states
-    are stacked on a leading ``_BATCH`` axis: one stacked ``_apply_slice``
-    call applies an event to every row that admits it, with the bits of a
-    walk one history at a time. ``chunks`` yields, in history order and
-    pieces of at most 256 rows, the event indices per column (-1 before a
-    node runs), the free mask (see ``TrajectoryBatch``) and probabilities.
+    are stacked on a leading ``_BATCH`` axis, and ``_node_children`` makes
+    each level, reading admissibility from the steps' condition tables: one
+    stacked ``_apply_slice`` call applies an event to every row that admits
+    it, with the bits of a walk one history at a time. ``chunks`` yields, in
+    history order and pieces of at most 256 rows, the event indices per
+    column, the free mask (see ``TrajectoryBatch``), read from the same
+    tables at the leaf, and probabilities.
     """
     if isinstance(program, Circuit):
         program = Program.single(program)
@@ -858,33 +846,35 @@ def _history_chunks(program: Program | Circuit, omega0=None, inputs: list[str] |
     state0 = _initial_tensor(program, compiled, omega0)
     if _history_count(compiled, inputs) > cap:
         raise HistoryCapExceeded(f"more than {cap} histories")
-    walk, column = _walk(compiled), itertools.count()
-    columns = [{i: next(column) for i in step.run} for step in compiled]
+    walk = _walk(compiled)
+    offsets = [0, *itertools.accumulate(len(step.run) for step in compiled)]
+    tables = [_condition_tables(step, classical_input)
+              for step, classical_input in zip(compiled, inputs)]
     kind = np.min_scalar_type(-max((len(o) for _, o in walk), default=1))  # holds -1 and every event
 
     def chunks():
         # Chunks still to walk, the next one last: (step, nodes of the step
-        # applied, wire order, stacked states, event indices, free mask).
+        # applied, wire order, stacked states, event indices).
         stack = [(0, 0, [_BATCH, *compiled[0].layout.input_wires], state0[None],
-                  np.full((1, len(walk)), -1, dtype=kind), np.zeros((1, len(walk)), dtype=bool))]
+                  np.full((1, len(walk)), -1, dtype=kind))]
         while stack:
-            t, k, order, x, ev, free = stack.pop()
-            lay = compiled[t].layout
-            if k < len(compiled[t].run):
-                x, order, ev, free = _node_children(lay, compiled[t].run[k], x, order, ev, free,
-                                                    columns[t], inputs[t])
+            t, k, order, x, ev = stack.pop()
+            step = compiled[t]
+            if k < len(step.run):
+                x, order, ev = _node_children(step, k, x, order, ev, tables[t], offsets[t])
                 split = len(x) > BATCH_SIZE  # then pieces are copies: none keeps the others alive
                 for a in reversed(range(0, len(x), BATCH_SIZE)):
                     rows = slice(a, a + BATCH_SIZE)
                     stack.append((t, k + 1, order, *(v[rows].copy() if split else v[rows]
-                                                     for v in (x, ev, free))))
+                                                     for v in (x, ev))))
                 continue
-            x = _reorder(x, order, [_BATCH, *lay.output_wires])
+            x = _reorder(x, order, [_BATCH, *step.layout.output_wires])
             if t + 1 < len(compiled):
                 nxt = compiled[t + 1]
                 stack.append((t + 1, 0, [_BATCH, *nxt.layout.input_wires], _apply_bind(x, nxt.bind),
-                              ev, free))
+                              ev))
                 continue
+            free = np.concatenate([tab.free_mask(ev, a) for tab, a in zip(tables, offsets)], axis=1)
             p = _norms(x)
             for a in range(0, len(p), 256):  # small pieces keep a consumer's texts small
                 yield ev[a:a + 256], free[a:a + 256], p[a:a + 256]

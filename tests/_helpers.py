@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import ChainMap
 from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +52,39 @@ def label_admissible_events(node: TestNode, known: Mapping[str, str],
         raise FoliationError(
             f"node {node.label!r}: no conditioning entry for source outcome {source_outcome!r}"
         ) from None
+
+
+class SliceCandidates(NamedTuple):
+    cands: list[dict[int, int]]  # node index -> event index, every node of the slice
+    deterministic: bool          # every admissible subset sums to the identity
+    events: np.ndarray           # (candidates, slice nodes) event indices, in run order
+
+
+def slice_candidates(plan, lay: CircuitLayout, chosen: dict[int, int],
+                     classical_input: str) -> SliceCandidates:
+    """All joint outcome choices of a slice (an ``engine._SlicePlan``),
+    honoring conditioning, and whether the slice is deterministic: the
+    sampler's candidates as they stood before they grew from the condition
+    tables, read from ``admissible_events`` one partial candidate at a time.
+
+    ``chosen`` maps the node index of each node fired before the slice to
+    its event index. Each candidate maps node index -> event index for every
+    node of the slice, forced singletons included. Nodes grow in
+    topological order, so a source inside the slice is already in the
+    partial candidate. The slice is deterministic when every admissible
+    event subset met on the way is one that validation recorded as summing
+    to the identity.
+    """
+    candidates: list[dict[int, int]] = [{}]
+    deterministic = True
+    for i in plan.node_indices:
+        subsets = [admissible_events(lay, i, ChainMap(cand, chosen), classical_input)
+                   for cand in candidates]
+        deterministic = deterministic and all((i, a) in lay.deterministic for a in subsets)
+        candidates = [{**cand, i: idx} for cand, a in zip(candidates, subsets) for idx in a]
+    events = np.array([[cand[i] for i in plan.node_indices] for cand in candidates], dtype=np.intp)
+    return SliceCandidates(candidates, deterministic,
+                           events.reshape(len(candidates), len(plan.node_indices)))
 
 
 #: A chain length deeper than the interpreter's default recursion limit of

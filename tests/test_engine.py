@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _helpers import DEEP_CHAIN, closed_chain, graph_cases
+from _helpers import DEEP_CHAIN, closed_chain, graph_cases, reprepare_chain, slice_candidates
 from onticsim import engine, gallery, linalg
 from onticsim.circuit import (
     Circuit, CircuitError, Condition, Event, System, TestNode, WireSpec, layout,
@@ -24,7 +24,7 @@ from onticsim.engine import (
     run_trajectory,
     trajectory_rng,
 )
-from onticsim.foliation import admissible_events, compile_history, foliate
+from onticsim.foliation import FoliationError, admissible_events, compile_history, foliate
 from onticsim.linalg import haar_state, haar_unitary
 from onticsim.random_circuits import random_circuit
 
@@ -59,6 +59,32 @@ def rand3_program():
         wires = [WireSpec("u", 0, "m1", 0)]
         steps.append(ProgramStep(Circuit(f"s{t}", dict(systems), nodes, wires)))
     return Program("rand3", steps), haar_state(4, rng)
+
+
+def big_leaf_program(unitary_first: bool):
+    """Nine qubits, so every leaf has d = 512 and every slice takes the
+    tensor path. Slice 0: one-qubit measure-and-rotate nodes m0, m1 and m2
+    beside a Haar unitary on the other six qubits. Slice 1: node c on q0,
+    conditioned on m0, measures and rotates after outcome 0 and applies a
+    Haar unitary after outcome 1, beside a Haar unitary on the other eight.
+    The unitaries run first in their slices, or last. Returns the program
+    and a Haar initial state."""
+    rng = np.random.default_rng(512)
+    eye = np.eye(2, dtype=complex)
+    readouts = lambda: [Event(str(b), (haar_unitary(2, rng) @ np.outer(eye[b], eye[b]),))
+                        for b in range(2)]
+    unitary = lambda label, n: TestNode(label, ("q",) * n, ("q",) * n,
+                                        (Event("0", (haar_unitary(2 ** n, rng),)),))
+    first = [TestNode(f"m{j}", ("q",), ("q",), tuple(readouts())) for j in range(3)]
+    u1, u2 = unitary("u1", 6), unitary("u2", 8)
+    c = TestNode("c", ("q",), ("q",), (*readouts(), Event("2", (haar_unitary(2, rng),))),
+                 Condition("m0", {"0": (0, 1), "1": (2,)}))
+    ordered = [u1, *first, u2, c] if unitary_first else [*first, u1, c, u2]
+    wires = [WireSpec("m0", 0, "c", 0), WireSpec("m1", 0, "u2", 0), WireSpec("m2", 0, "u2", 1)]
+    wires += [WireSpec("u1", j, "u2", 2 + j) for j in range(6)]
+    name = "big-leaf-" + ("unitary-first" if unitary_first else "unitary-last")
+    circuit = Circuit(name, {"q": System("q", 2)}, ordered, wires)
+    return Program.single(circuit), haar_state(512, rng)
 
 
 class TestSampleStep:
@@ -408,7 +434,7 @@ def slice_walk_histories(program, omega0=None, inputs=None, cap=engine.DEFAULT_H
             yield t + 1, 0, state, order, {}, key
             return
         plan = step.slices[s]
-        branches = engine._slice_candidates(plan, lay, chosen, inputs[t])
+        branches = slice_candidates(plan, lay, chosen, inputs[t])
         for cand in branches.cands:
             out, out_order = engine._apply_slice(state, order, lay, plan.node_indices, cand)
             fired = {**chosen, **cand}
@@ -446,7 +472,42 @@ def walk_cases():
         cases.append((gallery.conditioned_step_program(), None, inputs))
     cases.append((gallery.merge_split_program(), None, None))
     cases.append((*rand3_program(), ["1", "0"]))
+    cases += [(*big_leaf_program(first), None) for first in (True, False)]
     return cases
+
+
+def test_table_candidates_equal_the_oracle():
+    """The sampler's slice candidates, grown from the condition tables,
+    against ``_helpers.slice_candidates``, read from ``admissible_events``:
+    the same event rows in the same order, and the same determinism (both
+    verdicts occur), in every context reachable under each classical input
+    a case accepts."""
+    contexts, verdicts = 0, set()
+    # the final effect of the reprepare chain sums to less than the identity
+    for prog, _, inputs in [*walk_cases(), (Program.single(reprepare_chain(3)), None, None)]:
+        compiled = compile_program(prog)
+        for classical in ([inputs] if inputs else [None, ["1"]]):
+            try:
+                classical = engine._padded_inputs(classical, compiled)
+            except FoliationError:
+                continue
+            for step, classical_input in zip(compiled, classical):
+                tables = engine._condition_tables(step, classical_input)
+                stack = [(0, {})]
+                while stack:
+                    s, chosen = stack.pop()
+                    if s == len(step.slices):
+                        continue
+                    plan = step.slices[s]
+                    want = slice_candidates(plan, step.layout, chosen, classical_input)
+                    ev = np.array([[chosen.get(i, -1) for i in step.run]])
+                    got = engine._slice_candidates(step, plan, ev, tables)
+                    assert np.array_equal(got.events, want.events), prog.name
+                    assert got.deterministic == want.deterministic, prog.name
+                    stack += [(s + 1, {**chosen, **cand}) for cand in want.cands]
+                    contexts += 1
+                    verdicts.add(want.deterministic)
+    assert contexts > 10_000 and verdicts == {True, False}
 
 
 class TestNodeWalk:
@@ -807,6 +868,59 @@ class TestBatchKernel:
             solo = run_trajectory(prog, None, inputs, seed=4, index=i, store_states=True,
                                   compiled=tensor)
             assert_same_trajectory(slow[i], solo)
+
+    @pytest.mark.parametrize("unitary_first", [True, False])
+    def test_big_leaf_batch_equals_solo(self, unitary_first):
+        """A real d = 512 leaf, no monkeypatching: the tensor path in a batch
+        against one row at a time, bit for bit, with at least two rows in
+        each key group, and every sampled key a key of the exact law."""
+        prog, omega0 = big_leaf_program(unitary_first)
+        compiled = compile_program(prog)
+        step, = compiled
+        assert not any(plan.fast for plan in step.slices)
+        runs_first = step.layout.circuit.nodes[step.slices[0].node_indices[0]].label
+        assert runs_first == ("u1" if unitary_first else "m0")
+        batch = run_trajectories(prog, 48, seed=2, omega0=omega0, store_states=True,
+                                 compiled=compiled)
+        # slice 1's key groups: c's admissible events follow m0's outcome
+        groups = Counter(t.steps[0].outcomes["m0"] for t in batch)
+        assert set(groups) == {"0", "1"} and min(groups.values()) >= 2, groups
+        assert [len(plan.branches) for plan in step.slices] == [1, 2]
+        for i, traj in enumerate(batch):
+            solo = run_trajectory(prog, omega0, seed=2, index=i, store_states=True,
+                                  compiled=compiled)
+            assert_same_trajectory(traj, solo)
+        law = dict(enumerate_histories(prog, omega0))
+        # slice 0 has 8 candidates; c has 2 events after the 4 with m0 = 0, 1 after the others
+        assert len(law) == 4 * 2 + 4 * 1
+        for traj in batch:
+            key = tuple(traj.outcome_items())
+            assert key in law and abs(traj.probability - law[key]) <= 1e-12, key
+
+    def test_tensor_path_applies_each_event_once_per_key(self, monkeypatch):
+        """The tensor path walks a slice node by node: within one key group,
+        a node's event is applied once, to every row that fires it, not
+        once per candidate of the slice."""
+        monkeypatch.setattr(engine, "FAST_PATH_MAX_DIM", 1)
+        prog = gallery.conditioned_step_program()
+        compiled = compile_program(prog)
+        step, = compiled
+        assert not any(plan.fast for plan in step.slices)
+        kernel, applied = engine._apply_slice, Counter()
+
+        def counted(state, order, lay, node_indices, events):
+            applied.update((i, events[i]) for i in node_indices)
+            return kernel(state, order, lay, node_indices, events)
+
+        monkeypatch.setattr(engine, "_apply_slice", counted)
+        batch, = engine.sample_batches(prog, range(1000), 5, inputs=["1"], compiled=compiled)
+        groups = {i: len(plan.branches) for plan in step.slices for i in plan.node_indices}
+        assert [len(plan.branches) for plan in step.slices] == [1, 2, 1, 2]
+        assert applied and all(count <= groups[i] for (i, _), count in applied.items()), applied
+        # a whole-candidate walk would apply every node once per candidate
+        candidates = sum(len(b.events) * len(plan.node_indices)
+                         for plan in step.slices for b in plan.branches.values())
+        assert sum(applied.values()) < candidates
 
     @pytest.mark.parametrize("fast_dim", [256, 1])
     def test_zero_support_on_one_row(self, fast_dim, monkeypatch):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import DEEP_CHAIN, any_assignment, closed_chain, graph_cases, label_admissible_events
+from _helpers import (DEEP_CHAIN, any_assignment, closed_chain, graph_cases, label_admissible_events,
+                      slice_candidates)
 from onticsim import engine, foliation, gallery
 from onticsim.circuit import (
     INPUT_SOURCE,
@@ -590,8 +591,11 @@ def _fast_path_operators(step, classical_input):
         if s == len(step.slices):
             return
         plan = step.slices[s]
-        branches = engine._slice_candidates(plan, lay, chosen, classical_input)
-        stacked = engine._stacked_operators(step, s, branches) if plan.fast else None
+        branches = slice_candidates(plan, lay, chosen, classical_input)
+        stacked = None
+        if plan.fast:
+            keyed = engine._Branches(branches.events, branches.deterministic)
+            stacked = engine._stacked_operators(step, s, keyed)
         for c, cand in enumerate(branches.cands):
             if stacked is not None:
                 found.append((s, cand, stacked[0, c]))
