@@ -299,6 +299,8 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
                     errors.append(f"node {n.label!r}: condition map for {key!r} is out of range")
                 elif not idxs:
                     errors.append(f"node {n.label!r}: empty event subset for outcome {key!r}")
+                elif len(set(idxs)) < len(idxs):
+                    errors.append(f"node {n.label!r}: condition map for {key!r} lists an event twice")
                 else:
                     subsets.append((key, idxs))
         verdicts: dict[tuple[int, ...], Normalisation] = {}

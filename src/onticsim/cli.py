@@ -69,13 +69,15 @@ def _output(args):
 
 def _run_records(batch: TrajectoryBatch, labels, writer: jsonio.RecordWriter, seed: int,
                  store_states: bool) -> list[str]:
-    """One batch's records as text; each path's outcomes (``labels`` of its
-    history) and the states are formatted once."""
-    outcomes = labels(batch.events, batch.free)
+    """One batch's records as text. A batch holds one record per path, so
+    each path's outcomes (``labels`` of its history), probability and final
+    state are formatted once, as one text; a trajectory's record is its
+    seed and index, then its path's text."""
     n = len(batch.path)
-    return writer.format([outcomes[p] for p in batch.path.tolist()], batch.probability,
+    return writer.format(labels(batch.events, batch.free), batch.probability,
                          head=([seed] * n, range(batch.start, batch.start + n)),
-                         tail=(writer.vectors(batch.states[-1]),) if store_states else ())
+                         tail=(writer.vectors(batch.states[-1]),) if store_states else (),
+                         body_of=batch.path.tolist())
 
 
 def cmd_run(args) -> int:

@@ -451,8 +451,11 @@ def _trajectory_uniforms(seed: int, start: int, n: int, count: int) -> np.ndarra
     (numpy increments the counter before the first block) and yields four
     64-bit words in order; each uniform is ``(word >> 11) * 2**-53``. The
     128-bit products of the rounds are assembled from 32-bit halves in
-    uint64 arithmetic, which wraps modulo 2**64 as the cipher needs.
+    uint64 arithmetic, which wraps modulo 2**64 as the cipher needs. One
+    row is cheaper from its generator than from the ten vectorised rounds.
     """
+    if n == 1:
+        return trajectory_rng(seed, start).random(count)[None]
     blocks = -(-count // 4)
     k0 = np.full((n, 1), seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     k1 = np.arange(start, start + n, dtype=np.uint64)[:, None]
@@ -478,12 +481,18 @@ def _groups(path: np.ndarray, n_paths: int) -> list[tuple[int, np.ndarray | slic
     return [(p, order[bounds[p]:bounds[p + 1]]) for p in range(n_paths)]
 
 
-def _pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of (finite, nonnegative) branch weights, the inverse-CDF pick
-    for uniform ``u`` among the branches heavier than ZERO_BRANCH."""
+def _cumulative_weights(weights: np.ndarray) -> np.ndarray:
+    """Per row of (finite, nonnegative) branch weights, the running sums of
+    the branches heavier than ZERO_BRANCH."""
     cum = np.add.accumulate(weights * (weights > ZERO_BRANCH), axis=1)
     if 0.0 in cum[:, -1].tolist():
         raise EngineError("all outcome branches of a slice have zero weight")
+    return cum
+
+
+def _pick_branches(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of running branch sums (see ``_cumulative_weights``), the
+    inverse-CDF pick for uniform ``u``."""
     # Not counting the last column clips the pick to the last branch.
     return np.add.reduce(cum[:, :-1] <= u[:, None] * cum[:, -1:], axis=1)
 
@@ -506,76 +515,86 @@ _GEMM_DEPTH = 128
 def _contract_rows(x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """Each row of ``x`` (m, d_in) under every operator of a (1, k, d_out,
     d_in) stack, as (m, k * d_out): one row-oriented gemm per ``_GEMM_DEPTH``
-    columns of ``x``, summed in column order. A row's bits then do not
-    depend on which other rows share the product, a BLAS property that
-    ``test_gemm_rows_keep_their_bits`` pins. A single row would go through
-    gemv, which does not keep them, so it is padded to two."""
-    if len(x) == 1:
-        return _contract_rows(x.repeat(2, axis=0), stacked)[:1]
+    columns of ``x``, summed in column order. The sampler's rows are the
+    distinct histories of a context key, one per state, not one per
+    trajectory. A row's bits do not depend on which other rows share the
+    product, a BLAS property that ``test_gemm_rows_keep_their_bits`` pins.
+    A single row would go through gemv, which does not keep them, so it is
+    padded to two here."""
+    m = len(x)
+    if m == 1:
+        x = x.repeat(2, axis=0)
     ops = stacked.reshape(-1, stacked.shape[-1])
     out = x[:, :_GEMM_DEPTH] @ ops[:, :_GEMM_DEPTH].T
     for a in range(_GEMM_DEPTH, ops.shape[1], _GEMM_DEPTH):
         out += x[:, a:a + _GEMM_DEPTH] @ ops[:, a:a + _GEMM_DEPTH].T
-    return out
+    return out[:m]
 
 
-def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
-                   uniforms: np.ndarray):
-    """The batch kernel: sample every slice of one circuit step for a batch.
+def _sample_slices(step: CompiledStep, state: np.ndarray, state_of: np.ndarray,
+                   classical_input: str, uniforms: np.ndarray):
+    """The batch kernel: sample every slice of one circuit step for a batch,
+    once per distinct history.
 
-    ``state`` is (n, d) on the step's input wires in canonical order;
-    ``uniforms`` is (n, len(step.slices)), one draw per slice. Rows that
-    made the same choices so far share an integer path id, and each path is
-    a row of event indices over ``step.run``. A slice's rows are grouped by
-    context key, read from the step's condition tables, whichever path
-    brought them there (a slice with no key columns has one key): each
-    group's candidates are looked up once, and its picks, normalisation and
-    weight check run once. The fast path contracts a group's rows with all
-    its candidates' operators in one gemm per ``_GEMM_DEPTH`` columns,
-    padding a single row to two; a row's bits then do not depend on its
-    batch, by a BLAS property that ``test_gemm_rows_keep_their_bits`` pins
-    (see ``_contract_rows``). The tensor path walks the slice node by node
-    over the group's rows with ``_node_children``, the enumerator's kernel:
-    every row has the key's candidates as its children, in their order, and
-    each row is contracted alone. New path ids number the (old path, picked
-    candidate) pairs in order. Returns (path id per row, event indices and
-    free mask per path over ``step.run``, (n, d_out) normalized states in
-    output-wire order, step weight per row).
+    ``state`` is (N, d), the distinct states entering the step, on its input
+    wires in canonical order; row r of the batch starts from
+    ``state[state_of[r]]``, and ``uniforms`` is (n, len(step.slices)), one draw
+    per row and slice. A history's state depends on the history alone, so
+    rows that made the same choices share one state, and each state carries
+    its choices in the step as a row of event indices over ``step.run``. A
+    slice numbers its new states by the (old state, picked candidate) pairs
+    in order, so at the step's end a state id numbers the (input state,
+    choices in the step) pairs in order.
+
+    A slice's states are grouped by context key, read from the step's
+    condition tables (a slice with no key columns has one key), and each
+    group's candidates are looked up once. Contraction, branch weights,
+    normalisation and the weight check run once per state; a row only picks
+    its branch, from its uniform and its state's running weights. The fast
+    path contracts a group's states with all its candidates' operators in
+    one gemm per ``_GEMM_DEPTH`` columns, padding a single state to two; a
+    state's bits then do not depend on which states share the product, by a
+    BLAS property that ``test_gemm_rows_keep_their_bits`` pins (see
+    ``_contract_rows``). The tensor path walks the slice node by node over
+    the group's states with ``_node_children``, the enumerator's kernel:
+    every state has the key's candidates as its children, in their order,
+    and each state is contracted alone. Returns (state id per row, and per
+    state: its input state, step weight, event indices and free mask over
+    ``step.run``, and (N', d_out) normalized state in output-wire order).
     """
     lay = step.layout
     tables = _condition_tables(step, classical_input)
-    n = len(state)
-    state = state.reshape((n, *lay.input_dims))
+    state = state.reshape((len(state), *lay.input_dims))
     order = [_BATCH, *lay.input_wires]
-    path = np.zeros(n, dtype=np.intp)
-    ev = np.full((1, len(step.run)), -1, dtype=np.intp)  # per path; -1 before a node runs
-    weight = np.ones(n)
+    origin = np.arange(len(state))  # each state's input state
+    ev = np.full((len(state), len(step.run)), -1, dtype=np.intp)  # -1 before a node runs
+    weight = np.ones(len(state))
     for s, plan in enumerate(step.slices):
-        # each path's context key, as subset ids of the key columns, numbered
-        # in order of first appearance
+        # each state's context key, as subset ids of the key columns,
+        # numbered in order of first appearance
         cols = list(plan.key_columns)
         if cols:
             keys: dict[tuple[int, ...], int] = {}
             code = np.array([keys.setdefault(ids, len(keys)) for ids in map(
                 tuple, tables.subset_ids(cols, ev).tolist())], dtype=np.intp)
         else:
-            keys, code = {(): 0}, np.zeros(len(ev), dtype=np.intp)
-        pick = np.empty(n, dtype=np.intp)
-        out, w = np.empty((n, prod(plan.out_dims)), dtype=complex), np.empty(n)
+            keys, code = {(): 0}, np.zeros(len(state), dtype=np.intp)
+        pick, local = np.empty(len(state_of), dtype=np.intp), np.empty(len(state), dtype=np.intp)
         if plan.fast:
-            x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]]).reshape(n, -1)
+            x_all = _reorder(state, order, [_BATCH, *step.foliation.leaves[s]]).reshape(len(state), -1)
             out_order, out_shape = [_BATCH, *step.foliation.leaves[s + 1]], plan.out_dims
-        cand_events = []
-        for (ids, g), (_, rows) in zip(keys.items(), _groups(code[path], len(keys))):
+        groups = []
+        for (ids, g), (_, states), (_, rows) in zip(keys.items(), _groups(code, len(keys)),
+                                                    _groups(code[state_of], len(keys))):
             key = tuple([tables.subsets[c][j] for c, j in zip(cols, ids)])
             branches = plan.branches.get(key)
-            if branches is None:  # any path with the key: the key alone fixes the candidates
+            if branches is None:  # any state with the key: the key alone fixes the candidates
                 p = code.tolist().index(g)
                 branches = plan.branches[key] = _slice_candidates(step, plan, ev[p:p + 1], tables)
-            u = uniforms[rows, s]
-            m, k = len(u), len(branches.events)
+            k = len(branches.events)
             if plan.fast:
-                amps = _contract_rows(x_all[rows], _stacked_operators(step, s, branches))
+                amps = _contract_rows(x_all[states], _stacked_operators(step, s, branches))
+                m = len(amps)
                 amps = amps.reshape(m * k, -1)
                 weights = np.empty(m * k)
                 for a in range(0, m * k, 256):  # a conjugated copy of 256 rows at a time, same bits
@@ -583,36 +602,39 @@ def _sample_slices(step: CompiledStep, state: np.ndarray, classical_input: str,
                     weights[a:a + 256] = np.einsum("ij,ij->i", block.conj(), block).real
                 weights, amps = weights.reshape(m, k), amps.reshape(m, k, -1)
             else:
-                x, out_order, e = state[rows], order, ev[path[rows]]
+                x, out_order, e = state[states], order, ev[states]
                 for c in range(plan.columns.start, plan.columns.stop):
                     x, out_order, e = _node_children(step, c, x, out_order, e, tables)
-                out_shape = x.shape[1:]
+                out_shape, m = x.shape[1:], len(x) // k
                 weights, amps = _norms(x).reshape(m, k), x.reshape(m, k, -1)
-            idx = _pick_branches(weights, u)
+            cum = _cumulative_weights(weights)
             _check_slice_total(branches, weights)
-            pos = np.arange(m)
-            w_rows = weights[pos, idx]
-            out[rows], w[rows], pick[rows] = amps[pos, idx] / np.sqrt(w_rows)[:, None], w_rows, idx
-            cand_events.append(branches.events)
-        # New path ids in (old path, pick) order; each new path extends its
-        # old one by the picked candidate of the old path's context key.
-        k_max = max(len(e) for e in cand_events)
-        pairs, path = np.unique(path * k_max + pick, return_inverse=True)
-        parent, cand = np.divmod(pairs, k_max)
-        picked = np.zeros((len(cand_events), k_max, len(plan.node_indices)), dtype=np.intp)
-        for g, e in enumerate(cand_events):
+            local[states] = np.arange(m)  # a state's row in its group
+            pick[rows] = _pick_branches(cum[local[state_of[rows]]], uniforms[rows, s])
+            groups.append((branches.events, weights, amps))
+        # New state ids in (old state, pick) order; each new state extends
+        # its old one by the picked candidate of its context key.
+        k_max = max(len(e) for e, _, _ in groups)
+        pairs, state_of = np.unique(state_of * k_max + pick, return_inverse=True)
+        prev, cand = np.divmod(pairs, k_max)
+        picked = np.zeros((len(groups), k_max, len(plan.node_indices)), dtype=np.intp)
+        out, w = np.empty((len(pairs), prod(out_shape)), dtype=complex), np.empty(len(pairs))
+        for (g, new), (e, weights, amps) in zip(_groups(code[prev], len(groups)), groups):
             picked[g, :len(e)] = e
-        ev = ev[parent]
-        ev[:, plan.columns] = picked[code[parent], cand]
-        state, order = out.reshape((n, *out_shape)), out_order
-        weight = weight * w
-    state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(n, -1)
-    return path, ev, tables.free_mask(ev), state, weight
+            at, c = local[prev[new]], cand[new]
+            w[new] = w_new = weights[at, c]
+            out[new] = amps[at, c] / np.sqrt(w_new)[:, None]
+        ev = ev[prev]
+        ev[:, plan.columns] = picked[code[prev], cand]
+        origin, weight = origin[prev], weight[prev] * w
+        state, order = out.reshape((len(pairs), *out_shape)), out_order
+    state = _reorder(state, order, [_BATCH, *lay.output_wires]).reshape(len(state), -1)
+    return state_of, origin, weight, ev, tables.free_mask(ev), state
 
 
 def _check_slice_total(branches: _Branches, weights: np.ndarray) -> None:
     """Deterministic coarse-graining must conserve total branch weight.
-    ``weights`` holds one row of branch weights per trajectory."""
+    ``weights`` holds one row of branch weights per history."""
     if branches.deterministic:
         totals = np.add.reduce(weights, axis=1)
         failed = np.abs(totals - 1.0) > 1e-6  # a NaN total compares False and passes
@@ -636,49 +658,56 @@ def _apply_bind(state: np.ndarray, bind: list[tuple[int, int]]) -> np.ndarray:
 
 @dataclass
 class TrajectoryBatch:
-    """Trajectories ``start .. start + n - 1`` of one seeded run, as arrays.
+    """Trajectories ``start .. start + n - 1`` of one seeded run, as arrays,
+    with one record per path: rows that made the same choices share a path,
+    and every field but ``start`` and ``path`` is indexed by path.
 
     Row r's history, the record ``enumerate_histories`` walks too, is row
     ``path[r]`` of ``events`` and ``free`` over the columns of ``_walk``:
     each node's event index, and whether it had more than one admissible
-    event. ``states`` holds one (n, d) array of normalized post-step states
-    per step when states are stored, else only the final one.
+    event. ``states`` holds one (paths, d) array of normalized post-step
+    states per step when states are stored, else only the final one.
     """
 
     start: int
-    path: np.ndarray           # (n,) row index into ``events`` and ``free``
+    path: np.ndarray           # (n,) each row's path
     events: np.ndarray         # (paths, columns) event indices
     free: np.ndarray           # (paths, columns) free mask
-    weights: list[np.ndarray]  # per step: (n,) conditional weights
-    probability: np.ndarray    # (n,)
+    weights: list[np.ndarray]  # per step: (paths,) conditional weights
+    probability: np.ndarray    # (paths,)
     states: list[np.ndarray]
 
 
 def _sample_batch(compiled: list[CompiledStep], state0: np.ndarray, inputs: list[str],
                   uniforms: np.ndarray, start: int, store_states: bool) -> TrajectoryBatch:
-    n = len(uniforms)
-    state = state0.reshape(1, -1).repeat(n, axis=0)
+    path = np.zeros(len(uniforms), dtype=np.intp)  # every row starts from ``state0``
+    state = state0.reshape(1, -1)
     dims = compiled[0].layout.input_dims
-    path = np.zeros(n, dtype=np.intp)
     events, free = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=bool)
-    prob = np.ones(n)
-    weights, states = [], []
+    prob = np.ones(1)
+    origins, weights, states = [], [], []
     col = 0
     for t, step in enumerate(compiled):
-        state = _apply_bind(state.reshape((n, *dims)), step.bind).reshape(n, -1)
-        step_path, step_events, step_free, state, weight = _sample_slices(
-            step, state, inputs[t], uniforms[:, col:col + len(step.slices)]
+        state = _apply_bind(state.reshape((len(state), *dims)), step.bind).reshape(len(state), -1)
+        path, origin, weight, step_events, step_free, state = _sample_slices(
+            step, state, path, inputs[t], uniforms[:, col:col + len(step.slices)]
         )
         col += len(step.slices)
         dims = step.layout.output_dims
-        prob = prob * weight  # step weights multiply in step order
+        prob = prob[origin] * weight  # step weights multiply in step order
+        events = np.concatenate([events[origin], step_events], axis=1)
+        free = np.concatenate([free[origin], step_free], axis=1)
+        origins.append(origin)
         weights.append(weight)
-        ids, path = np.unique(path * len(step_events) + step_path, return_inverse=True)
-        before, now = np.divmod(ids, len(step_events))
-        events = np.concatenate([events[before], step_events[now]], axis=1)
-        free = np.concatenate([free[before], step_free[now]], axis=1)
         if store_states:
             states.append(state)
+    # each step's records, indexed by the paths of the last step
+    at = slice(None)
+    for t in reversed(range(len(compiled))):
+        weights[t] = weights[t][at]
+        if store_states:
+            states[t] = states[t][at]
+        at = origins[t][at]
     return TrajectoryBatch(start, path, events, free, weights, prob,
                            states if store_states else [state])
 
@@ -739,14 +768,17 @@ def _run(program: Program | Circuit, indices: range, seed: int, omega0, inputs: 
         outcomes = list(zip(*(label(batch.events[:, a:b], batch.free[:, a:b])
                               for label, a, b in zip(labels, bounds, bounds[1:]))))
         weights = [w.tolist() for w in batch.weights]
-        for r, (p, prob) in enumerate(zip(batch.path.tolist(), batch.probability.tolist())):
-            steps = [TrajectoryStep(inputs[t], dict(step_outcomes), weights[t][r],
-                                    batch.states[t][r].copy() if store_states else None)
+        probability = batch.probability.tolist()
+        for r, p in enumerate(batch.path.tolist()):
+            steps = [TrajectoryStep(inputs[t], dict(step_outcomes), weights[t][p],
+                                    batch.states[t][p].copy() if store_states else None)
                      for t, step_outcomes in enumerate(outcomes[p])]
-            # With stored states the last step's copy is the final state; a row
-            # view would keep the whole batch array alive.
-            final = steps[-1].state if store_states else batch.states[-1][r]
-            result.append(Trajectory(seed, batch.start + r, steps, prob, final, list(dims)))
+            # Each trajectory owns its states: the rows of one path would share
+            # a view, and a view would keep the whole batch array alive. With
+            # stored states the last step's copy is the final state.
+            final = steps[-1].state if store_states else batch.states[-1][p].copy()
+            result.append(Trajectory(seed, batch.start + r, steps, probability[p], final,
+                                     list(dims)))
     return result
 
 

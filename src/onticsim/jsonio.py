@@ -108,9 +108,10 @@ class RecordWriter:
     """Records ``{*head, "outcomes": [[label, outcome], ...], "probability": p,
     *tail}`` with the bytes ``dumps`` gives them in the document that ``write``
     makes: a top-level array, or with ``key`` the first member of a top-level
-    object. ``format`` makes a batch of records, each from one ``%`` template
-    over JSON texts (or ints). Each distinct pair's text is made once, in a
-    bounded cache, so memory does not grow with the document."""
+    object. ``format`` makes a batch of records from ``%`` templates over
+    JSON texts (or ints): one text per distinct body (outcomes, probability
+    and tail), and one head per record. Each distinct pair's text is made
+    once, in a bounded cache, so memory does not grow with the document."""
 
     PAIR_CACHE = 256
 
@@ -118,8 +119,11 @@ class RecordWriter:
         self.indent, self.key = indent, key
         self.level = level = 1 if key is None else 2
         first, pad, end = _breaks(indent, level)
-        keys = (*head, "outcomes", "probability", *tail)
-        template = "{" + first + pad.join(f"{_encode_str(k)}: %s" for k in keys) + end + "}"
+        opening = "{" + first + "".join(f"{_encode_str(k)}: %s{pad}" for k in head)
+        body = pad.join(f"{_encode_str(k)}: %s" for k in ("outcomes", "probability", *tail)) + end + "}"
+        # a record is its head's text, then its body's; with no head, the body's alone
+        self._head = opening + "%s" if head else None
+        template = body if head else opening + body
         # by whether the probability is integral
         self._templates = tuple(template.replace('"probability": %s', f'"probability": {spec}')
                                 for spec in ("%.17g", "%.1f"))
@@ -137,14 +141,19 @@ class RecordWriter:
         """The text of ``encode_vector(row)`` as a tail value, for each row of ``states``."""
         return format_vectors(states, self.indent, self.level + 1)
 
-    def format(self, outcomes, probabilities, head=(), tail=()) -> list[str]:
-        """The texts of a batch of records, one per ``outcomes`` text and
-        probability, with the values of each ``head`` and ``tail`` column. A
-        probability is written as ``format_float`` writes it, checked once."""
+    def format(self, outcomes, probabilities, head=(), tail=(), body_of=None) -> list[str]:
+        """The texts of a batch of records. Each ``outcomes`` text makes one
+        body with its probability and the matching value of each ``tail``
+        column; record r is body ``body_of[r]`` (body r without
+        ``body_of``), headed by row r of the ``head`` columns. A probability
+        is written as ``format_float`` writes it, checked once."""
         p = np.asarray(probabilities, dtype=np.float64)
         templates = self._templates
-        return [templates[i] % row
-                for i, row in zip(_integral(p).tolist(), zip(*head, outcomes, p.tolist(), *tail))]
+        texts = [templates[i] % row
+                 for i, row in zip(_integral(p).tolist(), zip(outcomes, p.tolist(), *tail))]
+        if body_of is not None:
+            texts = list(map(texts.__getitem__, body_of))
+        return texts if self._head is None else list(map(self._head.__mod__, zip(*head, texts)))
 
     def write(self, write, batches, **members) -> None:
         """Write the document of the record texts in ``batches``, one ``write``

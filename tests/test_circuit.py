@@ -131,6 +131,19 @@ class TestValidate:
         report = validate_dag(Circuit(base.name, base.systems, nodes, base.wires))
         assert any("misses source outcomes" in e for e in report.errors)
 
+    def test_condition_subset_lists_each_event_once(self):
+        # Two copies of I/sqrt(2) sum to the identity: without the check,
+        # the subset would even be recorded deterministic.
+        eye = np.eye(2, dtype=complex)
+        m = TestNode("m", ("Q",), ("Q",), (Event("0", (np.outer(eye[0], eye[0]),)),
+                                           Event("1", (np.outer(eye[1], eye[1]),))))
+        c = TestNode("c", ("Q",), ("Q",), (Event("h", (eye / np.sqrt(2),)),),
+                     Condition("m", {"0": (0, 0), "1": (0,)}))
+        report = validate_dag(Circuit("twice", {"Q": System("Q", 2)}, [m, c],
+                                      [WireSpec("m", 0, "c", 0)]))
+        assert report.errors == ["node 'c': condition map for '0' lists an event twice"]
+        assert (1, (0, 0)) not in report.deterministic
+
     def test_nine_node_example_valid_and_ordered(self):
         c = gallery.conditioned_step()
         report = validate_dag(c)

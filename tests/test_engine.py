@@ -831,11 +831,12 @@ class TestBatchKernel:
             for record in ("events", "free"):
                 assert np.array_equal(getattr(b, record)[b.path[r]],
                                       getattr(whole, record)[whole.path[traj.index]])
-            assert b.probability[r] == traj.probability
-            assert b.states[-1][r].tobytes() == traj.final_state.tobytes()
+            p = b.path[r]  # every record but the path is per path
+            assert b.probability[p] == traj.probability
+            assert b.states[-1][p].tobytes() == traj.final_state.tobytes()
             for t, step in enumerate(traj.steps):
-                assert b.weights[t][r] == step.weight
-                assert b.states[t][r].tobytes() == step.state.tobytes()
+                assert b.weights[t][p] == step.weight
+                assert b.states[t][p].tobytes() == step.state.tobytes()
 
     @pytest.mark.parametrize("indices", [range(0, 10, 2), range(-1, 3), range(2 ** 64, 2 ** 64 + 1)])
     def test_batches_refuse_a_bad_range(self, indices):
@@ -983,10 +984,60 @@ class TestBatchKernel:
         keyed = [b.stacked for plan in step.slices for b in plan.branches.values()]
         assert sorted(map(id, stacks)) == sorted(map(id, keyed))
         assert [len(plan.branches) for plan in step.slices] == [1, 2, 1, 2]
-        # the paths that enter each slice
-        columns = np.cumsum([len(plan.node_indices) for plan in step.slices])[:-1].tolist()
+        assert self.entering_histories(step, batch) == [1, 4, 8, 8]
+
+    @staticmethod
+    def entering_histories(step, batch) -> list[int]:
+        """The distinct histories of a one-step batch that enter each slice."""
         rows = batch.events[batch.path].tolist()
-        assert [len({tuple(r[:a]) for r in rows}) for a in [0, *columns]] == [1, 4, 8, 8]
+        return [len({tuple(r[:plan.columns.start]) for r in rows}) for plan in step.slices]
+
+    @pytest.mark.parametrize("case", ["conditioned step", "unitary first", "unitary last"])
+    def test_one_row_per_history(self, case, monkeypatch):
+        """The kernel contracts one row per distinct history, not one per
+        trajectory: the rows that reach the fast path's gemm in a slice are
+        the histories entering it. On the tensor path, an event of a
+        slice's first node reaches at most those histories, and a later
+        node's event at most their partial candidates."""
+        omega0 = inputs = None
+        if case == "conditioned step":
+            prog, inputs, n = gallery.conditioned_step_program(), ["1"], 1000
+        else:
+            (prog, omega0), n = big_leaf_program(case == "unitary first"), 256
+        compiled = compile_program(prog)
+        step, = compiled
+        slice_of = {i: s for s, plan in enumerate(step.slices) for i in plan.node_indices}
+        contract, kernel = engine._contract_rows, engine._apply_slice
+        contracted, applied = Counter(), []
+
+        def counted_contract(x, stacked):
+            s, = {s for s, plan in enumerate(step.slices)
+                  for b in plan.branches.values() if b.stacked is stacked}
+            contracted[s] += len(x)
+            return contract(x, stacked)
+
+        def counted_kernel(state, order, lay, node_indices, events):
+            i, = node_indices
+            applied.append((i, len(state)))
+            return kernel(state, order, lay, node_indices, events)
+
+        monkeypatch.setattr(engine, "_contract_rows", counted_contract)
+        monkeypatch.setattr(engine, "_apply_slice", counted_kernel)
+        batch, = engine.sample_batches(prog, range(n), 5, omega0=omega0, inputs=inputs,
+                                       compiled=compiled)
+        entering = self.entering_histories(step, batch)
+        if case == "conditioned step":
+            assert all(plan.fast for plan in step.slices) and not applied
+            assert entering == [1, 4, 8, 8]
+            assert [contracted[s] for s in range(len(step.slices))] == entering
+            return
+        assert not any(plan.fast for plan in step.slices) and not contracted
+        assert entering == [1, 8]
+        for i, rows in applied:  # one call per event of the node
+            s = slice_of[i]
+            plan = step.slices[s]
+            most = max(len(b.events) for b in plan.branches.values())
+            assert rows <= entering[s] * (1 if i == plan.node_indices[0] else most), (i, rows)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
     @pytest.mark.parametrize("count", [1, 4, 5, 13])

@@ -107,6 +107,24 @@ def test_record_text_is_the_jsonl_line():
         assert writer.format([_outcomes(writer, pairs)], [p], head=([7], [i])) == [jsonio.dumps(record)]
 
 
+@pytest.mark.parametrize("indent", [None, 2])
+@pytest.mark.parametrize("states", [False, True])
+def test_records_share_body_texts(indent, states):
+    """Records that share a body (outcomes, probability and tail) by
+    ``body_of`` have the bytes of records given each its own copy."""
+    writer = jsonio.RecordWriter(("seed", "index"), ("final_state",) if states else (),
+                                 indent=indent)
+    outcomes = [_outcomes(writer, pairs) for _, pairs, _ in RECORDS]
+    probabilities = [p for _, _, p in RECORDS]
+    tail = (writer.vectors(STATES[[0, 1, 0]]),) if states else ()
+    body_of = [2, 0, 2, 1, 2]
+    head = ([7] * len(body_of), range(10, 10 + len(body_of)))
+    shared = writer.format(outcomes, probabilities, head=head, tail=tail, body_of=body_of)
+    copied = writer.format([outcomes[b] for b in body_of], [probabilities[b] for b in body_of],
+                           head=head, tail=tuple([col[b] for b in body_of] for col in tail))
+    assert shared == copied and len(shared) == len(body_of)
+
+
 def test_records_are_written_as_they_are_made():
     writer = jsonio.RecordWriter(indent=2)
     out = io.StringIO()
