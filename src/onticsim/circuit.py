@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .linalg import MAX_DIM, tensor_product
-from .quantum import COMPLETENESS_TOL, KrausSet, Normalisation, SignatureError, normalisation
+from .quantum import COMPLETENESS_TOL, KrausSet, SignatureError, check_tolerance, normalisations
 
 INPUT_SOURCE = "@input"
 
@@ -195,6 +195,8 @@ class CircuitLayout:
     deterministic: frozenset[tuple[int, tuple[int, ...]]]  # from ``validate_dag``
     # (node index, incoming wire order) -> contraction plan; see foliation._apply_slice
     plans: dict = field(default_factory=dict, repr=False, compare=False)
+    # classical input -> outcome resolution table; see foliation._resolution
+    resolutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def input_dims(self) -> tuple[int, ...]:
@@ -218,12 +220,14 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
     """Check wiring, typing, acyclicity, test normalization and closure.
 
     All violations are collected in the report. ``tol`` is the slack on
-    the trace-nonincreasing test normalization; one ``normalisation`` run
-    per admissible event subset also decides, at the same tolerance, whether
-    the subset is deterministic (``report.deterministic``). Only a ``tol``
-    that is not finite and >= 0 raises (ValueError, from that run).
-    The report also keeps the wiring graph and its topological order.
+    the trace-nonincreasing test normalization; one ``normalisations`` call
+    over the circuit's distinct admissible event subsets also decides, at
+    the same tolerance, whether each subset is deterministic
+    (``report.deterministic``). Only a ``tol`` that is not finite and >= 0
+    raises (ValueError), before any node is read. The report also keeps the
+    wiring graph and its topological order.
     """
+    check_tolerance(tol)
     report = ValidationReport(node_count=len(circuit.nodes))
     errors = report.errors
     labels = [n.label for n in circuit.nodes]
@@ -271,14 +275,17 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
         wiring[(fi, w.from_port)] = (ti, w.to_port)
         in_taken.add((ti, w.to_port))
 
-    # Event operator shapes and test normalization.
+    # Event operator shapes and test normalization. ``found`` keeps the
+    # errors and the (node, key, subset) verdicts to report, in order.
+    found: list = []
+    sets: dict[tuple[int, tuple[int, ...]], list[np.ndarray]] = {}
     for node_index, n in enumerate(circuit.nodes):
         d_out, d_in = _node_port_dims(circuit, n)
         bad_shape = False
         for e in n.events:
             for k in e.operators:
                 if k.shape != (d_out, d_in):
-                    errors.append(
+                    found.append(
                         f"node {n.label!r} event {e.outcome!r}: operator shape {k.shape} "
                         f"!= ({d_out}, {d_in})"
                     )
@@ -296,27 +303,32 @@ def validate_dag(circuit: Circuit, *, tol: float = COMPLETENESS_TOL) -> Validati
         else:
             for key, idxs in n.condition.outcome_map.items():
                 if any(i < 0 or i >= len(n.events) for i in idxs):
-                    errors.append(f"node {n.label!r}: condition map for {key!r} is out of range")
+                    found.append(f"node {n.label!r}: condition map for {key!r} is out of range")
                 elif not idxs:
-                    errors.append(f"node {n.label!r}: empty event subset for outcome {key!r}")
+                    found.append(f"node {n.label!r}: empty event subset for outcome {key!r}")
                 elif len(set(idxs)) < len(idxs):
-                    errors.append(f"node {n.label!r}: condition map for {key!r} lists an event twice")
+                    found.append(f"node {n.label!r}: condition map for {key!r} lists an event twice")
                 else:
                     subsets.append((key, idxs))
-        verdicts: dict[tuple[int, ...], Normalisation] = {}
         for key, idxs in subsets:
-            if idxs not in verdicts:
-                verdicts[idxs] = normalisation([k for i in idxs for k in n.events[i].operators], tol)
-            verdict = verdicts[idxs]
-            ctx = f" (conditioned on {key!r})" if key else ""
-            if not verdict.finite:
-                errors.append(f"node {n.label!r}{ctx}: sum K^dag K is not finite "
-                              "(a non-finite or overflowing operator entry)")
-            elif verdict.excess is not None:
-                errors.append(f"node {n.label!r}{ctx} is trace-increasing: "
-                              f"sigma_max - 1 = {verdict.excess:.3g}")
-            elif verdict.deterministic:
-                report.deterministic.add((node_index, idxs))
+            found.append((node_index, key, idxs))
+            sets.setdefault((node_index, idxs), [k for i in idxs for k in n.events[i].operators])
+    verdicts = dict(zip(sets, normalisations(sets.values(), tol)))
+    for item in found:
+        if isinstance(item, str):
+            errors.append(item)
+            continue
+        node_index, key, idxs = item
+        verdict, label = verdicts[node_index, idxs], circuit.nodes[node_index].label
+        ctx = f" (conditioned on {key!r})" if key else ""
+        if not verdict.finite:
+            errors.append(f"node {label!r}{ctx}: sum K^dag K is not finite "
+                          "(a non-finite or overflowing operator entry)")
+        elif verdict.excess is not None:
+            errors.append(f"node {label!r}{ctx} is trace-increasing: "
+                          f"sigma_max - 1 = {verdict.excess:.3g}")
+        elif verdict.deterministic:
+            report.deterministic.add((node_index, idxs))
 
     # Conditioning sources.
     report.sources = [None] * len(circuit.nodes)

@@ -7,18 +7,23 @@ applied by one kernel, ``_apply_slice``: it contracts each firing event's
 Kraus operator into a tensor with one axis per wire, node by node in
 topological order, while wires the slice does not touch ride along as
 untouched axes. Each (node index, incoming wire order) pair is planned
-once, on the ``CircuitLayout``: the transpose that puts the node's input
-axes first, d_in, the output shape, the next order and whether the order
-stacks states on a leading batch axis. The kernel then
+once, on the ``CircuitLayout``, by ``_plan``: the transpose that puts the
+node's input axes first, d_in, the output shape, the next order and
+whether the order stacks states on a leading batch axis. The kernel then
 does what ``np.tensordot`` does, on the same operands, so its bits are
 ``tensordot``'s. The trajectory engine runs it on stacks of state tensors,
-each row contracted as a state of its own. Operator
-compilation runs it in one pass over a range of slices, on the identity
-basis of the range's first leaf, then transposes the result into the last
-leaf's wire order: over one slice this is ``compile_slice``'s operator,
-over every slice ``compile_history``'s, for fixed outcomes. Every
-foliation of a circuit compiles to the same history operator, which is
-the invariance the test-suite pins down.
+each row contracted as a state of its own.
+
+Operator compilation runs the same contractions in one pass over a range
+of slices, on the identity basis of the range's first leaf, then
+transposes the result into the last leaf's wire order: over one slice
+this is ``compile_slice``'s operator, over every slice
+``compile_history``'s, for fixed outcomes. A foliation plans each range's
+pass once, from ``_plan``'s node plans: the node sequence with each
+node's contraction, the leaf and tensor sizes the caps are checked
+against, and the final transpose. Outcomes are resolved from a table per
+layout and classical input. Every foliation of a circuit compiles to the
+same history operator, which is the invariance the test-suite pins down.
 
 Strategies: ``asap`` and ``alap`` are longest-path schedules, one pass
 over the topological order each. ``asap`` puts a node in the slice one
@@ -39,7 +44,7 @@ layout's topological order, which is the order the kernel runs them in.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -62,6 +67,8 @@ class Foliation:
     slices: list[list[int]]      # node indices per slice, in the layout's topological order
     leaves: list[list[int]]      # wire indices per cut; len(slices) + 1 entries
     strategy: str = "given"
+    # (first slice, stop) -> the planned pass; see _compose
+    passes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def circuit(self) -> Circuit:
@@ -203,6 +210,26 @@ def admissible_events(lay: CircuitLayout, i: int, ev: Mapping[int, int],
         ) from None
 
 
+def _resolution(lay: CircuitLayout, classical_input: str) -> dict:
+    """``resolve_assignment``'s table under one classical input: node label
+    -> (node index, outcome -> event index, source node, admissible subset
+    per source event), in topological order. Built once per layout and
+    input from ``admissible_events``, as a function of that key alone."""
+    table = lay.resolutions.get(classical_input)
+    if table is None:
+        table = {}
+        for i in lay.topo_order:
+            node, u = lay.circuit.nodes[i], lay.sources[i]
+            fired = range(len(lay.circuit.nodes[u].events)) if u is not None else [0]
+            try:
+                subsets = [admissible_events(lay, i, {u: e}, classical_input) for e in fired]
+            except FoliationError:  # no entry for this classical input: raised if reached
+                subsets = None
+            table[node.label] = (i, {ev.outcome: j for j, ev in enumerate(node.events)}, u, subsets)
+        lay.resolutions[classical_input] = table
+    return table
+
+
 def resolve_assignment(
     lay: CircuitLayout, outcomes: dict[str, str] | None, classical_input: str = "0"
 ) -> dict[int, int]:
@@ -214,30 +241,30 @@ def resolve_assignment(
     by a label that is no node of the circuit.
     """
     outcomes = dict(outcomes or {})
-    labels = {node.label for node in lay.circuit.nodes}
+    table = _resolution(lay, classical_input)
     for label in outcomes:
-        if label not in labels:
+        if label not in table:
             raise FoliationError(f"no node {label!r}")
     resolved: dict[int, int] = {}
-    for i in lay.topo_order:
-        node = lay.circuit.nodes[i]
-        admissible = admissible_events(lay, i, resolved, classical_input)
-        if node.label in outcomes:
+    for label, (i, events, u, subsets) in table.items():
+        if subsets is None:  # the lookup's own error
+            admissible_events(lay, i, resolved, classical_input)
+        admissible = subsets[0 if u is None else resolved[u]]
+        if label in outcomes:
             try:
-                idx = node.event_index(outcomes[node.label])
-            except KeyError as exc:
-                raise FoliationError(exc.args[0]) from None
+                idx = events[outcomes[label]]
+            except (KeyError, TypeError):
+                raise FoliationError(f"node {label!r} has no outcome {outcomes[label]!r}") from None
             if idx not in admissible:
                 raise FoliationError(
-                    f"outcome {outcomes[node.label]!r} of node {node.label!r} "
-                    "conflicts with its conditioning"
+                    f"outcome {outcomes[label]!r} of node {label!r} conflicts with its conditioning"
                 )
         elif len(admissible) == 1:
             idx = admissible[0]
         else:
             raise MissingOutcomeError(
-                f"node {node.label!r} needs an outcome (choices: "
-                f"{[node.events[j].outcome for j in admissible]})"
+                f"node {label!r} needs an outcome (choices: "
+                f"{[lay.circuit.nodes[i].events[j].outcome for j in admissible]})"
             )
         resolved[i] = idx
     return resolved
@@ -255,13 +282,32 @@ _BATCH = -1
 _COLUMNS = -2
 
 
+def _plan(lay: CircuitLayout, i: int, order: tuple) -> tuple:
+    """Node ``i``'s contraction plan for the incoming wire order ``order``:
+    the transpose that puts its input axes first (after a leading
+    ``_BATCH`` axis), its operator's shape by wire, d_in, the output shape,
+    the next order and whether the order stacks states. Kept on the layout;
+    a function of its key alone, so racing threads store equal plans."""
+    plan = lay.plans.get((i, order))
+    if plan is None:
+        in_wires, out_wires = lay.node_in_wires[i], lay.node_out_wires[i]
+        lead = [0] if order[:1] == (_BATCH,) else []
+        rest = [a for a, w in enumerate(order) if w not in in_wires][len(lead):]
+        nxt = (*order[:len(lead)], *out_wires, *(order[a] for a in rest))
+        op_shape = tuple(lay.wires[w].dim for w in (*out_wires, *in_wires))
+        shape = tuple(-1 if w < 0 else lay.wires[w].dim for w in nxt)
+        plan = lay.plans[i, order] = (lead + [order.index(w) for w in in_wires] + rest,
+                                      op_shape, prod(op_shape[len(out_wires):]), shape, nxt,
+                                      bool(lead))
+    return plan
+
+
 def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
                  node_indices: list[int], events: Mapping[int, int]) -> tuple[np.ndarray, tuple]:
     """Apply one slice's events to a state tensor indexed by wire order:
     node ``i`` fires its event ``events[i]`` (an event index).
 
-    ``_compose``'s ``_COLUMNS`` axis is more columns of one contraction. A
-    leading ``_BATCH`` axis is a stack axis: each row is contracted as a
+    A leading ``_BATCH`` axis is a stack axis: each row is contracted as a
     state of its own, by one ``np.matmul`` over the stack, and the axis
     stays first. matmul makes one BLAS call per row on the operands
     ``np.dot`` gets for that row alone, so every row's bits are those of a
@@ -270,23 +316,14 @@ def _apply_slice(state: np.ndarray, order: Sequence[int], lay: CircuitLayout,
     """
     order = tuple(order)
     for i in node_indices:
+        axes, op_shape, d_in, shape, order, stacked = _plan(lay, i, order)
         op = lay.circuit.nodes[i].events[events[i]].operators[0]
-        plan = lay.plans.get((i, order))
-        if plan is None:  # a function of its key alone: racing threads store equal plans
-            in_wires, out_wires = lay.node_in_wires[i], lay.node_out_wires[i]
-            lead = [0] if order[:1] == (_BATCH,) else []
-            rest = [a for a, w in enumerate(order) if w not in in_wires][len(lead):]
-            nxt = (*order[:len(lead)], *out_wires, *(order[a] for a in rest))
-            op_shape = tuple(lay.wires[w].dim for w in (*out_wires, *in_wires))
-            shape = tuple(-1 if w < 0 else lay.wires[w].dim for w in nxt)
-            plan = lay.plans[i, order] = (lead + [order.index(w) for w in in_wires] + rest,
-                                          op_shape, prod(op_shape[len(out_wires):]), shape, nxt,
-                                          bool(lead))
-        axes, op_shape, d_in, shape, order, stacked = plan
         # np.tensordot(op.reshape(op_shape), state, (input axes, their positions))
         # is this transpose, reshape and np.dot of the same operands, the operator
-        # through the same two reshapes (they set its strides, hence the BLAS call).
-        op = op.reshape(op_shape).reshape(-1, d_in)
+        # through the same two reshapes (they set its strides, hence the BLAS call;
+        # a C-contiguous operator has those strides already).
+        if not op.flags.c_contiguous:
+            op = op.reshape(op_shape).reshape(-1, d_in)
         if not stacked:
             state = np.dot(op, state.transpose(axes).reshape(d_in, -1)).reshape(shape)
         elif d_in > 1:
@@ -304,42 +341,72 @@ def _reorder(state: np.ndarray, order: Sequence[int], target: Sequence[int]) -> 
     return state.transpose(axes)
 
 
+def _plan_pass(fol: Foliation, first: int, stop: int) -> tuple:
+    """The kernel's pass over slices ``first .. stop - 1``, from ``_plan``'s
+    node plans: the identity basis's shape (the first leaf's dims, then
+    d_in); per node in run order its index, axes, op_shape, d_in, output
+    shape, the largest leaf to check before it and its tensor's size; the
+    transpose into the last leaf's order (None if in it already); the
+    largest leaf and tensor. Kept on the foliation, a function of the range."""
+    order = (*fol.leaves[first], _COLUMNS)
+    d0 = prod(fol.leaf_dims(first))
+    leaves = [prod(fol.leaf_dims(s)) for s in range(first, stop)]
+    steps, leaf = [], d0
+    for s in range(first, stop):
+        leaf = max(leaf, leaves[s - first])
+        for i in fol.slices[s]:
+            axes, op_shape, d_in, shape, order, _ = _plan(fol.layout, i, order)
+            size = prod(d for d in shape if d > 0) * d0
+            steps.append((i, axes, op_shape, d_in, shape, leaf, size))
+            leaf = 0
+    target = (*fol.leaves[stop], _COLUMNS)
+    final = None if order == target else [order.index(w) for w in target]
+    plan = fol.passes[first, stop] = ((*fol.leaf_dims(first), d0), steps, final, max([d0, *leaves]),
+                                      max((step[-1] for step in steps), default=0))
+    return plan
+
+
 def _compose(fol: Foliation, first: int, stop: int, resolved: Mapping[int, int],
              max_dim: int) -> np.ndarray:
     """Operator of slices ``first .. stop - 1``: leaf ``first`` -> leaf ``stop``,
     node ``i`` firing its event ``resolved[i]`` (an event index).
 
-    The kernel runs node by node on leaf ``first``'s identity basis, basis
-    axis last, so column j is the slices applied to the j-th basis vector.
+    One loop over the range's planned pass, on leaf ``first``'s identity
+    basis, basis axis last, so column j is the slices applied to the j-th
+    basis vector; each node is ``_apply_slice``'s contraction. A pass that
+    breaks a cap checks each leaf before its slice and each tensor after its
+    node, so it raises where the node-by-node walk did.
     """
-    lay = fol.layout
-    in_dims = fol.leaf_dims(first)
-    d_in = prod(in_dims)
-    if d_in > max_dim:
-        raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
-    state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
-    order = [*fol.leaves[first], _COLUMNS]
-    for s in range(first, stop):
-        if s > first and prod(fol.leaf_dims(s)) > max_dim:
+    in_shape, steps, final, leaf_max, size_max = (fol.passes.get((first, stop))
+                                                  or _plan_pass(fol, first, stop))
+    checked = leaf_max > max_dim or size_max > max_dim * max_dim
+    nodes = fol.circuit.nodes
+    state = np.eye(in_shape[-1], dtype=complex).reshape(in_shape)
+    for i, axes, op_shape, d_in, shape, leaf, size in steps:
+        if checked and leaf > max_dim:
             raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
-        for i in fol.slices[s]:
-            node = lay.circuit.nodes[i]
-            event = node.events[resolved[i]]
-            if not event.is_atomic:
-                raise FoliationError(
-                    f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
-                    "operator compilation needs single-Kraus events"
-                )
-            state, order = _apply_slice(state, order, lay, [i], resolved)
-            if state.size > max_dim * max_dim:
-                raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
-    return _reorder(state, order, [*fol.leaves[stop], _COLUMNS]).reshape(-1, d_in)
+        event = nodes[i].events[resolved[i]]
+        if len(event.operators) != 1:
+            raise FoliationError(f"node {nodes[i].label!r} outcome {event.outcome!r} is not atomic; "
+                                 "operator compilation needs single-Kraus events")
+        op = event.operators[0]
+        if not op.flags.c_contiguous:
+            op = op.reshape(op_shape).reshape(-1, d_in)
+        state = np.dot(op, state.transpose(axes).reshape(d_in, -1)).reshape(shape)
+        if checked and size > max_dim * max_dim:
+            raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
+    if checked:  # what is left to break the cap is a leaf after the last node
+        raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
+    return (state if final is None else state.transpose(final)).reshape(-1, in_shape[-1])
 
 
 def compile_slice(fol: Foliation, slice_index: int, outcomes: dict[str, str] | None = None, *,
                   classical_input: str = "0", max_dim: int = MAX_DIM) -> np.ndarray:
     """Operator of one slice, leaf ``slice_index`` -> ``slice_index + 1``: the
     pass over it alone, for the outcomes that ``resolve_assignment`` completes."""
+    if not 0 <= slice_index < len(fol.slices):
+        raise FoliationError(f"slice index {slice_index} is out of range: the foliation has "
+                             f"{len(fol.slices)} slices, 0 .. {len(fol.slices) - 1}")
     resolved = resolve_assignment(fol.layout, outcomes, classical_input)
     return _compose(fol, slice_index, slice_index + 1, resolved, max_dim)
 

@@ -2,7 +2,7 @@
 
 Everything in this module is a pure function over immutable numpy inputs:
 tensor products, partial traces, Schmidt decompositions, Bloch coordinates
-and ``_gram_spectrum``, the one certified check of sum K^dag K behind every
+and ``_gram_spectra``, the one certified check of sum K^dag K behind every
 contraction, orthonormal-basis and Kraus-normalisation verdict. All other
 modules build on these primitives, the named gates and the shared
 numerical tolerances defined here.
@@ -185,18 +185,63 @@ def _certified_edge(ritz: np.ndarray, log_norm: float) -> float:
     return hi
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite G reads as NaN, below
-def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]:
-    """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
-    each resolved until it settles its own side of [lower, upper].
+def _lanczos_spectrum(ops, lower: float, upper: float) -> tuple[float, float]:
+    """``_gram_spectra`` of one set above d = 256."""
+    d = ops[0].shape[1]
+    bottom = top = None
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    q = rng.normal(size=d) + 1j * rng.normal(size=d)
+    q /= np.linalg.norm(q)
+    log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
+    basis = np.empty((_LANCZOS_STEPS, d), dtype=complex)
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(_LANCZOS_STEPS):
+        basis[j] = q
+        w = _apply_gram(ops, q)
+        alpha.append(float(np.vdot(q, w).real))
+        done = basis[:j + 1]
+        for _ in range(2):  # full reorthogonalisation, twice for stability
+            w -= done.T @ (done.conj() @ w)
+        b = float(np.linalg.norm(w))
+        if not np.isfinite(alpha[-1] + b):
+            return np.nan, np.nan
+        ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if top is None and ritz[-1] > upper:
+            top = float(ritz[-1])
+        if bottom is None and ritz[0] < lower:
+            bottom = float(ritz[0])
+        with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
+            log_norm += np.log(b)
+            if top is None and np.log(upper - ritz).sum() >= log_norm:
+                top = _certified_edge(ritz, log_norm)
+            if bottom is None and np.log(ritz - lower).sum() >= log_norm:
+                bottom = -_certified_edge(-ritz[::-1], log_norm)
+        if top is not None and bottom is not None:
+            return bottom, top
+        beta.append(b)
+        q = w / b
+    gram = sum(k.conj().T @ k for k in ops)
+    if not np.isfinite(gram).all():
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(gram)
+    return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
 
-    Up to d = 256 both are exact (dense eigvalsh). Above, G is applied as
-    K^dag (K v) in a Lanczos recurrence with full reorthogonalisation from
-    a seeded uniformly random unit start q1. Each K is applied in row
-    blocks of about 1 MiB, each read from memory once per step; an operator
-    that is not row-major is one block. After k steps with Ritz values
-    theta_j and residual norms beta_j, each side is fixed at its first
-    verdict:
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite G reads as NaN, below
+def _gram_spectra(sets, lower: float, upper: float) -> list[tuple[float, float]]:
+    """Bounds (bottom, top) on the extreme eigenvalues of G = sum K^dag K,
+    per set of operators K, each resolved until it settles its own side of
+    [lower, upper].
+
+    Up to d = 256 both are exact: each set's G is formed, and one dense
+    eigvalsh runs on the stacked Gs of each size, which gives the bits of
+    one call per G. Above, G is applied as K^dag (K v) in a Lanczos
+    recurrence with full reorthogonalisation from a seeded uniformly random
+    unit start q1, one set at a time. Each K is applied in row blocks of
+    about 1 MiB, each read from memory once per step; an operator that is
+    not row-major is one block. After k steps with Ritz values theta_j and
+    residual norms beta_j, each side is fixed at its first verdict:
 
     * out: theta_max > upper (top) or theta_min < lower (bottom). Ritz
       values lie inside [lambda_min, lambda_max], so this verdict is
@@ -220,61 +265,36 @@ def _gram_spectrum(operators, lower: float, upper: float) -> tuple[float, float]
     such as 1e308 whose square overflows. No verdict holds then, and NaN
     fails every comparison, so callers test for it.
     """
-    ops = [np.asarray(k, dtype=complex) for k in operators]
-    if not ops or any(k.ndim != 2 for k in ops) or len({k.shape[1] for k in ops}) != 1:
-        raise ValueError("sum K^dag K needs one or more matrices of one input dimension, "
-                         f"got shapes {sorted({k.shape for k in ops})}")
-    d = ops[0].shape[1]
-    bottom = top = None
-    if d > _DENSE_GRAM_DIM:
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        q = rng.normal(size=d) + 1j * rng.normal(size=d)
-        q /= np.linalg.norm(q)
-        log_norm = 0.5 * np.log(d / _START_FAILURE_PROB)  # log of prod beta_j * sqrt(d/p)
-        basis = np.empty((_LANCZOS_STEPS, d), dtype=complex)
-        alpha: list[float] = []
-        beta: list[float] = []
-        for j in range(_LANCZOS_STEPS):
-            basis[j] = q
-            w = _apply_gram(ops, q)
-            alpha.append(float(np.vdot(q, w).real))
-            done = basis[:j + 1]
-            for _ in range(2):  # full reorthogonalisation, twice for stability
-                w -= done.T @ (done.conj() @ w)
-            b = float(np.linalg.norm(w))
-            if not np.isfinite(alpha[-1] + b):
-                return np.nan, np.nan
-            ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if top is None and ritz[-1] > upper:
-                top = float(ritz[-1])
-            if bottom is None and ritz[0] < lower:
-                bottom = float(ritz[0])
-            with np.errstate(divide="ignore"):  # beta = 0: an exact invariant subspace
-                log_norm += np.log(b)
-                if top is None and np.log(upper - ritz).sum() >= log_norm:
-                    top = _certified_edge(ritz, log_norm)
-                if bottom is None and np.log(ritz - lower).sum() >= log_norm:
-                    bottom = -_certified_edge(-ritz[::-1], log_norm)
-            if top is not None and bottom is not None:
-                return bottom, top
-            beta.append(b)
-            q = w / b
-    gram = sum(k.conj().T @ k for k in ops)
-    if not np.isfinite(gram).all():
-        return np.nan, np.nan
-    w = np.linalg.eigvalsh(gram)
-    return (float(w[0]) if bottom is None else bottom), (float(w[-1]) if top is None else top)
+    sets = [[np.asarray(k, dtype=complex) for k in ops] for ops in sets]
+    for ops in sets:
+        if not ops or any(k.ndim != 2 for k in ops) or len({k.shape[1] for k in ops}) != 1:
+            raise ValueError("sum K^dag K needs one or more matrices of one input dimension, "
+                             f"got shapes {sorted({k.shape for k in ops})}")
+    spectra: list = [(np.nan, np.nan)] * len(sets)
+    grams: dict[int, list] = {}  # d -> (set index, G), d <= 256
+    for j, ops in enumerate(sets):
+        if ops[0].shape[1] > _DENSE_GRAM_DIM:
+            spectra[j] = _lanczos_spectrum(ops, lower, upper)
+        else:
+            grams.setdefault(ops[0].shape[1], []).append((j, sum(k.conj().T @ k for k in ops)))
+    for same_size in grams.values():
+        stack = np.stack([g for _, g in same_size])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        ids = [j for (j, _), ok in zip(same_size, finite) if ok]
+        for j, w in zip(ids, np.linalg.eigvalsh(stack if finite.all() else stack[finite])):
+            spectra[j] = float(w[0]), float(w[-1])
+    return spectra
 
 
 def is_contraction(x, *, tol: float = TAU_NUM) -> tuple[bool, float]:
     """Whether the largest singular value of ``x`` is <= 1 (within tol).
 
-    Decided as lambda_max(X^dag X) <= (1 + tol)^2 by ``_gram_spectrum``;
+    Decided as lambda_max(X^dag X) <= (1 + tol)^2 by ``_gram_spectra``;
     returns (verdict, sigma_max). sigma_max is exact up to d = 256 and,
     above, a certified bound on the same side of 1 + tol as the true one.
     """
     x = _as_matrix(x)
-    top = _gram_spectrum([x], -np.inf, (1.0 + tol) ** 2)[1] if x.size else 0.0
+    top = _gram_spectra([[x]], -np.inf, (1.0 + tol) ** 2)[0][1] if x.size else 0.0
     return bool(top <= (1.0 + tol) ** 2), float(np.sqrt(max(top, 0.0)))
 
 

@@ -5,8 +5,8 @@ deterministic tests.
 Conventions: a transformation from an m-dimensional input to an
 n-dimensional output is a list of n x m Kraus operators, one per outcome,
 trace-nonincreasing overall (sum K^dag K <= I) and deterministic when the
-sum equals the identity; ``normalisation`` gives both verdicts from one run
-of ``linalg._gram_spectrum``. States are transformations from the trivial
+sum equals the identity; ``normalisations`` gives both verdicts on each of
+many sets from one call of ``linalg._gram_spectra``. States are transformations from the trivial
 (1-dimensional) system, i.e. column operators; effects are rows.
 """
 
@@ -105,13 +105,13 @@ def unitary_kraus(u, label: str = "0", **dims) -> KrausSet:
 def gram_top_eigenvalue(operators, *, tol: float = COMPLETENESS_TOL) -> float:
     """Largest eigenvalue of G = sum K^dag K, as far as the trace-nonincreasing
     verdict ``lambda_max <= 1 + tol`` needs it, on the same side of 1 + tol
-    as lambda_max (``linalg._gram_spectrum``): exact up to d = 256 or when
+    as lambda_max (``linalg._gram_spectra``): exact up to d = 256 or when
     60 Lanczos steps settle nothing; above, a rejection returns the top Ritz
     value, a certain lower bound, and an acceptance an upper bound that is
     wrong with probability at most p = 1e-9 over the seeded random start.
     No d x d matrix is formed unless the dense eigvalsh runs.
     """
-    return linalg._gram_spectrum(operators, -np.inf, 1.0 + tol)[1]
+    return linalg._gram_spectra([operators], -np.inf, 1.0 + tol)[0][1]
 
 
 def gram_identity_defect(operators, *, tol: float = COMPLETENESS_TOL) -> float:
@@ -130,15 +130,27 @@ class Normalisation(NamedTuple):
     defect: float          # ||G - I||_2 as far as that verdict needs it
 
 
-def normalisation(operators, tol: float = COMPLETENESS_TOL) -> Normalisation:
-    """The verdicts on lambda_max(G) <= 1 + tol and ||G - I||_2 <= tol, from
-    one ``_gram_spectrum`` run; ``tol`` must be finite and >= 0."""
+def check_tolerance(tol: float) -> None:
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    bottom, top = linalg._gram_spectrum(operators, 1.0 - tol, 1.0 + tol)
-    defect = max(top - 1.0, 1.0 - bottom)
-    return Normalisation(not np.isnan(top), top - 1.0 if top > 1.0 + tol else None,
-                         defect <= tol, defect)
+
+
+def normalisations(sets, tol: float = COMPLETENESS_TOL) -> list[Normalisation]:
+    """The verdicts on lambda_max(G) <= 1 + tol and ||G - I||_2 <= tol for
+    each set of operators, from one ``_gram_spectra`` call; ``tol`` must be
+    finite and >= 0."""
+    check_tolerance(tol)
+    verdicts = []
+    for bottom, top in linalg._gram_spectra(sets, 1.0 - tol, 1.0 + tol):
+        defect = max(top - 1.0, 1.0 - bottom)
+        verdicts.append(Normalisation(not np.isnan(top), top - 1.0 if top > 1.0 + tol else None,
+                                      defect <= tol, defect))
+    return verdicts
+
+
+def normalisation(operators, tol: float = COMPLETENESS_TOL) -> Normalisation:
+    """``normalisations`` of one set."""
+    return normalisations([operators], tol)[0]
 
 
 def apply_atomic(k: KrausSet, psi) -> tuple[np.ndarray, float]:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from collections import ChainMap
 from collections.abc import Mapping
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
-from onticsim import gallery
+from onticsim import foliation, gallery
 from onticsim.circuit import (INPUT_SOURCE, Circuit, CircuitLayout, Condition, Event, System,
                               TestNode, WireSpec)
-from onticsim.foliation import FoliationError, MissingOutcomeError, admissible_events
+from onticsim.foliation import _COLUMNS, FoliationError, MissingOutcomeError, _reorder, admissible_events
 from onticsim.linalg import haar_unitary
 from onticsim.random_circuits import random_circuit
 
@@ -52,6 +53,36 @@ def label_admissible_events(node: TestNode, known: Mapping[str, str],
         raise FoliationError(
             f"node {node.label!r}: no conditioning entry for source outcome {source_outcome!r}"
         ) from None
+
+
+def oracle_compose(fol, first: int, stop: int, resolved: Mapping[int, int],
+                   max_dim: int) -> np.ndarray:
+    """``foliation._compose`` as it stood before it planned its pass: the
+    kernel (``foliation._apply_slice``, read at call time) run node by node
+    on leaf ``first``'s identity basis, every cap and atomicity check made
+    where the walk meets it."""
+    lay = fol.layout
+    in_dims = fol.leaf_dims(first)
+    d_in = prod(in_dims)
+    if d_in > max_dim:
+        raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
+    state = np.eye(d_in, dtype=complex).reshape(*in_dims, d_in)
+    order = [*fol.leaves[first], _COLUMNS]
+    for s in range(first, stop):
+        if s > first and prod(fol.leaf_dims(s)) > max_dim:
+            raise FoliationError(f"leaf dimension exceeds cap {max_dim}")
+        for i in fol.slices[s]:
+            node = lay.circuit.nodes[i]
+            event = node.events[resolved[i]]
+            if not event.is_atomic:
+                raise FoliationError(
+                    f"node {node.label!r} outcome {event.outcome!r} is not atomic; "
+                    "operator compilation needs single-Kraus events"
+                )
+            state, order = foliation._apply_slice(state, order, lay, [i], resolved)
+            if state.size > max_dim * max_dim:
+                raise FoliationError(f"slice operator exceeds dimension cap {max_dim}")
+    return _reorder(state, order, [*fol.leaves[stop], _COLUMNS]).reshape(-1, d_in)
 
 
 class SliceCandidates(NamedTuple):

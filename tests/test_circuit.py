@@ -86,6 +86,17 @@ class TestValidate:
         report = validate_dag(c)
         assert any("dangling" in e for e in report.errors)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_is_checked_before_any_node(self, tol):
+        """An empty circuit, one of classical nodes only, and one with a
+        quantum node raise alike."""
+        classical = TestNode("c", ("X",), ("X",), (Event("0", (np.eye(2),)),))
+        for c in (Circuit("empty", {}, [], []),
+                  Circuit("classical", {"X": System("X", 2, "classical")}, [classical], []),
+                  single_prepare_measure()):
+            with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {tol}$"):
+                validate_dag(c, tol=tol)
+
     def test_trace_increasing_node(self):
         systems = {"A": System("A", 2)}
         nodes = [TestNode("bad", ("A",), ("A",), (Event("0", (2 * np.eye(2, dtype=complex),)),))]

@@ -730,13 +730,14 @@ def large_conditioned_program() -> Program:
 class TestNormalisationVerdicts:
     def test_one_spectral_run_per_subset_in_compile_none_in_sampling(self, monkeypatch):
         dims = []
-        spectrum = linalg._gram_spectrum
+        spectra = linalg._gram_spectra
 
-        def counted(operators, lower, upper):
-            dims.append(np.shape(operators[0])[1])
-            return spectrum(operators, lower, upper)
+        def counted(sets, lower, upper):
+            sets = list(sets)
+            dims.extend(np.shape(operators[0])[1] for operators in sets)
+            return spectra(sets, lower, upper)
 
-        monkeypatch.setattr(linalg, "_gram_spectrum", counted)
+        monkeypatch.setattr(linalg, "_gram_spectra", counted)
         prog = large_conditioned_program()
         compiled = compile_program(prog)
         # prep, u and m have one event subset each; c has two, one of which

@@ -29,7 +29,8 @@ from onticsim.foliation import (
 from onticsim.linalg import MAX_DIM, haar_state, haar_unitary
 from onticsim.random_circuits import random_circuit
 
-CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
+ROOT = Path(__file__).resolve().parents[1]
+CIRCUITS = ROOT / "circuits"
 
 
 def linear_chain(n=3):
@@ -394,6 +395,16 @@ class TestCompileSlice:
                 vec = compile_slice(fol, s, outcomes) @ vec
             full = compile_history(fol, any_assignment(lay)).operator @ psi
             assert np.allclose(vec, full, atol=1e-10)
+
+    @pytest.mark.parametrize("index", [-1, 4, -5])
+    def test_index_out_of_range_is_named(self, index):
+        program = engine.load_run_spec(ROOT / "bench" / "data" / "conditioned_step_program.json")
+        fol = foliate(program.steps[0].circuit, "asap")
+        assert len(fol.slices) == 4
+        for outcomes in (any_assignment(fol.layout), {}):  # before the outcomes are resolved
+            with pytest.raises(FoliationError, match=rf"^slice index {index} is out of range: "
+                                                     r"the foliation has 4 slices, 0 \.\. 3$"):
+                compile_slice(fol, index, outcomes)
 
     def test_missing_outcome_raises(self):
         fol = foliate(gallery.conditioned_step(), "asap")

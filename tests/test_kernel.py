@@ -4,15 +4,21 @@ operands ``tensordot`` forms, and contracts each row of a stack as a state
 of its own, so every operator, law and sampled state must be equal bit for
 bit, not just close."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from _helpers import any_assignment, graph_cases
-from test_engine import slice_walk_histories
+from _helpers import any_assignment, graph_cases, oracle_compose
+from test_engine import slice_walk_histories, walk_cases
 from onticsim import engine, foliation
 from onticsim.circuit import Circuit, Event, TestNode, layout
 from onticsim.engine import enumerate_histories, run_trajectories
-from onticsim.foliation import _BATCH, compile_slice, foliate, resolve_assignment
+from onticsim.foliation import (_BATCH, FoliationError, compile_history, compile_slice, foliate,
+                                resolve_assignment)
+from onticsim.linalg import MAX_DIM
 
 
 def oracle_apply_slice(state, order, lay, node_indices, events):
@@ -35,10 +41,13 @@ def oracle_apply_slice(state, order, lay, node_indices, events):
 
 
 def with_oracle(fn, *args, **kwargs):
-    """``fn`` run with the oracle in place of the kernel."""
+    """``fn`` run with the oracle in place of the kernel, and operators
+    composed by the node-by-node pass over it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(foliation, "_apply_slice", oracle_apply_slice)
         mp.setattr(engine, "_apply_slice", oracle_apply_slice)
+        mp.setattr(foliation, "_compose", oracle_compose)
+        mp.setattr(engine, "_compose", oracle_compose)
         return fn(*args, **kwargs)
 
 
@@ -154,3 +163,109 @@ def test_plans_are_keyed_by_node_and_incoming_order():
     filled = dict(lay.plans)
     compile_slice(fol, 0, any_assignment(lay))
     assert lay.plans == filled
+
+
+def pass_foliations(lay):
+    """``asap``, ``alap`` and four seeded random foliations."""
+    fols = [foliate(lay, "asap"), foliate(lay, "alap")]
+    return fols + [foliate(lay, "random", rng=np.random.default_rng(seed)) for seed in range(4)]
+
+
+def pass_ranges(fol):
+    """``compile_history``'s range, then each ``compile_slice`` range."""
+    return [(0, len(fol.slices))] + [(s, s + 1) for s in range(len(fol.slices))]
+
+
+def first_events(lay):
+    """Each node's first admissible event, under each classical input the
+    circuit has an entry for."""
+    found = []
+    for classical_input in ("0", "1"):
+        try:
+            found.append(resolve_assignment(lay, any_assignment(lay, classical_input), classical_input))
+        except FoliationError:
+            pass
+    return found
+
+
+def test_planned_pass_equals_the_node_by_node_pass():
+    """``_compose`` runs the pass it planned once per foliation and range;
+    ``_helpers.oracle_compose`` walks the same slices node by node through
+    the kernel. Every step circuit of ``walk_cases()``, whose graph cases
+    are ``graph_cases()``."""
+    count = 0
+    for c in [step.circuit for program, _, _ in walk_cases() for step in program.steps]:
+        lay = layout(c)
+        for fol in pass_foliations(lay):
+            for resolved in first_events(lay):
+                for first, stop in pass_ranges(fol):
+                    got = foliation._compose(fol, first, stop, resolved, MAX_DIM)
+                    want = oracle_compose(fol, first, stop, resolved, MAX_DIM)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), c.name
+                    count += 1
+            assert set(fol.passes) == set(pass_ranges(fol))
+    assert count > 20000
+
+
+def non_atomic(c: Circuit, k: int) -> Circuit:
+    """``c`` with node ``k``'s first event split into two Kraus operators."""
+    n = c.nodes[k]
+    half = Event(n.events[0].outcome, tuple(op / np.sqrt(2) for op in n.events[0].operators * 2))
+    node = TestNode(n.label, n.inputs, n.outputs, (half, *n.events[1:]), n.condition)
+    return Circuit(c.name, c.systems, [*c.nodes[:k], node, *c.nodes[k + 1:]], c.wires, c.closed)
+
+
+def composed(compose, *args):
+    try:
+        return compose(*args).tobytes()
+    except FoliationError as exc:
+        return str(exc)
+
+
+ERRORS = ("leaf dimension exceeds cap", "slice operator exceeds dimension cap", "is not atomic")
+
+
+def test_pass_errors_equal_the_node_by_node_pass():
+    """Under every cap from 0 to 64, with and without a non-atomic event at
+    the first, a middle or the last node: the planned pass raises the text
+    the node-by-node walk raises first, or gives its bits."""
+    raised = set()
+    for c in CASES[::25]:
+        for variant in [c, *(non_atomic(c, k) for k in {0, len(c.nodes) // 2, len(c.nodes) - 1})]:
+            lay = layout(variant)
+            for fol in pass_foliations(lay):
+                for resolved in first_events(lay):
+                    for first, stop in pass_ranges(fol):
+                        for max_dim in (0, 1, 2, 3, 4, 6, 8, 16, 64):
+                            args = (fol, first, stop, resolved, max_dim)
+                            want = composed(oracle_compose, *args)
+                            assert composed(foliation._compose, *args) == want, (c.name, max_dim)
+                            raised.update(kind for kind in ERRORS if isinstance(want, str) and kind in want)
+    assert raised == set(ERRORS), raised
+
+
+def test_threads_on_a_cold_foliation_give_the_serial_bits():
+    """Eight threads compile on one foliation whose layout has no plan,
+    pass or resolution table yet, so that they race to store each."""
+
+    def compile_all(fol):
+        outcomes = any_assignment(fol.layout)
+        return [compile_history(fol, outcomes).operator.tobytes(),
+                *(compile_slice(fol, s, outcomes).tobytes() for s in range(len(fol.slices)))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the caches' fills
+    try:
+        for k, c in enumerate(CASES[6::10]):
+            want = compile_all(foliate(layout(c), "random", rng=np.random.default_rng(k)))
+            fol = foliate(layout(c), "random", rng=np.random.default_rng(k))
+            start = threading.Barrier(8, timeout=60)
+
+            def raced(_):
+                start.wait()
+                return compile_all(fol)
+
+            with ThreadPoolExecutor(8) as pool:
+                assert all(got == want for got in pool.map(raced, range(8), timeout=120)), c.name
+    finally:
+        sys.setswitchinterval(interval)

@@ -24,7 +24,7 @@ from onticsim.linalg import (
     tensor_many,
     tensor_product,
 )
-from test_quantum import random_complete_kraus
+from test_quantum import random_complete_kraus, trace_increasing
 
 RNG = np.random.default_rng(1234)
 
@@ -309,6 +309,53 @@ class TestBlockedGram:
         assert not k.flags.c_contiguous and len(k) > block_rows(k)
         v = random_complex(300, rng)
         assert np.array_equal(linalg._apply_gram([k], v), plain_gram_product([k], v))
+
+
+def spectrum_oracle(ops, lower, upper):
+    """One set's (bottom, top) as it was given before spectra were stacked:
+    up to d = 256 the dense eigvalsh of its formed G alone, NaN when G is
+    not finite; above, the one-set call, whose Lanczos path is per set."""
+    ops = [np.asarray(k, dtype=complex) for k in ops]
+    if ops[0].shape[1] > 256:
+        return linalg._gram_spectra([ops], lower, upper)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(k.conj().T @ k for k in ops)
+    if not np.isfinite(gram).all():
+        return np.nan, np.nan
+    w = np.linalg.eigvalsh(gram)
+    return float(w[0]), float(w[-1])
+
+
+class TestBatchedSpectra:
+    """``_gram_spectra`` runs one eigvalsh per size on the stacked Gs; each
+    set keeps the bits it has alone."""
+
+    def test_equal_per_set_spectra_bit_for_bit(self):
+        rng = np.random.default_rng(256)
+        sets = [random_complete_kraus(d, 1 + d % 3, rng).operators if d % 8 == 0
+                else [random_complex((d, d), rng) / (2 * d) for _ in range(1 + d % 3)]
+                for d in range(1, 257)]
+        sets += [[0.5 * random_complex((d, d), rng)] for d in (1, 2, 7, 64, 256)]
+        sets += [[trace_increasing(d, seed=d)] for d in (2, 64, 256, 257)]  # trace-increasing
+        sets += [[haar_unitary(300, rng)], random_complete_kraus(257, 2, rng).operators]  # Lanczos
+        for d, entry in [(1, np.nan), (3, np.inf), (3, -np.inf), (5, 1e308), (256, 1e200), (257, np.nan)]:
+            k = np.eye(d, dtype=complex)
+            k[-1, 0] = entry
+            sets += [[k], [np.eye(d), k]]  # not finite, alone and beside a finite operator
+        sets = [sets[j] for j in rng.permutation(len(sets))]
+        for lower, upper in [(1 - 1e-8, 1 + 1e-8), (-np.inf, 1 + 1e-8)]:
+            got = linalg._gram_spectra(sets, lower, upper)
+            want = [spectrum_oracle(ops, lower, upper) for ops in sets]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert sum(np.isnan(b) for b, _ in got) == 12
+            assert sum(t > 1 + 1e-8 for _, t in got) > 4
+
+    def test_empty_and_ragged_sets_are_named(self):
+        with pytest.raises(ValueError, match="needs one or more matrices of one input dimension"):
+            linalg._gram_spectra([[np.eye(2)], []], 0.0, 1.0)
+        with pytest.raises(ValueError, match="needs one or more matrices of one input dimension"):
+            linalg._gram_spectra([[np.eye(2)], [np.eye(2), np.eye(3)]], 0.0, 1.0)
+        assert linalg._gram_spectra([], 0.0, 1.0) == []
 
 
 class TestBloch:

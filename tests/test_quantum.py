@@ -437,13 +437,13 @@ class TestOneVerdict:
 
     def test_complete_test_runs_one_spectrum(self, monkeypatch):
         calls = []
-        spectrum = linalg._gram_spectrum
-        monkeypatch.setattr(linalg, "_gram_spectrum",
-                            lambda ops, lower, upper: calls.append(1) or spectrum(ops, lower, upper))
+        spectra = linalg._gram_spectra
+        monkeypatch.setattr(linalg, "_gram_spectra",
+                            lambda sets, lower, upper: calls.append(len(sets)) or spectra(sets, lower, upper))
         for k in (KrausSet((np.diag([0.6, 0.3]).astype(complex),)), random_complete_kraus(300, 2)):
             calls.clear()
             complete_test(k)
-            assert len(calls) == 1
+            assert calls == [1]
 
     @pytest.mark.parametrize("d", [2, 257])
     @pytest.mark.parametrize("scale,excess,deterministic", [
